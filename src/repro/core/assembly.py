@@ -39,7 +39,6 @@ from .screening import (
     TRANSPORT_VWTP,
     detect_transport,
     frame_passes_screen,
-    screen,
     screen_mask,
 )
 
@@ -159,15 +158,14 @@ class _StreamState:
 class StreamAssembler:
     """Incremental payload assembly: one frame in, completed payloads out.
 
-    The streaming core of :func:`assemble_with_diagnostics` — the batch
-    path builds one of these and replays the capture through it, and the
-    diagnostic service (:mod:`repro.service`) feeds it live frames as they
-    arrive off the wire.  Frames failing the per-frame screen are dropped
-    exactly as batch screening would drop them, each surviving frame is
-    routed to its CAN id's reassembler, and :meth:`finish` produces the
-    same ``(messages, diagnostics)`` pair as a batch pass over the same
-    frame sequence — the invariant the service's byte-identical-report
-    guarantee rests on.
+    The only assembly path: :func:`assemble_with_diagnostics` hands it a
+    whole capture as one :meth:`feed_chunk`, and the diagnostic service
+    (:mod:`repro.service`) feeds it live frames or chunks as they arrive
+    off the wire.  Frames failing the per-frame screen are dropped, each
+    surviving frame is routed to its CAN id's reassembler, and
+    :meth:`finish` produces the same ``(messages, diagnostics)`` pair
+    however the frame sequence was split into calls — the invariant the
+    service's byte-identical-report guarantee rests on.
 
     A :class:`~repro.transport.base.HardeningPolicy` flows down to every
     per-id decoder and additionally enforces the *global* byte budget
@@ -282,8 +280,8 @@ class StreamAssembler:
         """Messages + per-stream accounting for rows already proven to be
         clean single frames on idle streams.
 
-        Every payload is sliced from the matrix in one mask op (the same
-        construction as :func:`bulk_assemble`), and the accounting
+        Every payload is sliced from the matrix in one mask op (column
+        mask, one ``tobytes()``, cumsum offsets), and the accounting
         mirrors what the event decoder would have done: one frame in,
         one payload out, per clean SF; BMW additionally latches the
         address byte of each stream's last completed message.
@@ -333,12 +331,13 @@ class StreamAssembler:
         Semantically identical to calling :meth:`feed` per frame — same
         messages, same diagnostics, same decoder state afterwards — but
         streams consisting solely of well-formed single frames are sliced
-        straight out of a :class:`FrameArrays` payload matrix (the
-        :func:`bulk_assemble` fast path applied incrementally).  A stream
+        straight out of a :class:`FrameArrays` payload matrix.  A stream
         is only eligible when its decoder holds no partial message at the
         chunk boundary; anything mid-reassembly, malformed, or multi-frame
         falls back to the event decoders frame by frame, preserving the
-        global completion/detail order byte for byte.
+        global completion/detail order byte for byte.  VW TP 2.0,
+        hardened assembly and chunks under :data:`MIN_CHUNK_FRAMES` take
+        the per-frame path outright.
 
         ``frames`` is either an iterable of :class:`CanFrame` or an
         already-columnar :class:`FrameArrays` (the binary wire's batch
@@ -405,12 +404,6 @@ class StreamAssembler:
 
         fast = clean[inverse]
         fast_positions = np.flatnonzero(fast)
-        if not fast_positions.size:
-            completed = []
-            for position in kept:
-                completed.extend(self.feed(arrays.frames[int(position)]))
-            return completed
-
         built = self._build_singles(
             arrays.payloads[kept[fast_positions]],
             lengths[fast_positions],
@@ -421,19 +414,18 @@ class StreamAssembler:
         if fast.all():
             self._messages.extend(built)
             return built
-        # Mixed chunk: walk kept rows in order so fallback completions and
-        # detail records interleave with fast-path messages exactly as the
-        # per-frame path would have produced them.
+        # Mixed (or wholly fallback) chunk: walk kept rows in order so
+        # fallback completions and detail records interleave with fast-path
+        # messages exactly as the per-frame path would have produced them.
         completed = []
-        next_fast = 0
-        for row, position in enumerate(kept):
-            if fast[row]:
-                message = built[next_fast]
-                next_fast += 1
+        singles = iter(built)
+        for is_fast, position in zip(fast.tolist(), kept.tolist()):
+            if is_fast:
+                message = next(singles)
                 self._messages.append(message)
                 completed.append(message)
             else:
-                completed.extend(self.feed(arrays.frames[int(position)]))
+                completed.extend(self.feed(arrays.frames[position]))
         return completed
 
     def finish(self) -> Tuple[List[AssembledMessage], DecodeDiagnostics]:
@@ -466,132 +458,6 @@ class StreamAssembler:
         return self._messages, self.diagnostics
 
 
-class _DetailCollector:
-    """Position-tagged stand-in for :class:`DecodeDiagnostics` details.
-
-    The bulk path decodes fallback streams one stream at a time, but the
-    event path records error/resync details in global frame order across
-    all streams.  Collecting ``(kept_position, ...)`` tuples and sorting
-    afterwards reproduces that order exactly.
-    """
-
-    def __init__(self) -> None:
-        self.items: List[Tuple[int, int, str, str]] = []
-        self.position = 0
-
-    def record_detail(self, can_id: int, kind: str, detail: str) -> None:
-        self.items.append((self.position, can_id, kind, detail))
-
-
-def bulk_assemble(
-    frames: List[CanFrame], transport: str
-) -> Optional[Tuple[List[AssembledMessage], DecodeDiagnostics]]:
-    """Vectorised decode of a whole capture; ``None`` when inapplicable.
-
-    The fast path turns the capture into a :class:`FrameArrays` columnar
-    view, screens it with one mask, and proves per CAN id that a stream
-    consists solely of well-formed single frames — in which case every
-    payload is sliced straight out of the payload matrix with no decoder
-    state machine.  Streams with multi-frame traffic or any malformed
-    frame (the noisy/resync case) are replayed through the event
-    decoders, so output is byte-identical to
-    :func:`assemble_with_diagnostics`'s event path on every input.
-
-    VW TP 2.0 (stateful screening, no length field) and numpy-less hosts
-    return ``None``: use the event path.
-    """
-    if transport not in (TRANSPORT_ISOTP, TRANSPORT_BMW) or not HAVE_NUMPY:
-        return None
-    diagnostics = DecodeDiagnostics(transport=transport)
-    arrays = FrameArrays.from_frames(frames)
-    if not len(arrays):
-        return [], diagnostics
-    offset = 1 if transport == TRANSPORT_BMW else 0
-    kept = np.flatnonzero(screen_mask(arrays, transport))
-    diagnostics.frames = int(kept.size)
-    if not kept.size:
-        return [], diagnostics
-
-    ids = arrays.can_ids[kept]
-    pci = arrays.payloads[kept, offset]
-    lengths = (pci & 0x0F).astype(np.int16)
-    # A valid SF in the event decoder: PCI nibble 0, length 1..7, and the
-    # (BMW: address-stripped) data field long enough to hold the payload.
-    sf_ok = (
-        ((pci >> 4) == PciType.SINGLE)
-        & (lengths >= 1)
-        & (lengths <= SF_MAX_PAYLOAD)
-        & (lengths <= arrays.dlcs[kept] - 1 - offset)
-    )
-    unique_ids, inverse = np.unique(ids, return_inverse=True)
-    clean = np.ones(len(unique_ids), dtype=bool)
-    np.logical_and.at(clean, inverse, sf_ok)
-
-    tagged: List[Tuple[int, AssembledMessage]] = []
-    details: List[Tuple[int, int, str, str]] = []
-
-    # Clean streams: every payload sliced from the matrix in one mask op.
-    bulk = clean[inverse]
-    bulk_positions = np.flatnonzero(bulk)
-    if bulk_positions.size:
-        rows = arrays.payloads[kept[bulk_positions]]
-        columns = np.arange(rows.shape[1], dtype=np.int16)
-        first = 1 + offset
-        blob = rows[
-            (columns[None, :] >= first)
-            & (columns[None, :] < first + lengths[bulk_positions, None])
-        ].tobytes()
-        ends = np.cumsum(lengths[bulk_positions])
-        starts = ends - lengths[bulk_positions]
-        timestamps = arrays.timestamps[kept[bulk_positions]]
-        addresses = rows[:, 0] if transport == TRANSPORT_BMW else None
-        for j, position in enumerate(bulk_positions):
-            tagged.append(
-                (
-                    int(position),
-                    AssembledMessage(
-                        payload=blob[starts[j] : ends[j]],
-                        can_id=int(ids[position]),
-                        t_first=float(timestamps[j]),
-                        t_last=float(timestamps[j]),
-                        n_frames=1,
-                        ecu_address=(
-                            int(addresses[j]) if addresses is not None else None
-                        ),
-                    ),
-                )
-            )
-    for index in np.flatnonzero(clean):
-        count = int((inverse == index).sum())
-        diagnostics.streams[int(unique_ids[index])] = DecoderStats(
-            frames=count, payloads=count
-        )
-
-    # Noisy/multi-frame streams: replay through the event decoders.
-    for index in np.flatnonzero(~clean):
-        state = _StreamState(transport)
-        collector = _DetailCollector()
-        for position in np.flatnonzero(inverse == index):
-            collector.position = int(position)
-            for message in state.feed(arrays.frames[int(kept[position])], collector):
-                tagged.append((int(position), message))
-        details.extend(collector.items)
-        diagnostics.streams[int(unique_ids[index])] = state.reassembler.stats
-
-    # Merge per-stream accounting and restore global event ordering.
-    diagnostics.streams = dict(sorted(diagnostics.streams.items()))
-    for stats in diagnostics.streams.values():
-        diagnostics.stats.merge(stats)
-    for __, can_id, kind, detail in sorted(details):
-        diagnostics.record_detail(can_id, kind, detail)
-    # Completion order is the order of the completing frame, so a sort on
-    # (t_last, kept position) equals the event path's stable t_last sort.
-    tagged.sort(key=lambda item: (item[1].t_last, item[0]))
-    messages = [message for __, message in tagged]
-    diagnostics.messages = len(messages)
-    return messages, diagnostics
-
-
 def assemble_with_diagnostics(
     frames: Iterable[CanFrame],
     transport: str = "",
@@ -605,28 +471,21 @@ def assemble_with_diagnostics(
     survived decoding — on a clean capture it is all zeros except frame and
     message totals.
 
-    Captures on vectorisable transports take :func:`bulk_assemble` (byte
-    identical, no per-frame Python) unless tracing is active — per-stream
-    ``decode_stream`` spans only exist on the event path.  Hardened
-    assembly (``hardening`` set) always runs the event path: the bounded
-    speculative decoders and screened-frame classification only exist
-    there.
+    The whole capture is one :meth:`StreamAssembler.feed_chunk` call
+    followed by :meth:`StreamAssembler.finish` — the same code the
+    diagnostic service runs on live chunks, traced or not.  ``feed_chunk``
+    screens every frame itself and decides per stream between columnar
+    slicing and the per-frame event decoders (always the latter on VW TP
+    2.0 and under ``hardening``).
     """
     frames = list(frames)
     transport = transport or detect_transport(frames)
-    tracer = get_active()
-    if not tracer.enabled and hardening is None:
-        bulk = bulk_assemble(frames, transport)
-        if bulk is not None:
-            return bulk
-    # Hardened assembly sees the unscreened stream so the screened-out
-    # control frames can still be classified; feed() screens either way.
-    screened = screen(frames, transport) if hardening is None else frames
     assembler = StreamAssembler(transport, hardening=hardening)
-    with tracer.span("decode", transport=transport, frames=len(screened)):
-        for frame in screened:
-            assembler.feed(frame)
-        return assembler.finish()
+    with get_active().span("decode", transport=transport) as span:
+        assembler.feed_chunk(frames)
+        messages, diagnostics = assembler.finish()
+        span.set(frames=diagnostics.frames)
+    return messages, diagnostics
 
 
 def assemble(frames: Iterable[CanFrame], transport: str = "") -> List[AssembledMessage]:

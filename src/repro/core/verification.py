@@ -42,7 +42,9 @@ def check_formula(
     :class:`~repro.core.response_analysis.InferredFormula` — anything
     callable on a variable tuple.  When candidate arity is smaller than
     the truth's (GP collapsed a constant variable), the samples are passed
-    to the candidate truncated/adapted accordingly.
+    to the candidate truncated/adapted accordingly.  A sample narrower
+    than a multi-variable formula's arity (bit errors can shorten an
+    ESV's observed values) cannot be evaluated, so the check fails.
     """
     if not observed_samples:
         return False
@@ -53,6 +55,12 @@ def check_formula(
         if arity is None:
             arity = getattr(getattr(formula, "formula", None), "arity", None)
         return arity
+
+    candidate_arity, truth_arity = arity_of(candidate), arity_of(truth)
+    narrowest = min(len(xs) for xs in observed_samples)
+    for arity in (candidate_arity, truth_arity):
+        if arity is not None and 1 < arity and narrowest < arity:
+            return False
 
     def adapter(arity: Optional[int]):
         def adapt(xs: Tuple[float, ...]) -> Sequence[float]:
@@ -68,8 +76,8 @@ def check_formula(
 
         return adapt
 
-    wrapped_candidate = _CallableFormula(candidate, adapter(arity_of(candidate)), sample_width)
-    wrapped_truth = _CallableFormula(truth, adapter(arity_of(truth)), sample_width)
+    wrapped_candidate = _CallableFormula(candidate, adapter(candidate_arity), sample_width)
+    wrapped_truth = _CallableFormula(truth, adapter(truth_arity), sample_width)
     return formulas_equivalent(
         wrapped_candidate, wrapped_truth, observed_samples, rel_tol, abs_tol
     )

@@ -90,6 +90,14 @@ class TestCheckFormula:
     def test_empty_samples_fail(self):
         assert not check_formula(AffineFormula(1), AffineFormula(1), [])
 
+    def test_samples_narrower_than_truth_arity_fail(self):
+        """A bit error shortened the ESV's samples below the truth's two
+        variables: not exact, and no IndexError."""
+        truth = TwoVarAffineFormula(64.0, 0.25)
+        candidate = AffineFormula(16.0)
+        assert not check_formula(candidate, truth, [(10.0,), (20.0,)])
+        assert not check_formula(candidate, truth, [(10.0, 128.0), (20.0,)])
+
 
 class TestPrecisionTable:
     def test_aggregation(self):

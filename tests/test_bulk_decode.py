@@ -1,12 +1,13 @@
-"""Vectorised capture decode (:func:`repro.core.assembly.bulk_assemble`).
+"""Batch capture decode through :meth:`StreamAssembler.feed_chunk`.
 
-The bulk path turns a whole capture into numpy arrays and decodes clean
-single-frame streams without per-frame Python, replaying only the noisy
-streams through the event-based reassemblers.  Its contract is strict
-equivalence: identical messages *and* identical diagnostics to the event
-path on any capture, which the fuzzer here checks on adversarial mixes of
-valid traffic, malformed PCIs, truncations, sequence gaps and timestamp
-ties.
+:func:`repro.core.assembly.assemble_with_diagnostics` decodes a whole
+capture as one ``feed_chunk`` call: clean single-frame streams are sliced
+out of a numpy payload matrix, everything else is replayed through the
+event-based reassemblers.  Its contract is strict equivalence with the
+per-frame :meth:`StreamAssembler.feed` reference — identical messages
+*and* identical diagnostics on any capture, however it is split into
+chunks — which the fuzzer here checks on adversarial mixes of valid
+traffic, malformed PCIs, truncations, sequence gaps and timestamp ties.
 """
 
 import random
@@ -14,35 +15,46 @@ import random
 import pytest
 
 from repro.can import CanFrame
-from repro.core import TRANSPORT_BMW, TRANSPORT_ISOTP, TRANSPORT_VWTP, screen
-from repro.core.assembly import StreamAssembler, assemble_with_diagnostics, bulk_assemble
+from repro.core import TRANSPORT_BMW, TRANSPORT_ISOTP
+from repro.core.assembly import (
+    MIN_CHUNK_FRAMES,
+    StreamAssembler,
+    assemble_with_diagnostics,
+)
 from repro.transport.arrays import HAVE_NUMPY, FrameArrays
 from repro.transport import segment, segment_bmw
 
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="bulk decode needs numpy")
+pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="columnar decode needs numpy")
 
 
-def event_assemble(frames, transport):
-    """The per-frame reference path, bypassing the bulk dispatch."""
+def per_frame_assemble(frames, transport):
+    """The reference: every frame through :meth:`StreamAssembler.feed`."""
     assembler = StreamAssembler(transport)
-    for frame in screen(frames, transport):
+    for frame in frames:
         assembler.feed(frame)
     return assembler.finish()
 
 
-def assert_equivalent(frames, transport):
-    bulk = bulk_assemble(frames, transport)
-    assert bulk is not None
-    messages, diagnostics = bulk
-    ref_messages, ref_diagnostics = event_assemble(frames, transport)
-    assert [
-        (m.can_id, m.payload, m.t_first, m.t_last, m.n_frames, m.ecu_address)
-        for m in messages
-    ] == [
-        (m.can_id, m.payload, m.t_first, m.t_last, m.n_frames, m.ecu_address)
-        for m in ref_messages
-    ]
-    assert diagnostics.to_dict() == ref_diagnostics.to_dict()
+def chunked_assemble(frames, transport, rng):
+    """``frames`` split at random points, each piece one ``feed_chunk``."""
+    assembler = StreamAssembler(transport)
+    start = 0
+    while start < len(frames):
+        size = rng.choice([1, MIN_CHUNK_FRAMES - 1, MIN_CHUNK_FRAMES, rng.randint(1, 40)])
+        assembler.feed_chunk(frames[start : start + size])
+        start += size
+    return assembler.finish()
+
+
+def summary(result):
+    messages, diagnostics = result
+    return (
+        [
+            (m.can_id, m.payload, m.t_first, m.t_last, m.n_frames, m.ecu_address)
+            for m in messages
+        ],
+        diagnostics.to_dict(),
+    )
 
 
 def random_capture(rng, transport):
@@ -89,10 +101,21 @@ def random_capture(rng, transport):
 class TestFuzzEquivalence:
     @pytest.mark.parametrize("transport", [TRANSPORT_ISOTP, TRANSPORT_BMW])
     def test_bulk_matches_event_path_on_noisy_captures(self, transport):
-        rng = random.Random(hash(transport) & 0xFFFF)
+        rng = random.Random(transport)
         for case in range(40):
             frames = random_capture(rng, transport)
-            assert_equivalent(frames, transport)
+            assert summary(assemble_with_diagnostics(frames, transport)) == summary(
+                per_frame_assemble(frames, transport)
+            )
+
+    @pytest.mark.parametrize("transport", [TRANSPORT_ISOTP, TRANSPORT_BMW])
+    def test_random_chunk_splits_match_per_frame_path(self, transport):
+        rng = random.Random(f"chunks-{transport}")
+        for case in range(40):
+            frames = random_capture(rng, transport)
+            assert summary(chunked_assemble(frames, transport, rng)) == summary(
+                per_frame_assemble(frames, transport)
+            )
 
     def test_clean_single_frame_capture(self):
         frames = [
@@ -101,41 +124,38 @@ class TestFuzzEquivalence:
                 segment(b"\x22\xf4\x0d", 0x7E0) + segment(b"\x62\xf4\x0d\x50", 0x7E8)
             )
         ]
-        assert_equivalent(frames, TRANSPORT_ISOTP)
+        assert summary(assemble_with_diagnostics(frames, TRANSPORT_ISOTP)) == summary(
+            per_frame_assemble(frames, TRANSPORT_ISOTP)
+        )
 
 
 class TestDispatch:
-    def test_vwtp_not_vectorised(self):
-        assert bulk_assemble([], TRANSPORT_VWTP) is None
-
     def test_empty_capture(self):
-        messages, diagnostics = bulk_assemble([], TRANSPORT_ISOTP)
+        messages, diagnostics = assemble_with_diagnostics([], TRANSPORT_ISOTP)
         assert messages == [] and diagnostics.messages == 0
 
-    def test_tracing_takes_the_event_path(self):
+    def test_tracing_runs_the_same_path(self, monkeypatch):
+        from repro.core import assembly
         from repro.observability.trace import Tracer, activated
 
-        frames = [f.with_timestamp(0.1) for f in segment(b"\x3e\x00", 0x7E0)]
-        with activated(Tracer()) as tracer:
-            messages, __ = assemble_with_diagnostics(frames, TRANSPORT_ISOTP)
-        assert len(messages) == 1
-        assert "decode" in {span.name for span in tracer.spans}
-
-    def test_untraced_dispatch_uses_bulk(self, monkeypatch):
-        from repro.core import assembly
-
         calls = []
-        original = assembly.bulk_assemble
+        original = assembly.StreamAssembler.feed_chunk
 
-        def spy(frames, transport):
-            calls.append(transport)
-            return original(frames, transport)
+        def spy(self, frames):
+            calls.append(len(frames))
+            return original(self, frames)
 
-        monkeypatch.setattr(assembly, "bulk_assemble", spy)
-        frames = [f.with_timestamp(0.1) for f in segment(b"\x3e\x00", 0x7E0)]
-        messages, __ = assembly.assemble_with_diagnostics(frames, TRANSPORT_ISOTP)
-        assert len(messages) == 1
-        assert calls == [TRANSPORT_ISOTP]
+        monkeypatch.setattr(assembly.StreamAssembler, "feed_chunk", spy)
+        frames = random_capture(random.Random(10), TRANSPORT_ISOTP)
+        assert len(frames) >= MIN_CHUNK_FRAMES
+
+        untraced = summary(assemble_with_diagnostics(frames, TRANSPORT_ISOTP))
+        assert calls == [len(frames)]
+        with activated(Tracer()) as tracer:
+            traced = summary(assemble_with_diagnostics(frames, TRANSPORT_ISOTP))
+        assert calls == [len(frames)] * 2
+        assert traced == untraced
+        assert "decode" in {span.name for span in tracer.spans}
 
 
 class TestFrameArrays:
