@@ -1,20 +1,23 @@
-"""Attack/defense matrix: every TP-layer adversary vs both stacks.
+"""Attack/defense matrix: every TP-layer adversary vs the transport stack.
 
 Each scenario runs one seeded attack from :mod:`repro.attacks` against the
-same victim traffic twice — once through the unhardened decoders and once
-with a :class:`~repro.transport.base.HardeningPolicy` attached — and scores
+victim traffic through the one set of bounded decoders and scores
 *recovery*: the fraction of the victim's payloads that still come out
-intact.  The matrix is the PR's acceptance gate:
+intact.  The matrix is the acceptance gate:
 
-* at least one attack must break the unhardened stack (recovery < 0.9);
-* the hardened stack must recover >= 0.9 under **every** attack
+* the stack must recover >= 0.9 under **every** defended attack
   (``hardened_recovery``, the floor CI enforces via ``bench_compare``);
-* on a clean capture the hardened pipeline's report must be byte-identical
-  to the unhardened one.
+* the *open* rows are attacks the decoders cannot tell from sniffer
+  loss on one stream; they are reported and pinned as identity metrics
+  (``*_open``) but not floored, so a change either way fails the
+  baseline diff until it is re-baselined;
+* reassembly exhaustion must stay within the assembler's global byte
+  budget;
+* the flow-control flood must be classified as ``fc_violations``.
 
 Everything is seeded and simulated-clocked, so recoveries are exact ratios
 and safe to diff as identity metrics.  Set ``ATTACK_SMOKE=1`` (the CI smoke
-mode) for a reduced victim count and a single clean-capture car.
+mode) for a reduced victim count.
 """
 
 import os
@@ -26,13 +29,12 @@ from repro.attacks import (
     ReassemblyExhaustion,
     SequencePoisoning,
     SessionStarvation,
+    VwTpPoisoning,
 )
 from repro.can import CanFrame, SimulatedCanBus
-from repro.core import DPReverser, GpConfig, ReverserConfig
 from repro.core.assembly import StreamAssembler, assemble_with_diagnostics
 from repro.simtime import SimClock
 from repro.transport import (
-    DEFAULT_HARDENING,
     HardeningPolicy,
     IsoTpEndpoint,
     TransportError,
@@ -46,25 +48,25 @@ QUICK = bool(os.environ.get("ATTACK_SMOKE"))
 
 #: Victim transfers per offline scenario (payload diversity, not duration).
 TRANSFERS = 5 if QUICK else 25
-#: Clean-capture cars for the byte-identical check (one per transport family
-#: in full mode).
-IDENTITY_CARS = ["A"] if QUICK else ["A", "C", "E"]
 RECOVERY_FLOOR = 0.90
 
 #: Deliberately small budgets so the exhaustion scenario's memory axis is
 #: measurable with bench-sized captures; recovery scenarios use the default.
 EXHAUSTION_POLICY = HardeningPolicy(per_stream_budget=256, global_budget=1024)
 
-GP = GpConfig(seed=2)
 VICTIM_ID = 0x7E0
 
 BENCH_CONFIG = {
     "quick": QUICK,
     "transfers": TRANSFERS,
-    "identity_cars": IDENTITY_CARS,
     "recovery_floor": RECOVERY_FLOOR,
     "exhaustion_budget": EXHAUSTION_POLICY.global_budget,
 }
+
+
+#: Victims short enough (3 consecutive frames) that losing every one of
+#: their consecutive frames is plausible sniffer loss.
+SHORT_VICTIM = 20
 
 
 def victim_payload(index, length=48):
@@ -85,108 +87,77 @@ def victim_capture(segmenter):
     return frames
 
 
-def recovery_of(messages):
+def recovery_of(messages, length=48):
     """Fraction of the victim's payloads recovered intact."""
     payloads = {m.payload if hasattr(m, "payload") else m for m in messages}
-    hit = sum(1 for i in range(TRANSFERS) if victim_payload(i) in payloads)
+    hit = sum(1 for i in range(TRANSFERS) if victim_payload(i, length) in payloads)
     return hit / TRANSFERS
 
 
-def decode_recovery(frames, transport, hardening):
-    messages, __ = assemble_with_diagnostics(frames, transport, hardening=hardening)
-    return recovery_of(messages)
+def decode_recovery(frames, transport, length=48):
+    messages, __ = assemble_with_diagnostics(frames, transport)
+    return recovery_of(messages, length)
 
 
 # ------------------------------------------------------------ offline rows
 
 
-def run_starvation_isotp():
-    capture = victim_capture(lambda p: segment(p, VICTIM_ID))
-    return (
-        decode_recovery(SessionStarvation(seed=1).apply(capture), "isotp", None),
-        decode_recovery(
-            SessionStarvation(seed=1).apply(capture), "isotp", DEFAULT_HARDENING
-        ),
-    )
+def run_starvation_isotp(copy_length=0, length=48):
+    capture = []
+    for i in range(TRANSFERS):
+        capture.extend(stamp(segment(victim_payload(i, length), VICTIM_ID), start=float(i)))
+    attack = SessionStarvation(seed=1, copy_length=copy_length)
+    return decode_recovery(attack.apply(capture), "isotp", length)
 
 
 def run_starvation_bmw():
     capture = victim_capture(lambda p: segment_bmw(p, 0x612, 0xF1))
-    attack = SessionStarvation(seed=1, offset=1)
-    return (
-        decode_recovery(attack.apply(capture), "bmw", None),
-        decode_recovery(
-            SessionStarvation(seed=1, offset=1).apply(capture), "bmw", DEFAULT_HARDENING
-        ),
-    )
+    return decode_recovery(SessionStarvation(seed=1, offset=1).apply(capture), "bmw")
 
 
 def run_poisoning_isotp():
     capture = victim_capture(lambda p: segment(p, VICTIM_ID))
-    return (
-        decode_recovery(SequencePoisoning(seed=2).apply(capture), "isotp", None),
-        decode_recovery(
-            SequencePoisoning(seed=2).apply(capture), "isotp", DEFAULT_HARDENING
-        ),
-    )
+    return decode_recovery(SequencePoisoning(seed=2).apply(capture), "isotp")
 
 
-def run_poisoning_vwtp():
+def run_poisoning_vwtp(**attack):
+    """Aliens 8 ahead of the stream position after the second data frame
+    (``after=6``: right before the final one of the 7-frame victims)."""
     frames = []
     sequence = 0  # TP 2.0 numbering runs on across messages within a channel
     for i in range(TRANSFERS):
         segmented = segment_vwtp(victim_payload(i), 0x300, start_sequence=sequence)
-        transfer = stamp(segmented, start=float(i))
-        alien_seq = (sequence + 2 + 8) % 16  # 8 ahead of the stream position
-        alien = CanFrame(
-            0x300, bytes([0x20 | alien_seq]) + b"\xcc" * 7, timestamp=float(i) + 0.0015
-        )
-        frames.extend(transfer[:2] + [alien] + transfer[2:])
+        frames.extend(stamp(segmented, start=float(i)))
         sequence = (sequence + len(segmented)) % 16
-    return (
-        decode_recovery(frames, "vwtp", None),
-        decode_recovery(frames, "vwtp", DEFAULT_HARDENING),
-    )
+    return decode_recovery(VwTpPoisoning(seed=2, **attack).apply(frames), "vwtp")
 
 
 def run_exhaustion():
-    """Recovery stays 1.0 on both stacks (the victim's ids are untouched);
-    the damage axis is buffered bytes, returned separately.  The capture is
-    sized independently of ``TRANSFERS`` so the hostile streams accumulate
+    """Recovery stays 1.0 (the victim's ids are untouched); the damage
+    axis is buffered bytes, returned separately.  The capture is sized
+    independently of ``TRANSFERS`` so the hostile streams accumulate
     enough bytes to trip the budget even in smoke mode."""
     transfers = max(TRANSFERS, 40)
     frames = []
     for i in range(transfers):
         frames.extend(stamp(segment(victim_payload(i), VICTIM_ID), start=float(i)))
     attacked = ReassemblyExhaustion(seed=3, spoofed_ids=64, interval=1).apply(frames)
-    buffered = {}
-    recoveries = {}
-    for label, hardening in (("unhardened", None), ("hardened", EXHAUSTION_POLICY)):
-        assembler = StreamAssembler("isotp", hardening=hardening)
-        completed = []
-        for frame in attacked:
-            completed.extend(assembler.feed(frame))
-        buffered[label] = sum(
-            state.reassembler.buffered_bytes for state in assembler._streams.values()
-        )
-        payloads = {m.payload for m in completed}
-        recoveries[label] = (
-            sum(1 for i in range(transfers) if victim_payload(i) in payloads)
-            / transfers
-        )
-    return recoveries["unhardened"], recoveries["hardened"], buffered
+    assembler = StreamAssembler("isotp", hardening=EXHAUSTION_POLICY)
+    completed = []
+    for frame in attacked:
+        completed.extend(assembler.feed(frame))
+    payloads = {m.payload for m in completed}
+    recovery = sum(1 for i in range(transfers) if victim_payload(i) in payloads) / transfers
+    buffered = sum(decoder.buffered_bytes for decoder in assembler._streams.values())
+    return recovery, buffered
 
 
 def run_fc_flood():
-    """Detection-only: offline decode screens FC, so both stacks recover;
-    the hardened one additionally counts the violations."""
+    """Detection: offline decode screens FC, so the victim survives; the
+    FC aimed at its stream mid-reassembly is counted as violations."""
     capture = victim_capture(lambda p: segment(p, VICTIM_ID))
-    attacked = FcInjection(seed=4).apply(capture)
-    unhardened = decode_recovery(attacked, "isotp", None)
-    messages, diagnostics = assemble_with_diagnostics(
-        attacked, "isotp", hardening=DEFAULT_HARDENING
-    )
-    return unhardened, recovery_of(messages), diagnostics.stats.fc_violations
+    messages, diagnostics = assemble_with_diagnostics(FcInjection(seed=4).apply(capture), "isotp")
+    return recovery_of(messages), diagnostics.stats.fc_violations
 
 
 def run_kline_slowloris():
@@ -198,25 +169,20 @@ def run_kline_slowloris():
             now += 0.0005
         now += 2.0
     attacked = KLineSlowloris(seed=5, gap_s=0.5).apply(capture)
-    recoveries = []
-    for hardening in (None, DEFAULT_HARDENING):
-        parser = KLineFrameParser(hardening=hardening)
-        recovered = []
-        for byte in attacked:
-            message = parser.feed(byte.timestamp, byte.value)
-            if message is not None and message.checksum_ok:
-                recovered.append(message.payload)
-        hit = sum(
-            1 for i in range(TRANSFERS) if victim_payload(i, length=12) in recovered
-        )
-        recoveries.append(hit / TRANSFERS)
-    return tuple(recoveries)
+    parser = KLineFrameParser()
+    recovered = []
+    for byte in attacked:
+        message = parser.feed(byte.timestamp, byte.value)
+        if message is not None and message.checksum_ok:
+            recovered.append(message.payload)
+    hit = sum(1 for i in range(TRANSFERS) if victim_payload(i, length=12) in recovered)
+    return hit / TRANSFERS
 
 
 # --------------------------------------------------------------- live rows
 
 
-def live_send(mode, hardening):
+def live_send(mode):
     """One multi-frame send per victim payload against an FC spoofer.
 
     Returns (recovery, elapsed simulated seconds).  ``mode=None`` runs the
@@ -225,17 +191,13 @@ def live_send(mode, hardening):
     bus = SimulatedCanBus(SimClock())
     received = []
     IsoTpEndpoint(bus, "server", tx_id=0x7E8, rx_id=0x7E0, on_message=received.append)
-    client = IsoTpEndpoint(
-        bus, "client", tx_id=0x7E0, rx_id=0x7E8, hardening=hardening
-    )
+    client = IsoTpEndpoint(bus, "client", tx_id=0x7E0, rx_id=0x7E8)
     if mode is not None:
         FcSpoofAttacker(bus, watch_id=0x7E0, fc_id=0x7E8, mode=mode)
     start = bus.clock.now()
-    delivered = 0
     for i in range(TRANSFERS):
         try:
             client.send(victim_payload(i))
-            delivered += 1
         except TransportError:
             pass
     return (
@@ -245,10 +207,9 @@ def live_send(mode, hardening):
 
 
 def run_fc_spoof(mode):
-    __, clean_elapsed = live_send(None, None)
-    unhardened, __ = live_send(mode, None)
-    hardened, hardened_elapsed = live_send(mode, DEFAULT_HARDENING)
-    return unhardened, hardened, hardened_elapsed / clean_elapsed
+    __, clean_elapsed = live_send(None)
+    recovery, elapsed = live_send(mode)
+    return recovery, elapsed / clean_elapsed
 
 
 # ------------------------------------------------------------------- bench
@@ -256,19 +217,32 @@ def run_fc_spoof(mode):
 
 def test_attack_defense_matrix(report_file, bench_artifact):
     rows = [
-        ("starvation/isotp", *run_starvation_isotp()),
-        ("starvation/bmw", *run_starvation_bmw()),
-        ("poisoning/isotp", *run_poisoning_isotp()),
-        ("poisoning/vwtp", *run_poisoning_vwtp()),
-        ("kline_slowloris", *run_kline_slowloris()),
+        ("starvation/isotp", run_starvation_isotp()),
+        ("starvation_copylen/isotp", run_starvation_isotp(copy_length=1)),
+        ("starvation/bmw", run_starvation_bmw()),
+        ("poisoning/isotp", run_poisoning_isotp()),
+        ("poisoning/vwtp", run_poisoning_vwtp()),
+        ("poisoning_last/vwtp", run_poisoning_vwtp(last=1)),
+        ("kline_slowloris", run_kline_slowloris()),
     ]
-    exh_unhardened, exh_hardened, buffered = run_exhaustion()
-    rows.append(("exhaustion/isotp", exh_unhardened, exh_hardened))
-    flood_unhardened, flood_hardened, fc_violations = run_fc_flood()
-    rows.append(("fc_flood/isotp", flood_unhardened, flood_hardened))
+    # Open rows: a length-copying racer against victims of at most
+    # PLAUSIBLE_DROP_FRAMES consecutive frames, and a last-packet alien
+    # right before the victim's own last packet, are indistinguishable
+    # from sniffer loss followed by the next message.
+    open_rows = [
+        (
+            "starvation_copylen_short/isotp",
+            run_starvation_isotp(copy_length=1, length=SHORT_VICTIM),
+        ),
+        ("poisoning_last_final/vwtp", run_poisoning_vwtp(last=1, after=6)),
+    ]
+    exhaustion_recovery, buffered = run_exhaustion()
+    rows.append(("exhaustion/isotp", exhaustion_recovery))
+    flood_recovery, fc_violations = run_fc_flood()
+    rows.append(("fc_flood/isotp", flood_recovery))
     for mode in ("overflow", "strangle"):
-        unhardened, hardened, latency_x = run_fc_spoof(mode)
-        rows.append((f"fc_spoof/{mode}", unhardened, hardened))
+        recovery, latency_x = run_fc_spoof(mode)
+        rows.append((f"fc_spoof/{mode}", recovery))
         if mode == "strangle":
             strangle_latency_x = latency_x
 
@@ -276,34 +250,32 @@ def test_attack_defense_matrix(report_file, bench_artifact):
         f"Attack/defense matrix ({TRANSFERS} victim transfers per scenario"
         f"{', smoke mode' if QUICK else ''}):"
     )
-    report_file(f"  {'scenario':<18} {'unhardened':>10} {'hardened':>9}")
+    report_file(f"  {'scenario':<30} {'recovery':>8}")
     metrics, units = {}, {}
-    for name, unhardened, hardened in rows:
-        report_file(f"  {name:<18} {unhardened:>10.2f} {hardened:>9.2f}")
+    for name, recovery in rows:
+        report_file(f"  {name:<30} {recovery:>8.2f}")
         tag = name.replace("/", "_")
-        metrics[f"{tag}_unhardened"] = round(unhardened, 4)
-        metrics[f"{tag}_hardened"] = round(hardened, 4)
-        units[f"{tag}_unhardened"] = "ratio"
+        metrics[f"{tag}_hardened"] = round(recovery, 4)
         units[f"{tag}_hardened"] = "ratio"
 
-    hardened_floor = min(hardened for __, __, hardened in rows)
-    broken = sum(1 for __, unhardened, __ in rows if unhardened < RECOVERY_FLOOR)
+    worst = min(recovery for __, recovery in rows)
+    report_file(f"  worst recovery {worst:.2f} (floor {RECOVERY_FLOOR})")
+    report_file("  open (reported, not floored):")
+    for name, recovery in open_rows:
+        report_file(f"  {name:<30} {recovery:>8.2f}")
+        tag = name.replace("/", "_")
+        metrics[f"{tag}_open"] = round(recovery, 4)
+        units[f"{tag}_open"] = "ratio"
     report_file(
-        f"  worst hardened recovery {hardened_floor:.2f} "
-        f"(floor {RECOVERY_FLOOR}); {broken} attacks break the unhardened stack"
-    )
-    report_file(
-        f"  exhaustion buffered bytes: unhardened {buffered['unhardened']}, "
-        f"hardened {buffered['hardened']} (budget {EXHAUSTION_POLICY.global_budget}); "
+        f"  exhaustion buffered bytes: {buffered} "
+        f"(budget {EXHAUSTION_POLICY.global_budget}); "
         f"fc_flood violations flagged: {fc_violations}; "
         f"strangle latency {strangle_latency_x:.2f}x clean"
     )
     metrics.update(
         {
-            "hardened_recovery": round(hardened_floor, 4),
-            "attacks_breaking_unhardened": broken,
-            "exhaustion_buffered_unhardened": buffered["unhardened"],
-            "exhaustion_buffered_hardened": buffered["hardened"],
+            "hardened_recovery": round(worst, 4),
+            "exhaustion_buffered_hardened": buffered,
             "fc_flood_violations": fc_violations,
             "strangle_latency": round(strangle_latency_x, 4),
         }
@@ -311,8 +283,6 @@ def test_attack_defense_matrix(report_file, bench_artifact):
     units.update(
         {
             "hardened_recovery": "ratio",
-            "attacks_breaking_unhardened": "count",
-            "exhaustion_buffered_unhardened": "count",
             "exhaustion_buffered_hardened": "count",
             "fc_flood_violations": "count",
             "strangle_latency": "x",
@@ -321,32 +291,6 @@ def test_attack_defense_matrix(report_file, bench_artifact):
     bench_artifact(metrics, units, config=BENCH_CONFIG)
 
     # The acceptance gate, local edition (CI re-checks via bench_compare).
-    assert broken >= 1, "no attack even dents the unhardened stack"
-    assert hardened_floor >= RECOVERY_FLOOR
-    assert buffered["unhardened"] > EXHAUSTION_POLICY.global_budget
-    assert buffered["hardened"] <= EXHAUSTION_POLICY.global_budget
+    assert worst >= RECOVERY_FLOOR
+    assert buffered <= EXHAUSTION_POLICY.global_budget
     assert fc_violations >= 1
-
-
-def test_clean_capture_reports_byte_identical(report_file, bench_artifact, fleet):
-    """Hardening on a clean capture is a no-op, to the byte."""
-    identical = 0
-    for key in IDENTITY_CARS:
-        __, capture = fleet.capture(key)
-        plain = DPReverser(ReverserConfig(gp_config=GP)).reverse_engineer(capture)
-        hardened = DPReverser(
-            ReverserConfig(gp_config=GP, hardening=DEFAULT_HARDENING)
-        ).reverse_engineer(capture)
-        assert plain.to_json() == hardened.to_json(), (
-            f"car {key}: hardened report diverged on a clean capture"
-        )
-        identical += 1
-    report_file(
-        f"Clean-capture byte-identity: {identical}/{len(IDENTITY_CARS)} cars "
-        "produce identical reports with hardening on"
-    )
-    bench_artifact(
-        {"clean_reports_identical": identical},
-        {"clean_reports_identical": "count"},
-        config=BENCH_CONFIG,
-    )

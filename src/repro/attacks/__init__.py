@@ -12,6 +12,7 @@ from .transport import (
     ReassemblyExhaustion,
     SequencePoisoning,
     SessionStarvation,
+    VwTpPoisoning,
     parse_attack,
 )
 
@@ -28,5 +29,6 @@ __all__ = [
     "ReassemblyExhaustion",
     "SequencePoisoning",
     "SessionStarvation",
+    "VwTpPoisoning",
     "parse_attack",
 ]

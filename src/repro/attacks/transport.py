@@ -19,7 +19,10 @@ Two attachment styles, mirroring how the attacks reach a real fleet:
 
 Every attack takes a ``seed`` and is fully deterministic; the attack/defense
 matrix in ``benchmarks/test_attack_defense_matrix.py`` runs each one against
-the unhardened and hardened stacks and regression-gates the recovery floor.
+the transport stack and regression-gates the recovery floor.  The class
+docstrings describe the damage each attack does to a naive single-context
+decoder (or a sender trusting the latest flow control) and how the bounded
+decoders of :mod:`repro.transport` defeat it.
 """
 
 from __future__ import annotations
@@ -29,6 +32,13 @@ from typing import Callable, Dict, List, Optional
 
 from ..can import CanFrame
 from ..transport.isotp import FlowControl, FlowStatus, PciType
+from ..transport.vwtp import (
+    OP_LAST_NOACK,
+    OP_MORE_NOACK,
+    VwTpFrameKind,
+    classify_vwtp_frame,
+    is_last_packet,
+)
 
 #: CAN-id block the exhaustion attack spreads its spoofed streams over.
 SPOOF_BASE_ID = 0x700
@@ -72,8 +82,8 @@ class ReassemblyExhaustion(CaptureAttack):
     Every ``interval`` victim frames the attacker opens (or extends) a
     hostile stream on one of ``spoofed_ids`` ids: a first frame announcing
     the maximum 12-bit length, then consecutive frames that never reach
-    it.  Unhardened assembly buffers every one of those streams forever;
-    the hardened per-stream and global byte budgets shed them by LRU.
+    it.  Unbounded assembly would buffer every one of those streams
+    forever; the per-stream and global byte budgets shed them by LRU.
     The victim's own streams live on different ids, so recovery is
     unaffected — the damage axis is memory.
     """
@@ -117,25 +127,36 @@ class SessionStarvation(CaptureAttack):
     """Hostile first frames raced into the victim's own CAN-id space.
 
     Immediately after each victim first frame, the attacker injects its
-    own first frame on the *same* id.  The unhardened single-context
-    decoder abandons the victim's transfer and the hostile context then
-    swallows the victim's consecutive frames, so the victim's message
-    never completes.  Hardened speculative reassembly keeps both contexts
-    and the victim's completes at its announced length.
+    own first frame on the *same* id.  A single-context decoder abandons
+    the victim's transfer and the hostile context then swallows the
+    victim's consecutive frames, so the victim's message never completes.
+    Speculative reassembly keeps both contexts and the victim's completes
+    at its announced length.
+
+    The hostile frame announces the maximum 12-bit length unless
+    ``copy_length`` is set, in which case it copies the victim's: both
+    contexts then complete on the same consecutive frame, exactly like a
+    first frame whose consecutive frames the sniffer lost followed by the
+    next message.  The decoders resolve that tie for the newest context
+    (the lost-frame reading), so the hostile head spliced onto the
+    victim's tail comes out instead of the victim — an open gap the
+    attack/defense matrix reports without gating.
     """
 
     name = "starvation"
 
-    def __init__(self, seed: int = 0, offset: int = 0) -> None:
+    def __init__(self, seed: int = 0, offset: int = 0, copy_length: int = 0) -> None:
         super().__init__(seed)
         #: PCI byte offset: 0 for ISO-TP, 1 for BMW extended addressing.
         self.offset = offset
+        self.copy_length = bool(copy_length)
 
     def feed(self, frame: CanFrame) -> List[CanFrame]:
         out = [frame]
         data = frame.data
         if len(data) > self.offset + 1 and data[self.offset] >> 4 == PciType.FIRST:
-            hostile = bytes([0x1F, 0xFF]) + b"\xbb" * 6
+            length = data[self.offset : self.offset + 2] if self.copy_length else b"\x1f\xff"
+            hostile = length + b"\xbb" * 6
             if self.offset:
                 # Same stream, spoofed peer address: the BMW starvation shape.
                 hostile = bytes([0xEE]) + hostile[:-1]
@@ -149,8 +170,8 @@ class SequencePoisoning(CaptureAttack):
     The attacker tracks the victim stream like any sniffer would and,
     mid-transfer, injects a consecutive frame whose sequence number is
     ``jump`` ahead of the expected one — far beyond plausible capture
-    loss.  The unhardened decoder treats it as a sequence gap and abandons
-    the message; the hardened decoder classifies and drops it.
+    loss.  A naive decoder treats it as a sequence gap and abandons the
+    message; the bounded decoders classify and drop it.
     """
 
     name = "poisoning"
@@ -180,12 +201,54 @@ class SequencePoisoning(CaptureAttack):
         return out
 
 
+class VwTpPoisoning(CaptureAttack):
+    """Alien TP 2.0 data frames injected into the victim's messages.
+
+    TP 2.0 numbers data frames with a 4-bit counter that runs on across
+    messages.  After the ``after``-th data frame of each message (when
+    that frame is not the message's last) the attacker injects a data
+    frame whose sequence number is ``jump`` ahead of the stream's — far
+    beyond plausible capture loss.  A naive decoder abandons the message
+    at the gap.  The decoder drops a non-last alien and keeps the
+    message.  With ``last`` set the alien carries a last-packet opcode,
+    the shape of a new message after a lost last packet: the decoder
+    emits the alien as a one-frame message, then resumes the victim's
+    message when the next frame continues it.  If that next frame is the
+    victim's own last packet the two readings are indistinguishable, the
+    decoder re-locks, and the victim is lost.
+    """
+
+    name = "vwtp_poisoning"
+
+    def __init__(self, seed: int = 0, jump: int = 8, after: int = 2, last: int = 0) -> None:
+        super().__init__(seed)
+        self.jump = jump
+        self.after = after
+        self.last = bool(last)
+        self._position: Dict[int, int] = {}  # data frames into the current message
+
+    def feed(self, frame: CanFrame) -> List[CanFrame]:
+        out = [frame]
+        if classify_vwtp_frame(frame) != VwTpFrameKind.DATA:
+            return out
+        if is_last_packet(frame):
+            self._position[frame.can_id] = 0
+            return out
+        position = self._position[frame.can_id] = self._position.get(frame.can_id, 0) + 1
+        if position == self.after:
+            opcode = OP_LAST_NOACK if self.last else OP_MORE_NOACK
+            sequence = (frame.data[0] + 1 + self.jump) & 0x0F
+            hostile = bytes([opcode << 4 | sequence]) + b"\xcc" * 7
+            out.append(self._hostile(frame.can_id, hostile, frame))
+        return out
+
+
 class FcInjection(CaptureAttack):
     """Flow-control frames sprayed onto the victim's data id mid-transfer.
 
     Offline decode ignores flow control, so this cannot corrupt payloads —
-    it is the *detection* scenario: hardened assembly classifies an FC
-    aimed at a mid-reassembly stream as ``fc_violations``.
+    it is the *detection* scenario: assembly classifies an FC aimed at a
+    mid-reassembly stream as ``fc_violations``.
     """
 
     name = "fc_flood"
@@ -219,10 +282,10 @@ class KLineSlowloris:
     """Forged ISO 14230-2 headers dripped into K-Line idle gaps.
 
     Before each idle gap longer than ``gap_s`` the attacker transmits a
-    header claiming a 63-byte payload that never arrives.  The unhardened
-    parser buffers it and the *next* real messages' bytes are consumed
-    into the forged frame (checksum fails, the format-byte rescan eats
-    more), losing real messages.  The hardened parser's deadline eviction
+    header claiming a 63-byte payload that never arrives.  A parser
+    without a deadline buffers it and the *next* real messages' bytes are
+    consumed into the forged frame (checksum fails, the format-byte rescan
+    eats more), losing real messages.  The parser's deadline eviction
     drops the stale forged bytes as soon as the next real byte arrives.
 
     Operates on ``KLineByte`` logs rather than CAN frames, hence not a
@@ -261,19 +324,20 @@ class FcSpoofAttacker:
     transaction as the genuine peer's FC.  Modes:
 
     ``overflow``
-        Spoofs FC.OVERFLOW — the unhardened sender (*latest FC wins*)
-        zeroes its window and the transfer dies with a
-        :class:`~repro.transport.base.TransportError`; the hardened
-        sender keeps the more permissive genuine grant.
+        Spoofs FC.OVERFLOW — a sender trusting the latest FC zeroes its
+        window and the transfer dies with a
+        :class:`~repro.transport.base.TransportError`;
+        :class:`~repro.transport.isotp.IsoTpEndpoint` keeps the more
+        permissive genuine grant.
     ``strangle``
         Spoofs CONTINUE with ``block_size=1`` and the ISO maximum
-        ``STmin=127 ms`` — the unhardened victim's multi-frame latency
-        balloons ~100x; the hardened sender clamps STmin and keeps the
-        wider window.
+        ``STmin=127 ms`` — a trusting victim's multi-frame latency
+        balloons ~100x; the endpoint clamps STmin and keeps the wider
+        window.
     ``wait``
         Floods FC.WAIT — pure noise against our stack (detection-only:
-        the hardened sender counts each as an ``fc_violation`` once its
-        handshake is satisfied).
+        the sender counts each as an ``fc_violation`` once its handshake
+        is satisfied).
     """
 
     MODES = ("overflow", "strangle", "wait")
@@ -307,7 +371,9 @@ class FcSpoofAttacker:
         self.node.send(CanFrame(self.fc_id, data + b"\x00" * (8 - len(data))))
 
 
-#: Registry for CLI/bench specs: name -> capture-attack factory.
+#: Registry for CLI/bench specs: name -> capture-attack factory.  These
+#: attack ISO-TP framing (BMW via ``offset=1``); :class:`VwTpPoisoning`
+#: speaks TP 2.0 and is built directly.
 CAPTURE_ATTACKS: Dict[str, Callable[..., CaptureAttack]] = {
     ReassemblyExhaustion.name: ReassemblyExhaustion,
     SessionStarvation.name: SessionStarvation,

@@ -162,7 +162,6 @@ def _cmd_reverse(args: argparse.Namespace) -> int:
     from .core import DPReverser, GpConfig, ReverserConfig
     from .observability import Tracer, build_snapshot
     from .persistence import load_capture
-    from .transport import DEFAULT_HARDENING
 
     try:
         noise = NoiseProfile.parse(args.noise_profile, seed=args.noise_seed)
@@ -181,7 +180,6 @@ def _cmd_reverse(args: argparse.Namespace) -> int:
         gp_memo_dir=args.gp_memo,
         formula_backend=args.formula_backend,
         noise=noise,
-        hardening=DEFAULT_HARDENING if args.harden else None,
         trace=tracer,
     )
     reverser = DPReverser(config)
@@ -363,7 +361,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise KeyboardInterrupt
 
     signal.signal(signal.SIGTERM, _drain)
-    from .transport import DEFAULT_HARDENING
 
     config = ServiceConfig(
         host=args.host,
@@ -380,7 +377,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         formula_backend=args.formula_backend,
         trace=_observability_requested(args),
         session_idle_timeout=args.idle_timeout,
-        hardening=DEFAULT_HARDENING if args.harden else None,
     )
 
     if args.shards > 1:
@@ -536,13 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seed of the fault-injection stream (deterministic per seed)",
     )
-    reverse.add_argument(
-        "--harden",
-        action="store_true",
-        help="decode with the hardened transport stack (bounded speculative "
-        "reassembly, byte budgets, anomaly counters); clean captures "
-        "produce byte-identical reports either way",
-    )
     _add_observability_args(reverse)
     reverse.set_defaults(func=_cmd_reverse)
 
@@ -692,13 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="exit after this many sessions complete (0 = serve forever)",
-    )
-    serve.add_argument(
-        "--harden",
-        action="store_true",
-        help="run every session's decoders with the hardened transport "
-        "stack (bounded reassembly, anomaly counters under "
-        "service.anomaly.*)",
     )
     serve.add_argument(
         "--idle-timeout",

@@ -25,10 +25,12 @@ from ..can import CanFrame
 from ..observability.trace import get_active
 from ..transport.arrays import HAVE_NUMPY, FrameArrays, np
 from ..transport.base import (
+    DEFAULT_HARDENING,
     EVENT_PAYLOAD,
     EVENT_RESYNC,
     DecoderStats,
     HardeningPolicy,
+    TransportDecoder,
 )
 from ..transport.bmw import BmwReassembler
 from ..transport.isotp import SF_MAX_PAYLOAD, IsoTpReassembler, PciType
@@ -104,55 +106,13 @@ class DecodeDiagnostics:
         }
 
 
-class _StreamState:
-    """Per-CAN-id reassembly state."""
-
-    def __init__(
-        self, transport: str, hardening: Optional[HardeningPolicy] = None
-    ) -> None:
-        if transport == TRANSPORT_VWTP:
-            self.reassembler = VwTpReassembler(strict=False, hardening=hardening)
-        elif transport == TRANSPORT_BMW:
-            self.reassembler = BmwReassembler(strict=False, hardening=hardening)
-        else:
-            self.reassembler = IsoTpReassembler(strict=False, hardening=hardening)
-        self.transport = transport
-        self.t_first: Optional[float] = None
-        self.n_frames = 0
-
-    def feed(
-        self, frame: CanFrame, diagnostics: Optional[DecodeDiagnostics] = None
-    ) -> List[AssembledMessage]:
-        if self.t_first is None:
-            self.t_first = frame.timestamp
-        self.n_frames += 1
-        messages: List[AssembledMessage] = []
-        for event in self.reassembler.feed(frame):
-            if event.kind == EVENT_PAYLOAD:
-                address = None
-                if self.transport == TRANSPORT_BMW:
-                    address = self.reassembler.last_address
-                messages.append(
-                    AssembledMessage(
-                        payload=event.payload,
-                        can_id=frame.can_id,
-                        t_first=self.t_first,
-                        t_last=frame.timestamp,
-                        n_frames=self.n_frames,
-                        ecu_address=address,
-                    )
-                )
-                self.t_first = None
-                self.n_frames = 0
-            else:
-                if event.kind == EVENT_RESYNC:
-                    # The buffered message was abandoned; the current frame
-                    # starts the next one's timing window.
-                    self.t_first = frame.timestamp
-                    self.n_frames = 1
-                if diagnostics is not None:
-                    diagnostics.record_detail(frame.can_id, event.kind, event.detail)
-        return messages
+def _new_decoder(transport: str, hardening: HardeningPolicy) -> TransportDecoder:
+    """The lenient reassembler for one CAN id of ``transport``."""
+    if transport == TRANSPORT_VWTP:
+        return VwTpReassembler(strict=False)
+    if transport == TRANSPORT_BMW:
+        return BmwReassembler(strict=False, hardening=hardening)
+    return IsoTpReassembler(strict=False, hardening=hardening)
 
 
 class StreamAssembler:
@@ -167,26 +127,24 @@ class StreamAssembler:
     however the frame sequence was split into calls — the invariant the
     service's byte-identical-report guarantee rests on.
 
-    A :class:`~repro.transport.base.HardeningPolicy` flows down to every
-    per-id decoder and additionally enforces the *global* byte budget
-    across streams: when the total buffered bytes exceed it, the least
-    recently active non-idle stream sheds its partial messages.  Hardened
-    assembly also classifies screened-out flow-control frames aimed at a
-    stream mid-reassembly as ``fc_violations`` — on a clean capture FC
-    only travels on the reverse direction's id, whose stream is idle, so
-    clean output stays byte-identical.
+    The :class:`~repro.transport.base.HardeningPolicy` flows down to every
+    per-id decoder and additionally bounds the *global* byte budget across
+    streams: when the running total of buffered bytes exceeds it, the
+    least recently active non-idle stream sheds its partial messages.
+    Screened-out flow-control frames aimed at a stream mid-reassembly are
+    classified as ``fc_violations`` — on a clean capture FC only travels
+    on the reverse direction's id, whose stream is idle.
     """
 
-    def __init__(
-        self, transport: str, hardening: Optional[HardeningPolicy] = None
-    ) -> None:
+    def __init__(self, transport: str, hardening: HardeningPolicy = DEFAULT_HARDENING) -> None:
         self.transport = transport
         self.hardening = hardening
         self.diagnostics = DecodeDiagnostics(transport=transport)
-        self._streams: Dict[int, _StreamState] = {}
+        self._streams: Dict[int, TransportDecoder] = {}
         self._messages: List[AssembledMessage] = []
         self._activity: Dict[int, int] = {}
         self._tick = 0
+        self._buffered = 0  # bytes buffered across every stream right now
         self._finished = False
 
     @property
@@ -199,12 +157,18 @@ class StreamAssembler:
         if self._finished:
             return self.diagnostics.stats.anomaly_counts()
         totals = DecoderStats()
-        for state in self._streams.values():
-            totals.merge(state.reassembler.stats)
+        for decoder in self._streams.values():
+            totals.merge(decoder.stats)
         return totals.anomaly_counts()
 
+    def _decoder(self, can_id: int) -> TransportDecoder:
+        decoder = self._streams.get(can_id)
+        if decoder is None:
+            decoder = self._streams[can_id] = _new_decoder(self.transport, self.hardening)
+        return decoder
+
     def _classify_screened_out(self, frame: CanFrame) -> None:
-        """Hardened detection for frames the screen drops.
+        """Detection for frames the screen drops.
 
         A flow-control frame landing on a CAN id that is mid-reassembly is
         the offline fingerprint of live FC abuse (FC belongs on the
@@ -215,64 +179,64 @@ class StreamAssembler:
             return
         if frame.data[offset] >> 4 != PciType.FLOW_CONTROL:
             return
-        state = self._streams.get(frame.can_id)
-        if state is not None and not state.reassembler.idle:
-            state.reassembler.stats.fc_violations += 1
+        decoder = self._streams.get(frame.can_id)
+        if decoder is not None and not decoder.idle:
+            decoder.stats.fc_violations += 1
 
     def _enforce_global_budget(self) -> None:
-        policy = self.hardening
-        total = sum(
-            state.reassembler.buffered_bytes for state in self._streams.values()
-        )
-        while total > policy.global_budget:
+        while self._buffered > self.hardening.global_budget:
             candidates = [
-                can_id
-                for can_id, state in self._streams.items()
-                if not state.reassembler.idle
+                can_id for can_id, decoder in self._streams.items() if not decoder.idle
             ]
             if not candidates:
                 break
             victim = min(candidates, key=lambda cid: self._activity.get(cid, 0))
-            state = self._streams[victim]
-            freed = state.reassembler.evict_partial()
-            state.t_first = None
-            state.n_frames = 0
+            freed = self._streams[victim].evict_partial()
             self.diagnostics.record_detail(
                 victim, EVENT_RESYNC, "stream evicted (global byte budget)"
             )
             if not freed:
                 break
-            total -= freed
+            self._buffered -= freed
 
     def feed(self, frame: CanFrame) -> List[AssembledMessage]:
         """Screen and decode one frame; return newly completed payloads."""
         if not frame_passes_screen(frame, self.transport):
-            if self.hardening is not None:
-                self._classify_screened_out(frame)
+            self._classify_screened_out(frame)
             return []
         self.diagnostics.frames += 1
-        state = self._streams.get(frame.can_id)
-        if state is None:
-            state = self._streams[frame.can_id] = _StreamState(
-                self.transport, self.hardening
-            )
-        completed = state.feed(frame, self.diagnostics)
+        can_id = frame.can_id
+        decoder = self._decoder(can_id)
+        before = decoder.buffered_bytes
+        completed: List[AssembledMessage] = []
+        for event in decoder.feed(frame):
+            if event.kind == EVENT_PAYLOAD:
+                address = decoder.last_address if self.transport == TRANSPORT_BMW else None
+                completed.append(
+                    AssembledMessage(
+                        payload=event.payload,
+                        can_id=can_id,
+                        t_first=event.t_first,
+                        t_last=frame.timestamp,
+                        n_frames=event.n_frames,
+                        ecu_address=address,
+                    )
+                )
+            else:
+                self.diagnostics.record_detail(can_id, event.kind, event.detail)
         self._messages.extend(completed)
-        if self.hardening is not None:
-            self._tick += 1
-            self._activity[frame.can_id] = self._tick
+        self._tick += 1
+        self._activity[can_id] = self._tick
+        self._buffered += decoder.buffered_bytes - before
+        if self._buffered > self.hardening.global_budget:
             self._enforce_global_budget()
         return completed
 
     def _stream_idle(self, can_id: int) -> bool:
-        """True when ``can_id`` holds no partial message or timing window
-        at the current chunk boundary (or has no state yet at all)."""
-        state = self._streams.get(can_id)
-        return state is None or (
-            state.t_first is None
-            and state.n_frames == 0
-            and state.reassembler.idle
-        )
+        """True when ``can_id`` holds no partial message at the current
+        chunk boundary (or has no decoder yet at all)."""
+        decoder = self._streams.get(can_id)
+        return decoder is None or decoder.idle
 
     def _build_singles(
         self, rows, lengths, timestamps, id_list, offset
@@ -309,19 +273,15 @@ class StreamAssembler:
             )
         ]
         for can_id, count in Counter(id_list).items():
-            state = self._streams.get(can_id)
-            if state is None:
-                state = self._streams[can_id] = _StreamState(
-                    self.transport, self.hardening
-                )
-            state.reassembler.stats.frames += count
-            state.reassembler.stats.payloads += count
+            stats = self._decoder(can_id).stats
+            stats.frames += count
+            stats.payloads += count
         if bmw:
             latest = dict(zip(id_list, address_list))  # last occurrence wins
             for can_id, address in latest.items():
-                reassembler = self._streams[can_id].reassembler
-                reassembler.current_address = address
-                reassembler.last_address = address
+                decoder = self._streams[can_id]
+                decoder.current_address = address
+                decoder.last_address = address
         self.diagnostics.frames += len(built)
         return built
 
@@ -335,9 +295,11 @@ class StreamAssembler:
         is only eligible when its decoder holds no partial message at the
         chunk boundary; anything mid-reassembly, malformed, or multi-frame
         falls back to the event decoders frame by frame, preserving the
-        global completion/detail order byte for byte.  VW TP 2.0,
-        hardened assembly and chunks under :data:`MIN_CHUNK_FRAMES` take
-        the per-frame path outright.
+        global completion/detail order byte for byte.  Screened-out
+        flow-control frames aimed at a stream off the fast path join that
+        in-order walk, so their ``fc_violations`` classification sees the
+        stream's state at exactly their position.  VW TP 2.0 and chunks
+        under :data:`MIN_CHUNK_FRAMES` take the per-frame path outright.
 
         ``frames`` is either an iterable of :class:`CanFrame` or an
         already-columnar :class:`FrameArrays` (the binary wire's batch
@@ -346,13 +308,9 @@ class StreamAssembler:
         arrays = frames if isinstance(frames, FrameArrays) else None
         if arrays is None:
             frames = list(frames)
-        # Hardened assembly stays on the per-frame path: the columnar
-        # screen silently discards the very control frames hardened
-        # detection classifies, and safety beats slicing throughput here.
         if (
             self.transport not in (TRANSPORT_ISOTP, TRANSPORT_BMW)
             or not HAVE_NUMPY
-            or self.hardening is not None
             or len(frames) < MIN_CHUNK_FRAMES
         ):
             completed: List[AssembledMessage] = []
@@ -363,9 +321,11 @@ class StreamAssembler:
         if arrays is None:
             arrays = FrameArrays.from_frames(frames)
         offset = 1 if self.transport == TRANSPORT_BMW else 0
-        kept = np.flatnonzero(screen_mask(arrays, self.transport))
-        if not kept.size:
-            return []
+        keep = screen_mask(arrays, self.transport)
+        kept = np.flatnonzero(keep)
+        flow_control = np.flatnonzero(
+            ~keep & (arrays.dlcs > offset) & (arrays.nibbles(offset) == PciType.FLOW_CONTROL)
+        )
         ids = arrays.can_ids[kept]
         pci = arrays.payloads[kept, offset]
         lengths = (pci & 0x0F).astype(np.int16)
@@ -377,11 +337,14 @@ class StreamAssembler:
         )
 
         # The typical live chunk is nothing but clean single frames on
-        # idle streams; prove that with one reduction and a set lookup
-        # and skip the per-stream grouping machinery entirely.
+        # idle streams (flow control, if any, aimed at those same
+        # streams); prove that with one reduction and a set lookup and
+        # skip the per-stream grouping machinery entirely.
         if bool(sf_ok.all()):
             id_list = ids.tolist()
-            if all(self._stream_idle(can_id) for can_id in set(id_list)):
+            fast_ids = set(id_list)
+            fc_ids = set(arrays.can_ids[flow_control].tolist())
+            if fc_ids <= fast_ids and all(self._stream_idle(can_id) for can_id in fast_ids):
                 built = self._build_singles(
                     arrays.payloads[kept],
                     lengths,
@@ -395,32 +358,38 @@ class StreamAssembler:
         unique_ids, inverse = np.unique(ids, return_inverse=True)
         clean = np.ones(len(unique_ids), dtype=bool)
         np.logical_and.at(clean, inverse, sf_ok)
-        # A stream mid-reassembly at the chunk boundary (buffered frames,
-        # or a resync that re-anchored the timing window) must keep using
+        # A stream mid-reassembly at the chunk boundary must keep using
         # its event decoder even if this chunk's frames are all clean SFs.
-        for index, can_id in enumerate(unique_ids):
-            if not self._stream_idle(int(can_id)):
+        for index, can_id in enumerate(unique_ids.tolist()):
+            if not self._stream_idle(can_id):
                 clean[index] = False
 
         fast = clean[inverse]
-        fast_positions = np.flatnonzero(fast)
+        fast_rows = kept[fast]
         built = self._build_singles(
-            arrays.payloads[kept[fast_positions]],
-            lengths[fast_positions],
-            arrays.timestamps[kept[fast_positions]],
-            ids[fast_positions].tolist(),
+            arrays.payloads[fast_rows],
+            lengths[fast],
+            arrays.timestamps[fast_rows],
+            ids[fast].tolist(),
             offset,
         )
-        if fast.all():
+        # Fast-path streams stay idle for the whole chunk, so flow control
+        # aimed at them is never a violation; any other stream's state can
+        # change mid-chunk, so its flow control is classified in order.
+        walked_fc = flow_control[~np.isin(arrays.can_ids[flow_control], unique_ids[clean])]
+        if fast.all() and not walked_fc.size:
             self._messages.extend(built)
             return built
-        # Mixed (or wholly fallback) chunk: walk kept rows in order so
-        # fallback completions and detail records interleave with fast-path
+        # Mixed (or wholly fallback) chunk: walk rows in order so fallback
+        # completions and detail records interleave with fast-path
         # messages exactly as the per-frame path would have produced them.
+        is_fast = np.zeros(len(arrays), dtype=bool)
+        is_fast[fast_rows] = True
+        walk = np.union1d(kept, walked_fc)
         completed = []
         singles = iter(built)
-        for is_fast, position in zip(fast.tolist(), kept.tolist()):
-            if is_fast:
+        for position, fast_row in zip(walk.tolist(), is_fast[walk].tolist()):
+            if fast_row:
                 message = next(singles)
                 self._messages.append(message)
                 completed.append(message)
@@ -437,31 +406,15 @@ class StreamAssembler:
         if not self._finished:
             self._finished = True
             self._messages.sort(key=lambda m: m.t_last)
-            tracer = get_active()
-            for can_id, state in sorted(self._streams.items()):
-                stats = state.reassembler.stats
-                self.diagnostics.streams[can_id] = stats
-                self.diagnostics.stats.merge(stats)
-                if tracer.enabled:
-                    with tracer.span(
-                        "decode_stream",
-                        can_id=f"{can_id:#x}",
-                        decoder=state.reassembler.KIND,
-                    ) as span:
-                        span.set(
-                            frames=stats.frames,
-                            payloads=stats.payloads,
-                            errors=stats.errors,
-                            resyncs=stats.resyncs,
-                        )
+            for can_id, decoder in sorted(self._streams.items()):
+                self.diagnostics.streams[can_id] = decoder.stats
+                self.diagnostics.stats.merge(decoder.stats)
             self.diagnostics.messages = len(self._messages)
         return self._messages, self.diagnostics
 
 
 def assemble_with_diagnostics(
-    frames: Iterable[CanFrame],
-    transport: str = "",
-    hardening: Optional[HardeningPolicy] = None,
+    frames: Iterable[CanFrame], transport: str = ""
 ) -> Tuple[List[AssembledMessage], DecodeDiagnostics]:
     """Screen and reassemble a capture, returning decode diagnostics too.
 
@@ -476,11 +429,11 @@ def assemble_with_diagnostics(
     diagnostic service runs on live chunks, traced or not.  ``feed_chunk``
     screens every frame itself and decides per stream between columnar
     slicing and the per-frame event decoders (always the latter on VW TP
-    2.0 and under ``hardening``).
+    2.0).
     """
     frames = list(frames)
     transport = transport or detect_transport(frames)
-    assembler = StreamAssembler(transport, hardening=hardening)
+    assembler = StreamAssembler(transport)
     with get_active().span("decode", transport=transport) as span:
         assembler.feed_chunk(frames)
         messages, diagnostics = assembler.finish()

@@ -28,7 +28,6 @@ from ..can.noise import FaultCounts, NoiseProfile, apply_noise
 from ..cps.collector import Capture
 from ..cps.ocr import OcrEngine
 from ..observability.trace import NULL_TRACER, Tracer, activate, activated, get_active
-from ..transport.base import HardeningPolicy
 from .alignment import estimate_offset_via_obd, shift_series
 from .assembly import AssembledMessage, DecodeDiagnostics, assemble_with_diagnostics
 from .ecr_analysis import EcrProcedure, attach_semantics, extract_procedures
@@ -106,13 +105,6 @@ class ReverserConfig:
     #: models a lossy OBD sniffer on a healthy bus.  ``None`` (the
     #: default) leaves the capture byte-identical to the clean pipeline.
     noise: Optional[NoiseProfile] = None
-    #: Transport-layer hardening applied during payload assembly
-    #: (:class:`~repro.transport.base.HardeningPolicy`): bounded
-    #: speculative reassembly, byte budgets, and anomaly classification
-    #: against adversarial frame streams.  ``None`` (the default) keeps
-    #: the legacy decoders; on a clean capture the report is
-    #: byte-identical either way.
-    hardening: Optional[HardeningPolicy] = None
     #: Tracer recording a hierarchical span per pipeline stage, GP task,
     #: restart and memo lookup (:mod:`repro.observability.trace`).  ``None``
     #: (the default) uses the shared disabled tracer: zero overhead, and
@@ -632,9 +624,6 @@ class DPReverser:
         self.inference_stats: Dict[str, int] = {}
         noise = self.config.noise
         self.noise = noise if noise is not None and not noise.is_null else None
-        #: Transport hardening threaded into payload assembly; ``None``
-        #: keeps the legacy single-context decoders.
-        self.hardening = self.config.hardening
         #: Tracer for hierarchical stage/GP/memo spans; the shared disabled
         #: tracer when the config carries none, so every call site can use
         #: it unconditionally.
@@ -688,10 +677,7 @@ class DPReverser:
                 )
             transport = transport or detect_transport(frames)
             messages, diagnostics = self._timed(
-                "assemble",
-                lambda: assemble_with_diagnostics(
-                    frames, transport, hardening=self.hardening
-                ),
+                "assemble", lambda: assemble_with_diagnostics(frames, transport)
             )
         else:
             transport = transport or "kline"

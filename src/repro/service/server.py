@@ -42,7 +42,6 @@ from ..observability.export import build_snapshot
 from ..observability.trace import NULL_TRACER, Tracer
 from ..runtime.metrics import MetricsRegistry
 from ..runtime.scheduler import WorkerPool
-from ..transport.base import HardeningPolicy
 from .protocol import (
     FRAME_BATCH,
     HELLO_TRANSPORTS,
@@ -127,11 +126,6 @@ class ServiceConfig:
     #: and then sends nothing cannot hold a session slot forever.
     #: ``0`` disables eviction (legacy behaviour).
     session_idle_timeout: float = 0.0
-    #: Transport hardening handed to every session's decoders
-    #: (:class:`~repro.transport.base.HardeningPolicy`); ``None`` keeps
-    #: the legacy stack.  Clean streams produce byte-identical reports
-    #: either way.
-    hardening: Optional[HardeningPolicy] = None
 
 
 @dataclass
@@ -364,7 +358,6 @@ class DiagnosticServer:
             detect_window=self.config.detect_window,
             max_capture_frames=self.config.max_capture_frames,
             tracer=Tracer() if self.tracer.enabled else None,
-            hardening=self.config.hardening,
         )
         conn = _Connection(session=session, last_refill=time.monotonic())
         if self.tracer.enabled:

@@ -39,7 +39,6 @@ from ..transport.base import (
     EVENT_PAYLOAD,
     EVENT_RESYNC,
     DecoderStats,
-    HardeningPolicy,
 )
 from ..transport.kline import KLineByte, KLineEventDecoder
 
@@ -77,15 +76,11 @@ class VehicleSession:
         detect_window: int = DETECT_WINDOW,
         max_capture_frames: int = MAX_CAPTURE_FRAMES,
         tracer: Optional[Tracer] = None,
-        hardening: Optional[HardeningPolicy] = None,
     ) -> None:
         meta = meta or {}
         self.session_id = session_id
         self.tenant = tenant
         self.transport = transport  # "auto" until resolved
-        #: Transport hardening handed to every decoder this session builds;
-        #: ``None`` keeps the legacy single-context stack.
-        self.hardening = hardening
         self.model = str(meta.get("model", tenant))
         self.tool_name = str(meta.get("tool_name", "live-stream"))
         self.tool_error_rate = float(meta.get("tool_error_rate", 0.0))
@@ -134,7 +129,7 @@ class VehicleSession:
         transport must not depend on how the stream was chunked.
         """
         self.transport = detect_transport(frames[: self.detect_window])
-        self._assembler = StreamAssembler(self.transport, hardening=self.hardening)
+        self._assembler = StreamAssembler(self.transport)
         self._feed_chunk(frames)
 
     def _feed_assembler(self, frame: CanFrame) -> int:
@@ -211,7 +206,7 @@ class VehicleSession:
                 pending, self._pending = self._pending, []
                 self._resolve_transport(pending)
                 return self.messages_assembled - before, dropped
-            self._assembler = StreamAssembler(self.transport, hardening=self.hardening)
+            self._assembler = StreamAssembler(self.transport)
         self._feed_chunk(arrays if arrays is not None else frames)
         return self.messages_assembled - before, dropped
 
@@ -240,7 +235,7 @@ class VehicleSession:
                 before = self.messages_assembled
                 self._resolve_transport(pending)
                 return self.messages_assembled - before
-            self._assembler = StreamAssembler(self.transport, hardening=self.hardening)
+            self._assembler = StreamAssembler(self.transport)
         return self._feed_assembler(frame)
 
     def ingest_kline_byte(self, byte: KLineByte) -> int:
@@ -256,7 +251,7 @@ class VehicleSession:
                 f"K-Line byte on a {self.transport!r} session"
             )
         if self._kline is None:
-            self._kline = KLineEventDecoder(hardening=self.hardening)
+            self._kline = KLineEventDecoder()
         if self._kline_bytes >= self.max_capture_frames:
             self.frames_dropped += 1
             return -1
@@ -400,7 +395,7 @@ class VehicleSession:
                 self._resolve_transport(pending)
             else:
                 # Declared transport, zero frames: empty assembly pass.
-                self._assembler = StreamAssembler(self.transport, hardening=self.hardening)
+                self._assembler = StreamAssembler(self.transport)
         messages, diagnostics = self._assembler.finish()
         context = reverser.analyze_assembled(
             capture, messages, self.transport, diagnostics, None

@@ -67,16 +67,23 @@ class DecodeEvent:
         abandoned and the decoder re-locked onto the stream.
 
     :attr:`detail` is a short human-readable diagnosis used in reports and
-    error counters; it never affects control flow.
+    error counters; it never affects control flow.  A ``payload`` event
+    from a CAN decoder also carries the message's own timing:
+    :attr:`t_first` is the timestamp of its first frame and
+    :attr:`n_frames` the frames it was reassembled from.
     """
 
     kind: str
     payload: Optional[bytes] = None
     detail: str = ""
+    t_first: Optional[float] = None
+    n_frames: int = 0
 
     @classmethod
-    def message(cls, payload: bytes) -> "DecodeEvent":
-        return cls(EVENT_PAYLOAD, payload=payload)
+    def message(
+        cls, payload: bytes, t_first: Optional[float] = None, n_frames: int = 0
+    ) -> "DecodeEvent":
+        return cls(EVENT_PAYLOAD, payload=payload, t_first=t_first, n_frames=n_frames)
 
     @classmethod
     def error(cls, detail: str) -> "DecodeEvent":
@@ -110,9 +117,8 @@ class DecoderStats:
     messages_lost: int = 0  # in-progress messages abandoned by a resync
     bytes_discarded: int = 0  # buffered bytes thrown away on resync
     overflows: int = 0  # bounded-buffer overflows (subset of resyncs)
-    # Anomaly classification (see ANOMALY_FIELDS): pure detection counters,
-    # incremented by unhardened and hardened decoders alike — they never
-    # change events or control flow on their own.
+    # Anomaly classification (see ANOMALY_FIELDS): pure detection counters
+    # — they never change events or control flow on their own.
     fc_violations: int = 0  # flow control aimed at a busy/quiet stream
     stale_stream_evictions: int = 0  # partial messages shed by budget/deadline
     sequence_poisonings: int = 0  # implausible sequence jumps (not drops)
@@ -153,13 +159,14 @@ class DecoderStats:
 
 @dataclass(frozen=True)
 class HardeningPolicy:
-    """Bounds an adversary has to beat, in one opt-in knob.
+    """The bounds an adversary has to beat, shared by every decoder.
 
-    ``None`` everywhere a decoder accepts one of these means *unhardened*:
-    byte-identical behaviour to the stack before this policy existed, which
-    is what keeps noisy-capture baselines stable.  With a policy attached
-    the decoders trade the single-context abandon-on-interference strategy
-    for bounded speculative reassembly:
+    The transport decoders are built for hostile as well as lossy traffic
+    (the TP-layer denial-of-service threat applies to every deployment),
+    and this frozen object carries their limits.  Every decoder, the
+    assembler and the live ISO-TP endpoint run under
+    :data:`DEFAULT_HARDENING`; tests and the exhaustion scenario pass
+    tighter budgets.
 
     * ISO-TP / BMW keep up to :attr:`max_contexts_per_stream` concurrent
       partial messages per stream, so a hostile first frame cannot abandon
@@ -189,7 +196,7 @@ class HardeningPolicy:
     #: milliseconds at 10.4 kbaud.
     kline_deadline_s: float = 1.0
     #: Ceiling on the minimum-separation time a flow-control frame can
-    #: demand from a hardened sender (ISO 15765-2 caps STmin at 127 ms;
+    #: demand from a live ISO-TP sender (ISO 15765-2 caps STmin at 127 ms;
     #: an attacker advertising it strangles throughput 100x).
     max_st_min_ms: float = 20.0
 
@@ -203,7 +210,7 @@ class HardeningPolicy:
         }
 
 
-#: The default policy callers opt in with (``--harden`` on the CLI).
+#: The bounds every decoder runs under unless handed a tighter policy.
 DEFAULT_HARDENING = HardeningPolicy()
 
 
@@ -254,8 +261,9 @@ class TransportDecoder(abc.ABC):
     def buffered_bytes(self) -> int:
         """Bytes held in partial-message buffers right now.
 
-        The quantity budget-based hardening accounts against; decoders
-        that buffer override, the stateless default holds nothing.
+        The quantity the :class:`HardeningPolicy` byte budgets account
+        against; decoders that buffer override, the stateless default
+        holds nothing.
         """
         return 0
 

@@ -19,6 +19,7 @@ from typing import List, Optional
 
 from ..can import CanFrame, MAX_DATA_LENGTH
 from .base import (
+    DEFAULT_HARDENING,
     EVENT_PAYLOAD,
     DecodeEvent,
     HardeningPolicy,
@@ -46,61 +47,47 @@ def segment_bmw(payload: bytes, can_id: int, ecu_address: int) -> List[CanFrame]
 class BmwReassembler(TransportDecoder):
     """Reassemble BMW extended-addressed ISO-TP traffic.
 
-    Strips the leading address byte of every frame (recording the address of
-    the current message) and delegates to a standard ISO-TP reassembler.
+    Strips the leading address byte of every frame (recording the address
+    of the current message) and routes the remainder to one ISO-TP
+    reassembler per ECU address, all charging one shared
+    :class:`~repro.transport.base.DecoderStats`.  Isolating addresses means
+    a hostile stream on a spoofed address cannot abandon a victim peer's
+    transfer.  Peers with nothing buffered are forgotten at once; beyond
+    ``max_contexts_per_stream`` partial peers, or past the per-stream byte
+    budget, the least recently active peer's partial message is evicted.
     """
 
     KIND = "bmw"
 
-    def __init__(
-        self, strict: bool = True, hardening: Optional[HardeningPolicy] = None
-    ) -> None:
+    def __init__(self, strict: bool = True, hardening: HardeningPolicy = DEFAULT_HARDENING) -> None:
         super().__init__(strict)
         self.hardening = hardening
-        self._inner = IsoTpReassembler(strict=strict, hardening=hardening)
-        # One accounting stream: the inner decoder counts everything that
-        # reaches it, and the address-layer errors below are added on top.
-        self.stats = self._inner.stats
-        # Hardened mode isolates each ECU address in its own inner decoder
-        # (all charging the shared stats), so a hostile stream on a spoofed
-        # address cannot abandon a victim peer's transfer.  Ordered oldest
-        # activity first for LRU eviction.
+        # Only peers holding a partial message, least recently active first.
         self._peers: "OrderedDict[int, IsoTpReassembler]" = OrderedDict()
         self.current_address: Optional[int] = None
         self.last_address: Optional[int] = None
 
-    def reset(self) -> None:
-        self._inner.reset()
-        self._peers.clear()
-        self.current_address = None
-
     @property
     def idle(self) -> bool:
-        if self.hardening is not None:
-            return all(decoder.idle for decoder in self._peers.values())
-        return self._inner.idle
+        return not self._peers
 
     @property
     def buffered_bytes(self) -> int:
-        if self.hardening is not None:
-            return sum(decoder.buffered_bytes for decoder in self._peers.values())
-        return self._inner.buffered_bytes
+        return sum(decoder.buffered_bytes for decoder in self._peers.values())
 
     def evict_partial(self) -> int:
-        if self.hardening is not None:
-            freed = sum(decoder.evict_partial() for decoder in self._peers.values())
-            self._peers.clear()
-            return freed
-        return self._inner.evict_partial()
+        freed = sum(decoder.evict_partial() for decoder in self._peers.values())
+        self._peers.clear()
+        return freed
 
     def feed(self, frame: CanFrame) -> List[DecodeEvent]:
         if len(frame.data) < 2:
-            # Too short to hold address byte + PCI; never reaches the inner
+            # Too short to hold address byte + PCI; never reaches a peer
             # decoder, so count it here.
             self.stats.frames += 1
             self.stats.errors += 1
             return [DecodeEvent.error(f"BMW frame too short: {frame.data.hex()}")]
-        self.current_address = frame.data[0]
+        address = self.current_address = frame.data[0]
         stripped = CanFrame(
             frame.can_id,
             frame.data[1:],
@@ -108,36 +95,27 @@ class BmwReassembler(TransportDecoder):
             extended=frame.extended,
             channel=frame.channel,
         )
-        if self.hardening is not None:
-            events = self._feed_peer(self.current_address, stripped)
-        else:
-            events = self._inner.feed(stripped)
-        if any(event.kind == EVENT_PAYLOAD for event in events):
-            self.last_address = self.current_address
-        return events
-
-    def _feed_peer(self, address: int, stripped: CanFrame) -> List[DecodeEvent]:
         decoder = self._peers.get(address)
         if decoder is None:
             decoder = IsoTpReassembler(strict=self.strict, hardening=self.hardening)
             decoder.stats = self.stats
             self._peers[address] = decoder
-        self._peers.move_to_end(address)
+        else:
+            self._peers.move_to_end(address)
         events = decoder.feed(stripped)
-        # Peers with nothing buffered cost nothing to forget; pruning them
-        # keeps the LRU scan over genuinely partial messages only.
-        for addr in [a for a, d in self._peers.items() if d.idle]:
-            del self._peers[addr]
+        if decoder.idle:
+            del self._peers[address]
         policy = self.hardening
         while len(self._peers) > policy.max_contexts_per_stream:
             events.append(self._evict_peer("peer cap"))
         while self._peers and self.buffered_bytes > policy.per_stream_budget:
             events.append(self._evict_peer("stream byte budget"))
+        if any(event.kind == EVENT_PAYLOAD for event in events):
+            self.last_address = address
         return events
 
     def _evict_peer(self, why: str) -> DecodeEvent:
-        address, decoder = next(iter(self._peers.items()))
-        del self._peers[address]
+        address, decoder = self._peers.popitem(last=False)
         decoder.evict_partial()
         return DecodeEvent.resync(
             f"stale peer {address:#04x} partial message evicted ({why})"

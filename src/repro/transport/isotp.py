@@ -34,6 +34,7 @@ from typing import Dict, List, Optional
 
 from ..can import CanFrame, MAX_DATA_LENGTH
 from .base import (
+    DEFAULT_HARDENING,
     DecodeEvent,
     HardeningPolicy,
     TransportDecoder,
@@ -146,21 +147,33 @@ def segment(
 
 
 #: A capture drop of this many consecutive frames or fewer is plausible
-#: sniffer loss; a larger sequence jump mid-message is classified (and, in
-#: hardened mode, treated) as adversarial sequence poisoning.
+#: sniffer loss; a larger sequence jump mid-message is classified as
+#: adversarial sequence poisoning and the frame is dropped.
 PLAUSIBLE_DROP_FRAMES = 3
 
 
 class _ReassemblyContext:
-    """One speculative partial message of a hardened ISO-TP stream."""
+    """One speculative partial message of an ISO-TP stream."""
 
-    __slots__ = ("buffer", "expected_length", "next_sequence", "last_active")
+    __slots__ = (
+        "buffer",
+        "expected_length",
+        "next_sequence",
+        "last_active",
+        "t_first",
+        "n_frames",
+        "overtaken",
+    )
 
-    def __init__(self, data: bytes, length: int, tick: int) -> None:
+    def __init__(self, data: bytes, length: int, tick: int, timestamp: float) -> None:
         self.buffer = bytearray(data)
         self.expected_length = length
         self.next_sequence = 1
         self.last_active = tick
+        self.t_first = timestamp
+        self.n_frames = 1
+        #: A consecutive frame extended a newer context but not this one.
+        self.overtaken = False
 
 
 class IsoTpReassembler(TransportDecoder):
@@ -168,94 +181,89 @@ class IsoTpReassembler(TransportDecoder):
 
     Feed frames in capture order; :meth:`feed` returns the
     :class:`~repro.transport.base.DecodeEvent`\\ s each frame produced — a
-    ``payload`` event whenever a message completes.  Flow-control frames are
+    ``payload`` event whenever a message completes, carrying the message's
+    first-frame timestamp and frame count.  Flow-control frames are
     ignored (they carry no payload), matching Step 1 of the paper's
     diagnostic-frames analysis.
 
-    Built for sniffed traffic, the decoder never raises on stream content:
+    Built for sniffed, possibly hostile traffic, the decoder never raises
+    on stream content and runs *bounded speculative reassembly* under its
+    :class:`~repro.transport.base.HardeningPolicy`:
 
+    * up to ``max_contexts_per_stream`` partial messages are kept
+      concurrently — a first frame never abandons an in-flight transfer,
+      so an attacker racing the victim with its own first frame cannot
+      starve it;
+    * each consecutive frame extends every context expecting its sequence
+      number; when one frame completes several, only one is emitted and
+      the rest are abandoned (``resync``).  The older contexts then got
+      none of their own consecutive frames: if they shared at most
+      :data:`PLAUSIBLE_DROP_FRAMES` with the newest, the sniffer plausibly
+      lost theirs and the most recently opened context wins; past that,
+      the newer contexts were injected and the oldest wins;
+    * a context that misses a frame a newer context took is marked
+      *overtaken*; if a later frame fits both, the frame is the newer
+      transfer's and the overtaken context is abandoned instead of
+      spliced, while a frame only it takes proves its own sender is still
+      transmitting and clears the mark;
     * a duplicate consecutive frame (the sequence number just consumed) is
       dropped with an ``error`` event — the message still completes;
-    * any other sequence gap abandons the message with a ``resync`` event
-      and the decoder re-locks on the next SF/FF;
-    * a new first frame or a single frame arriving mid-message abandons the
-      old message (``resync``) and processes the new frame normally.
+    * a short forward sequence jump is plausible sniffer loss and abandons
+      the longest-waiting context; a longer one is classified as
+      poisoning and the frame is dropped (``error``);
+    * a single frame abandons every partial message on the stream (the
+      ISO 15765-2 receiver rule) before it is emitted;
+    * the per-stream byte budget evicts the least recently active context
+      first.
 
-    With a :class:`~repro.transport.base.HardeningPolicy` attached the
-    single-context strategy above becomes *bounded speculative reassembly*:
-    up to ``max_contexts_per_stream`` partial messages are kept
-    concurrently, a first frame never abandons an in-flight transfer, each
-    consecutive frame extends every context expecting its sequence number
-    (so an attacker racing the victim with its own first frame cannot
-    steal the victim's consecutive frames), implausible sequence jumps are
-    dropped instead of poisoning the buffer, and the per-stream byte
-    budget evicts the least recently active context first.  On a clean
-    capture exactly one context ever exists, so hardened and unhardened
-    decode are byte-identical.
+    On a clean capture exactly one context ever exists.
     """
 
     KIND = "isotp"
 
-    def __init__(
-        self, strict: bool = True, hardening: Optional[HardeningPolicy] = None
-    ) -> None:
+    def __init__(self, strict: bool = True, hardening: HardeningPolicy = DEFAULT_HARDENING) -> None:
         super().__init__(strict)
         self.hardening = hardening
-        self._buffer = bytearray()
-        self._expected_length = 0
-        self._next_sequence = 0
-        self._in_progress = False
-        self._contexts: List[_ReassemblyContext] = []
+        self._contexts: List[_ReassemblyContext] = []  # in opening order
         self._tick = 0
-
-    def reset(self) -> None:
-        self._buffer.clear()
-        self._expected_length = 0
-        self._next_sequence = 0
-        self._in_progress = False
-        self._contexts = []
 
     @property
     def idle(self) -> bool:
-        if self.hardening is not None:
-            return not self._contexts
-        return not self._in_progress
+        return not self._contexts
 
     @property
     def buffered_bytes(self) -> int:
-        if self.hardening is not None:
-            return sum(len(context.buffer) for context in self._contexts)
-        return len(self._buffer)
+        return sum(len(context.buffer) for context in self._contexts)
 
     def evict_partial(self) -> int:
-        freed = 0
-        if self.hardening is not None:
-            for context in self._contexts:
-                freed += len(context.buffer)
-                self.stats.resyncs += 1
-                self.stats.messages_lost += 1
-                self.stats.bytes_discarded += len(context.buffer)
-                self.stats.stale_stream_evictions += 1
-            self._contexts = []
-            return freed
-        if self._in_progress:
-            freed = len(self._buffer)
-            self.stats.resyncs += 1
-            self.stats.messages_lost += 1
-            self.stats.bytes_discarded += freed
-            self.stats.stale_stream_evictions += 1
-            self.reset()
+        freed = self.buffered_bytes
+        for context in list(self._contexts):
+            self._abandon(context, "global byte budget", stale=True)
         return freed
 
-    def _abandon(self, detail: str, overflow: bool = False) -> DecodeEvent:
-        """Drop the in-progress message and account the loss."""
+    def _abandon(self, context: _ReassemblyContext, why: str, stale: bool = False) -> DecodeEvent:
+        """Drop one partial message and account the loss."""
+        self._contexts.remove(context)
         self.stats.resyncs += 1
         self.stats.messages_lost += 1
-        self.stats.bytes_discarded += len(self._buffer)
-        if overflow:
-            self.stats.overflows += 1
-        self.reset()
-        return DecodeEvent.resync(detail)
+        self.stats.bytes_discarded += len(context.buffer)
+        if stale:
+            self.stats.stale_stream_evictions += 1
+            return DecodeEvent.resync(f"stale partial message evicted ({why})")
+        return DecodeEvent.resync(why)
+
+    def _evict_over_bounds(self) -> List[DecodeEvent]:
+        """Shed least recently active contexts beyond the policy's caps."""
+        policy = self.hardening
+        events: List[DecodeEvent] = []
+        while len(self._contexts) > policy.max_contexts_per_stream:
+            events.append(self._abandon(self._least_recent(), "context cap", stale=True))
+        while self._contexts and self.buffered_bytes > policy.per_stream_budget:
+            events.append(self._abandon(self._least_recent(), "stream byte budget", stale=True))
+        return events
+
+    def _least_recent(self) -> _ReassemblyContext:
+        return min(self._contexts, key=lambda c: c.last_active)
 
     def _error(self, detail: str) -> DecodeEvent:
         self.stats.errors += 1
@@ -270,109 +278,25 @@ class IsoTpReassembler(TransportDecoder):
             return [self._error(str(exc))]
         if kind == PciType.FLOW_CONTROL:
             return []
-        if self.hardening is not None:
-            return self._feed_hardened(kind, data)
-        events: List[DecodeEvent] = []
-        if kind == PciType.SINGLE:
-            length = data[0] & 0x0F
-            if length == 0 or length > SF_MAX_PAYLOAD or length > len(data) - 1:
-                return events + [self._error(f"bad single-frame length in {data.hex()}")]
-            if self._in_progress:
-                events.append(
-                    self._abandon("single frame interrupted a multi-frame message")
-                )
-            self.reset()
-            self.stats.payloads += 1
-            events.append(DecodeEvent.message(bytes(data[1 : 1 + length])))
-            return events
-        if kind == PciType.FIRST:
-            if len(data) < 3:
-                return events + [self._error(f"truncated first frame {data.hex()}")]
-            length = ((data[0] & 0x0F) << 8) | data[1]
-            # A first frame announcing a tiny length is malformed.  The
-            # threshold is the *extended-addressing* single-frame maximum
-            # (6), since those streams reach us with the address stripped.
-            if length <= SF_MAX_PAYLOAD - 1:
-                return events + [
-                    self._error(
-                        f"first frame announces {length} bytes, "
-                        "which would fit a single frame"
-                    )
-                ]
-            if self._in_progress:
-                # Detection: an FF landing on a busy stream is exactly the
-                # shape of a session-starvation attack (counter only; the
-                # abandon below is the historical behaviour either way).
-                self.stats.suspected_starvation += 1
-                events.append(
-                    self._abandon("first frame interrupted a multi-frame message")
-                )
-            self._expected_length = length
-            self._buffer = bytearray(data[2:])
-            self._next_sequence = 1
-            self._in_progress = True
-            return events
-        # Consecutive frame.
-        if not self._in_progress:
-            return [self._error("consecutive frame without a first frame")]
-        sequence = data[0] & 0x0F
-        if sequence != self._next_sequence:
-            if sequence == (self._next_sequence - 1) % 16:
-                # The frame we just consumed, seen again: a duplicated
-                # capture, not a lost one.  Ignore it and keep the message.
-                return [self._error(f"duplicate consecutive frame {sequence}")]
-            # Detection: a short forward jump is plausible sniffer loss; a
-            # longer one is the shape of injected-CF sequence poisoning.
-            if (sequence - self._next_sequence) % 16 > PLAUSIBLE_DROP_FRAMES:
-                self.stats.sequence_poisonings += 1
-            return [
-                self._abandon(
-                    f"sequence gap: expected {self._next_sequence}, got {sequence}"
-                )
-            ]
-        self._next_sequence = (self._next_sequence + 1) % 16
-        self._buffer.extend(data[1:])
-        if len(self._buffer) >= self._expected_length:
-            payload = bytes(self._buffer[: self._expected_length])
-            self.reset()
-            self.stats.payloads += 1
-            return [DecodeEvent.message(payload)]
-        return []
-
-    # --------------------------------------------------- hardened reassembly
-
-    def _evict_context(
-        self, context: _ReassemblyContext, why: str, stale: bool = True
-    ) -> DecodeEvent:
-        self._contexts.remove(context)
-        self.stats.resyncs += 1
-        self.stats.messages_lost += 1
-        self.stats.bytes_discarded += len(context.buffer)
-        if stale:
-            self.stats.stale_stream_evictions += 1
-            return DecodeEvent.resync(f"stale partial message evicted ({why})")
-        return DecodeEvent.resync(why)
-
-    def _evict_lru(self, why: str) -> DecodeEvent:
-        oldest = min(self._contexts, key=lambda c: c.last_active)
-        return self._evict_context(oldest, why)
-
-    def _feed_hardened(self, kind: PciType, data: bytes) -> List[DecodeEvent]:
-        policy = self.hardening
         self._tick += 1
-        events: List[DecodeEvent] = []
         if kind == PciType.SINGLE:
             length = data[0] & 0x0F
             if length == 0 or length > SF_MAX_PAYLOAD or length > len(data) - 1:
                 return [self._error(f"bad single-frame length in {data.hex()}")]
-            # Unlike the unhardened path, an SF does not abandon partial
-            # messages: a hostile SF must not be able to kill a transfer.
+            events = [
+                self._abandon(context, "single frame interrupted a multi-frame message")
+                for context in list(self._contexts)
+            ]
             self.stats.payloads += 1
-            return [DecodeEvent.message(bytes(data[1 : 1 + length]))]
+            events.append(DecodeEvent.message(bytes(data[1 : 1 + length]), frame.timestamp, 1))
+            return events
         if kind == PciType.FIRST:
             if len(data) < 3:
                 return [self._error(f"truncated first frame {data.hex()}")]
             length = ((data[0] & 0x0F) << 8) | data[1]
+            # A first frame announcing a tiny length is malformed.  The
+            # threshold is the *extended-addressing* single-frame maximum
+            # (6), since those streams reach us with the address stripped.
             if length <= SF_MAX_PAYLOAD - 1:
                 return [
                     self._error(
@@ -381,54 +305,74 @@ class IsoTpReassembler(TransportDecoder):
                     )
                 ]
             if self._contexts:
+                # Detection: an FF landing on a busy stream is exactly the
+                # shape of a session-starvation attack.
                 self.stats.suspected_starvation += 1
-            self._contexts.append(_ReassemblyContext(data[2:], length, self._tick))
-            while len(self._contexts) > policy.max_contexts_per_stream:
-                events.append(self._evict_lru("context cap"))
-            while self.buffered_bytes > policy.per_stream_budget and self._contexts:
-                events.append(self._evict_lru("stream byte budget"))
-            return events
-        # Consecutive frame: extend *every* context expecting this sequence
-        # number (speculative reassembly — the real transfer keeps
-        # progressing even while a hostile first frame shadows it).
+            self._contexts.append(_ReassemblyContext(data[2:], length, self._tick, frame.timestamp))
+            return self._evict_over_bounds()
+        # Consecutive frame.
         if not self._contexts:
             return [self._error("consecutive frame without a first frame")]
         sequence = data[0] & 0x0F
-        matched = [c for c in self._contexts if c.next_sequence == sequence]
-        if matched:
-            for context in matched:
-                context.next_sequence = (context.next_sequence + 1) % 16
+        extended = [c for c in self._contexts if c.next_sequence == sequence]
+        if extended:
+            events = []
+            newest = extended[-1]
+            for context in self._contexts[: self._contexts.index(newest)]:
+                if context.next_sequence != sequence:
+                    context.overtaken = True
+                elif context.overtaken:
+                    # It already missed a frame the newer transfer took, so
+                    # this one is the newer transfer's too: no splice.
+                    extended.remove(context)
+                    events.append(self._abandon(context, "overtaken by a newer message"))
+            newest.overtaken = False
+            completed: List[_ReassemblyContext] = []
+            for context in extended:
+                context.next_sequence = (sequence + 1) % 16
                 context.buffer.extend(data[1:])
                 context.last_active = self._tick
+                context.n_frames += 1
                 if len(context.buffer) >= context.expected_length:
-                    self._contexts.remove(context)
-                    self.stats.payloads += 1
-                    events.append(
-                        DecodeEvent.message(bytes(context.buffer[: context.expected_length]))
+                    completed.append(context)
+            if completed:
+                # One frame belongs to one transfer.  Contexts complete
+                # together when the older ones got none of their own
+                # frames: either the sniffer lost them all and the newest
+                # is the real message, or the newer ones were injected.
+                shared = completed[-1].n_frames - 1
+                winner = completed.pop(0 if shared > PLAUSIBLE_DROP_FRAMES else -1)
+                events += [
+                    self._abandon(context, "consecutive frame completed a newer message")
+                    for context in completed
+                ]
+                self._contexts.remove(winner)
+                self.stats.payloads += 1
+                events.append(
+                    DecodeEvent.message(
+                        bytes(winner.buffer[: winner.expected_length]),
+                        winner.t_first,
+                        winner.n_frames,
                     )
-            while self.buffered_bytes > policy.per_stream_budget and self._contexts:
-                events.append(self._evict_lru("stream byte budget"))
-            return events
+                )
+            return events + self._evict_over_bounds()
         recent = max(self._contexts, key=lambda c: c.last_active)
         if sequence == (recent.next_sequence - 1) % 16:
+            # The frame just consumed, seen again: a duplicated capture,
+            # not a lost one.  Ignore it and keep the message.
             return [self._error(f"duplicate consecutive frame {sequence}")]
-        oldest = min(self._contexts, key=lambda c: c.last_active)
+        oldest = self._least_recent()
         if 1 <= (sequence - oldest.next_sequence) % 16 <= PLAUSIBLE_DROP_FRAMES:
-            # Plausible sniffer drop on the longest-waiting transfer: give
-            # up on it exactly as the unhardened decoder would.
+            # Plausible sniffer drop on the longest-waiting transfer.
             return [
-                self._evict_context(
+                self._abandon(
                     oldest,
                     f"sequence gap: expected {oldest.next_sequence}, got {sequence}",
-                    stale=False,
                 )
             ]
-        self.stats.errors += 1
         self.stats.sequence_poisonings += 1
         return [
-            DecodeEvent.error(
-                f"alien consecutive frame {sequence} dropped (poisoning suspected)"
-            )
+            self._error(f"alien consecutive frame {sequence} dropped (poisoning suspected)")
         ]
 
 
@@ -450,6 +394,8 @@ class IsoTpEndpoint:
     receives a first frame it immediately answers with a flow-control frame
     (continue-to-send); when it sends a multi-frame message it waits for the
     peer's flow control, which on the simulated bus arrives synchronously.
+    Flow control is taken with bounded trust (:meth:`_accept_flow_control`)
+    under :data:`~repro.transport.base.DEFAULT_HARDENING`.
     """
 
     def __init__(
@@ -462,7 +408,6 @@ class IsoTpEndpoint:
         st_min_ms: float = 0.0,
         padding: Optional[int] = 0x00,
         on_message=None,
-        hardening: Optional[HardeningPolicy] = None,
     ) -> None:
         from ..can import BusNode
 
@@ -472,8 +417,7 @@ class IsoTpEndpoint:
         self.st_min_ms = st_min_ms
         self.padding = padding
         self.on_message = on_message
-        self.hardening = hardening
-        self._reassembler = IsoTpReassembler(hardening=hardening)
+        self._reassembler = IsoTpReassembler()
         self._inbox: List[bytes] = []
         self._fc_window = 0  # frames the peer allowed us to send
         self._peer_st_min_ms = 0.0  # pacing the peer demanded
@@ -496,18 +440,7 @@ class IsoTpEndpoint:
             return
         kind = pci_type(frame.data)
         if kind == PciType.FLOW_CONTROL:
-            control = FlowControl.decode(frame.data)
-            if self.hardening is not None:
-                self._accept_flow_control(control)
-                return
-            if control.status == FlowStatus.CONTINUE:
-                self._fc_window = control.block_size or -1  # -1 = unlimited
-                self._peer_st_min_ms = control.st_min_ms
-                self._awaiting_fc = False
-            elif control.status == FlowStatus.OVERFLOW:
-                self._fc_window = 0
-                self._awaiting_fc = False
-            # WAIT keeps _awaiting_fc set: the sender holds until the next FC.
+            self._accept_flow_control(FlowControl.decode(frame.data))
             return
         payload = self._reassembler.feed_payloads(frame)
         if kind == PciType.FIRST:
@@ -532,7 +465,7 @@ class IsoTpEndpoint:
                 self._inbox.append(payload)
 
     def _accept_flow_control(self, control: FlowControl) -> None:
-        """Hardened FC intake: bounded trust in what the wire claims.
+        """FC intake with bounded trust in what the wire claims.
 
         A grant is honoured only while a transfer is actually in flight;
         when two grants race for the same first frame (the genuine peer
@@ -547,10 +480,10 @@ class IsoTpEndpoint:
             return
         if control.status == FlowStatus.WAIT:
             return  # hold; the sender keeps waiting for a real grant
-        st_min = min(control.st_min_ms, self.hardening.max_st_min_ms)
-        window = 0
+        st_min = min(control.st_min_ms, DEFAULT_HARDENING.max_st_min_ms)
+        window = 0  # OVERFLOW: no window at all
         if control.status == FlowStatus.CONTINUE:
-            window = control.block_size or -1
+            window = control.block_size or -1  # -1 = unlimited
         self._fc_accepted += 1
         if self._fc_accepted == 1 or self._fc_window == 0:
             # First grant of this handshake, or the next-block grant after

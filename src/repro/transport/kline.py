@@ -25,9 +25,9 @@ from typing import Callable, List, Optional, Tuple
 from ..observability.trace import get_active
 from ..simtime import SimClock
 from .base import (
+    DEFAULT_HARDENING,
     DecodeEvent,
     DecoderStats,
-    HardeningPolicy,
     TransportDecoder,
     TransportError,
 )
@@ -93,18 +93,18 @@ class KLineFrameParser:
     ``resyncs`` counts format-byte scans that dropped garbage, and
     ``overflows`` counts bounded-buffer evictions.
 
-    With a :class:`~repro.transport.base.HardeningPolicy`, buffered bytes
-    older than ``kline_deadline_s`` relative to the newest byte are evicted
-    before parsing — a slowloris header (announcing a payload that never
-    arrives) can hold at most one deadline's worth of real messages hostage
-    instead of swallowing them indefinitely.  Real K-Line messages complete
-    within milliseconds at 10.4 kbaud, so clean captures never age out.
+    Buffered bytes older than
+    :data:`~repro.transport.base.DEFAULT_HARDENING`'s ``kline_deadline_s``
+    relative to the newest byte are evicted before parsing — a slowloris
+    header (announcing a payload that never arrives) can hold at most one
+    deadline's worth of real messages hostage instead of swallowing them
+    indefinitely.  Real K-Line messages complete within milliseconds at
+    10.4 kbaud, so clean captures never age out.
     """
 
     KIND = "kline"
 
-    def __init__(self, hardening: Optional[HardeningPolicy] = None) -> None:
-        self.hardening = hardening
+    def __init__(self) -> None:
         self._buffer: List[Tuple[float, int]] = []
         self.stats = DecoderStats()
 
@@ -112,7 +112,7 @@ class KLineFrameParser:
         self._buffer.clear()
 
     def _evict_stale(self, now: float) -> None:
-        deadline = self.hardening.kline_deadline_s
+        deadline = DEFAULT_HARDENING.kline_deadline_s
         stale = 0
         while stale < len(self._buffer) and now - self._buffer[stale][0] > deadline:
             stale += 1
@@ -125,7 +125,7 @@ class KLineFrameParser:
 
     def feed(self, timestamp: float, byte: int) -> Optional[KLineMessage]:
         self.stats.frames += 1
-        if self.hardening is not None and self._buffer:
+        if self._buffer:
             self._evict_stale(timestamp)
         self._buffer.append((timestamp, byte))
         if len(self._buffer) > MAX_BUFFERED_BYTES:
@@ -203,14 +203,9 @@ class KLineEventDecoder(TransportDecoder):
 
     KIND = "kline"
 
-    def __init__(
-        self,
-        strict: bool = False,
-        hardening: Optional[HardeningPolicy] = None,
-    ) -> None:
+    def __init__(self, strict: bool = False) -> None:
         super().__init__(strict)
-        self.hardening = hardening
-        self._parser = KLineFrameParser(hardening=hardening)
+        self._parser = KLineFrameParser()
         self.stats = self._parser.stats  # one shared accounting object
         self.last_message: Optional[KLineMessage] = None
 

@@ -27,10 +27,10 @@ frames carry diagnostic payload):
 from __future__ import annotations
 
 from enum import Enum
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..can import CanFrame, MAX_DATA_LENGTH
-from .base import DecodeEvent, HardeningPolicy, TransportDecoder, TransportError
+from .base import DecodeEvent, TransportDecoder, TransportError
 
 BROADCAST_ID_BASE = 0x200
 SETUP_REQUEST_OPCODE = 0xC0
@@ -131,39 +131,50 @@ class VwTpReassembler(TransportDecoder):
 
     * a duplicated data frame (the sequence number just consumed) is
       dropped with an ``error`` event;
+    * a sequence jump too large to be sniffer loss (more than
+      :data:`~repro.transport.isotp.PLAUSIBLE_DROP_FRAMES` frames) in the
+      middle of a buffered message is judged an injected data frame and
+      *dropped* (``error``) unless it is a last packet — the buffered
+      message keeps its sequence lock and completes when the genuine
+      frames arrive;
     * any other sequence gap abandons the buffered message (``resync``) and
       the gapped frame starts a fresh one — without a length field that is
-      the only way to re-lock;
+      the only way to re-lock (a lost last packet followed by a restarted
+      counter re-locks this way too);
+    * a message abandoned for such a far-jumped last packet is kept aside
+      for one more data frame: if that frame continues its sequence and is
+      not itself a last packet, the jumped packet was injected and the
+      message resumes, its loss uncounted.  A continuing *last* packet
+      re-locks instead, because it is exactly what a new one-frame message
+      after a lost last packet looks like;
     * exceeding :data:`MAX_BUFFERED_BYTES` (a lost last-packet opcode)
       abandons the buffer with a ``resync`` marked as an overflow.
 
-    With a :class:`~repro.transport.base.HardeningPolicy` attached, a
-    sequence jump too large to be sniffer loss (more than
-    :data:`~repro.transport.isotp.PLAUSIBLE_DROP_FRAMES` frames) is judged
-    an injected data frame and *dropped* — the buffered message keeps its
-    sequence lock and completes when the genuine frames arrive — instead
-    of abandoning the victim's buffer the way a plausible drop does.  On a
-    clean capture no such jump exists, so hardened decode is
-    byte-identical.
+    No :class:`~repro.transport.base.HardeningPolicy` bound applies to
+    TP 2.0, so unlike the other decoders this one takes none.
     """
 
     KIND = "vwtp"
 
-    def __init__(
-        self, strict: bool = True, hardening: Optional[HardeningPolicy] = None
-    ) -> None:
+    def __init__(self, strict: bool = True) -> None:
         super().__init__(strict)
-        self.hardening = hardening
         self._buffer = bytearray()
         self._next_sequence: Optional[int] = None
+        self._t_first = 0.0  # timestamp of the buffered message's first frame
+        self._n_frames = 0  # frames in the buffered message (0 = none)
+        # The message a far-jumped last packet abandoned, kept for one frame:
+        # (buffer, next sequence, t_first, n_frames).
+        self._set_aside: Optional[Tuple[bytearray, int, float, int]] = None
 
     def reset(self) -> None:
-        self._buffer.clear()
+        self._buffer = bytearray()
         self._next_sequence = None
+        self._n_frames = 0
+        self._set_aside = None
 
     @property
     def idle(self) -> bool:
-        return not self._buffer and self._next_sequence is None
+        return not self._n_frames
 
     @property
     def buffered_bytes(self) -> int:
@@ -171,7 +182,7 @@ class VwTpReassembler(TransportDecoder):
 
     def evict_partial(self) -> int:
         freed = len(self._buffer)
-        if freed or self._next_sequence is not None:
+        if self._n_frames:
             self.stats.resyncs += 1
             self.stats.messages_lost += 1
             self.stats.bytes_discarded += freed
@@ -197,21 +208,26 @@ class VwTpReassembler(TransportDecoder):
             return []
         events: List[DecodeEvent] = []
         sequence = frame.data[0] & 0x0F
+        last = is_last_packet(frame)
+        previous, self._set_aside = self._set_aside, None
+        if previous is not None and sequence == previous[1] and not last:
+            # The genuine stream went on: the jumped last packet was alien.
+            self._buffer, self._next_sequence, self._t_first, self._n_frames = previous
+            self.stats.messages_lost -= 1
+            self.stats.bytes_discarded -= len(self._buffer)
         if self._next_sequence is not None and sequence != self._next_sequence:
+            aside = None
             if sequence == (self._next_sequence - 1) % 16:
                 # The frame we just consumed, captured twice.
                 self.stats.errors += 1
                 return [DecodeEvent.error(f"duplicate TP 2.0 data frame {sequence}")]
-            implausible = (
-                sequence - self._next_sequence
-            ) % 16 > PLAUSIBLE_DROP_FRAMES
-            if implausible:
+            if (sequence - self._next_sequence) % 16 > PLAUSIBLE_DROP_FRAMES:
                 # Detection: too far ahead to be sniffer loss — the shape
                 # of an injected data frame.
                 self.stats.sequence_poisonings += 1
-                if self.hardening is not None:
-                    # Hardened: drop the alien frame, keep the buffer; the
-                    # genuine stream still holds the sequence lock.
+                if self._n_frames and not last:
+                    # Mid-message: drop the alien frame, keep the buffer;
+                    # the genuine stream still holds the sequence lock.
                     self.stats.errors += 1
                     return [
                         DecodeEvent.error(
@@ -219,12 +235,20 @@ class VwTpReassembler(TransportDecoder):
                             "(poisoning suspected)"
                         )
                     ]
+                if self._n_frames:
+                    # A last packet: injected, or a new one-frame message
+                    # after a lost last packet.  The next frame decides.
+                    aside = (self._buffer, self._next_sequence, self._t_first, self._n_frames)
             events.append(
                 self._abandon(
                     f"TP 2.0 sequence gap: expected {self._next_sequence}, "
                     f"got {sequence}"
                 )
             )
+            self._set_aside = aside
+        if not self._n_frames:
+            self._t_first = frame.timestamp
+        self._n_frames += 1
         self._next_sequence = (sequence + 1) % 16
         self._buffer.extend(frame.data[1:])
         if len(self._buffer) > MAX_BUFFERED_BYTES:
@@ -236,11 +260,12 @@ class VwTpReassembler(TransportDecoder):
                 )
             )
             return events
-        if is_last_packet(frame):
+        if last:
             payload = bytes(self._buffer)
             self._buffer = bytearray()
             self.stats.payloads += 1
-            events.append(DecodeEvent.message(payload))
+            events.append(DecodeEvent.message(payload, self._t_first, self._n_frames))
+            self._n_frames = 0
         return events
 
 

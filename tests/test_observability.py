@@ -224,14 +224,12 @@ class TestExport:
 
     def test_snapshot_splits_anomaly_counters(self):
         from repro.core.assembly import assemble_with_diagnostics
-        from repro.transport import DEFAULT_HARDENING, segment
+        from repro.transport import segment
 
         from repro.attacks import SessionStarvation
 
         frames = SessionStarvation(seed=1).apply(segment(bytes(range(48)), 0x7E0))
-        __, diagnostics = assemble_with_diagnostics(
-            frames, "isotp", hardening=DEFAULT_HARDENING
-        )
+        __, diagnostics = assemble_with_diagnostics(frames, "isotp")
         snapshot = build_snapshot(diagnostics=diagnostics)
         counters = snapshot["counters"]
         # Detection counters live under their own prefix...

@@ -380,7 +380,6 @@ class TestAdversarialDefenses:
 
         from repro.attacks import SessionStarvation
         from repro.can import CanLog
-        from repro.transport import DEFAULT_HARDENING
 
         attacked = replace(
             capture_a,
@@ -388,9 +387,7 @@ class TestAdversarialDefenses:
         )
 
         async def run():
-            async with DiagnosticServer(
-                ServiceConfig(gp_config=GP, hardening=DEFAULT_HARDENING)
-            ) as server:
+            async with DiagnosticServer(ServiceConfig(gp_config=GP)) as server:
                 result = await stream_capture_async(
                     "127.0.0.1", server.port, attacked, transport="isotp"
                 )

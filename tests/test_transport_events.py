@@ -133,3 +133,27 @@ class TestAssemblyDiagnostics:
         assert diagnostics.stats.messages_lost == 1
         assert 0x7E8 in diagnostics.streams
         assert diagnostics.details  # human-readable fault trail
+
+
+@pytest.mark.parametrize(
+    "a_length, a_kept, b_length",
+    [(8, 1, 8), (20, 2, 27)],
+    ids=["equal-length", "longer-next"],
+)
+def test_lost_cf_then_new_message_does_not_splice(a_length, a_kept, b_length):
+    """A loses its last CF, then B opens on the same id.  Equal lengths:
+    B's CF1 fits and completes both.  A 20-byte A waiting for CF2 and a
+    27-byte B: B's CF1 passes A by, then B's CF2 fits A.  Only B may come
+    out — with B's own first-frame timestamp and frame count — and A is a
+    lost message, not A's head spliced onto B's frames."""
+    from repro.core import assemble_with_diagnostics
+
+    a = segment(bytes(range(0x10, 0x10 + a_length)), 0x7E8)
+    b = segment(bytes(range(0x60, 0x60 + b_length)), 0x7E8)
+    frames = [frame.with_timestamp(0.001 * i) for i, frame in enumerate(a[:a_kept])]
+    frames += [frame.with_timestamp(0.010 + 0.001 * i) for i, frame in enumerate(b)]
+    messages, diagnostics = assemble_with_diagnostics(frames, "isotp")
+    assert [m.payload for m in messages] == [bytes(range(0x60, 0x60 + b_length))]
+    assert messages[0].t_first == 0.010
+    assert messages[0].n_frames == len(b)
+    assert diagnostics.stats.messages_lost == 1
