@@ -19,9 +19,14 @@ Artifact schema (``schema_version`` 1)::
 
 ``metrics`` values are numbers (or NaN); ``units`` gives each metric's unit
 string, which is also how the comparer classifies it — timing units
-(``"s"``, ``"ms"``, ``"x"``) regress with tolerance and warn by default,
-everything else ("count", "ratio", ...) is an identity metric compared
-exactly and failed hard on mismatch.
+(``"s"``, ``"ms"``, ``"us"``, absolute rates in ``"1/s"`` and speedup
+ratios in ``"x"``) regress with tolerance and warn by default, everything
+else ("count", "ratio", ...) is an identity metric compared exactly and
+failed hard on mismatch.
+
+Every artifact's ``config`` carries the producing host's ``cpu_count``,
+so artifacts from hosts with different core counts get different
+fingerprints and the comparer flags them as not comparable.
 """
 
 from __future__ import annotations
@@ -35,8 +40,9 @@ from typing import Dict, Mapping, Optional, Union
 
 BENCH_SCHEMA_VERSION = 1
 
-#: Units the comparer treats as timing (tolerant, warn-only by default).
-TIMING_UNITS = frozenset({"s", "ms", "us", "x"})
+#: Units the comparer treats as timing (tolerant, warn-only by default):
+#: durations, absolute rates (``"1/s"``) and speedup ratios (``"x"``).
+TIMING_UNITS = frozenset({"s", "ms", "us", "1/s", "x"})
 
 
 def config_fingerprint(config: Mapping[str, object]) -> str:
@@ -76,7 +82,7 @@ def build_artifact(
     missing = sorted(set(metrics) - set(units))
     if missing:
         raise ValueError(f"metrics without units in bench {name!r}: {missing}")
-    config = dict(config or {})
+    config = dict(config or {}, cpu_count=os.cpu_count())
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
         "name": name,

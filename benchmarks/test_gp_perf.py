@@ -77,14 +77,12 @@ def _time_engine(cases, config):
 
 #: Knobs that shape every artifact this module writes (the comparer flags
 #: artifacts produced under a different fingerprint as non-comparable).
-#: ``cpu_count`` is part of the fingerprint because every parallel-backend
-#: ratio below is meaningless to compare across hosts with different core
-#: counts.
+#: ``bench_io`` adds the host's ``cpu_count``, without which every
+#: parallel-backend ratio below is meaningless to compare across hosts.
 BENCH_CONFIG = {
     "quick": QUICK,
     "workers": WORKERS,
     "rounds": ROUNDS,
-    "cpu_count": os.cpu_count(),
 }
 
 
@@ -272,11 +270,12 @@ def test_memo_cold_vs_warm(benchmark, report_file, bench_artifact, fleet, tmp_pa
 
     n = len(baseline.formula_esvs)
     # The memo must change wall-clock only: identical reports, every ESV
-    # solved exactly once (cold) then recalled without GP (warm).
+    # solved exactly once (cold) then recalled without GP (warm).  Memo
+    # stats also count per formula backend ("gp." here).
     assert cold_report.to_dict() == baseline.to_dict()
     assert warm_report.to_dict() == baseline.to_dict()
-    assert cold_stats == {"hits": 0, "misses": n}
-    assert warm_stats == {"hits": n, "misses": 0}
+    assert cold_stats == {"hits": 0, "misses": n, "gp.misses": n}
+    assert warm_stats == {"hits": n, "misses": 0, "gp.hits": n}
     assert warm_s < cold_s, "warm memo run should never be slower than cold"
 
     report_file(

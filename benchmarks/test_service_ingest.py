@@ -154,8 +154,8 @@ class TestIngestFastPath:
                 "messages": "count",
                 "wire_bytes_per_frame": "count",
                 "wire_bytes_batched": "count",
-                "frames_per_s_v1": "x",
-                "frames_per_s_batched": "x",
+                "frames_per_s_v1": "1/s",
+                "frames_per_s_batched": "1/s",
                 "ingest_speedup": "x",
             },
             config=BENCH_CONFIG,

@@ -158,8 +158,8 @@ class TestServiceThroughput:
                 "sessions_peak": "count",
                 "frames_total": "count",
                 "reports_identical": "count",
-                "sessions_per_s": "x",
-                "frames_per_s": "x",
+                "sessions_per_s": "1/s",
+                "frames_per_s": "1/s",
                 "p99_ingest_ms": "ms",
                 "wall_s": "s",
             },

@@ -9,10 +9,11 @@ Both arguments are directories of ``BENCH_<name>.json`` artifacts written
 by ``benchmarks/bench_io.py``.  Comparison policy, per metric:
 
 * **identity metrics** (any unit outside the timing set ``s``/``ms``/
-  ``us``/``x`` — counts, ratios, precisions) must match exactly; any
-  difference is a hard failure.  These are deterministic reproduction
+  ``us``/``1/s``/``x`` — counts, ratios, precisions) must match exactly;
+  any difference is a hard failure.  These are deterministic reproduction
   numbers: a changed precision is a behaviour change, not noise.
-* **timing metrics** regress only beyond ``--rel-tol``/``--abs-tol``, and
+* **timing metrics** (durations, absolute rates in ``1/s``, speedup
+  ratios in ``x``) regress only beyond ``--rel-tol``/``--abs-tol``, and
   even then only *warn* by default — CI runners are too noisy to gate
   merges on wall-clock.  ``--fail-on-timing`` upgrades timing regressions
   to failures for controlled environments.

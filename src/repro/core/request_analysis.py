@@ -37,22 +37,26 @@ class SemanticMatch:
     method: str  # "correlation" | "change-times"
 
 
-def _pair_by_time(
+def _nearest_indices(
     xs: Sequence[Tuple[float, float]],
     ys: Sequence[Tuple[float, float]],
     max_gap_s: float = 1.5,
-) -> List[Tuple[float, float]]:
-    """Nearest-timestamp pairing of two (t, value) series."""
-    pairs: List[Tuple[float, float]] = []
+) -> List[Tuple[int, int]]:
+    """Nearest-timestamp pairing of two (t, value) series, as index pairs
+    ``(x index, y index)``; a point with no y within ``max_gap_s`` is left
+    out.  The pairing reads timestamps only, so every series sampled at the
+    same times as ``xs`` pairs through the same indices.
+    """
+    indices: List[Tuple[int, int]] = []
     if not xs or not ys:
-        return pairs
+        return indices
     y_index = 0
-    for t, x in xs:
+    for x_index, (t, __) in enumerate(xs):
         while y_index + 1 < len(ys) and abs(ys[y_index + 1][0] - t) <= abs(ys[y_index][0] - t):
             y_index += 1
         if abs(ys[y_index][0] - t) <= max_gap_s:
-            pairs.append((x, ys[y_index][1]))
-    return pairs
+            indices.append((x_index, y_index))
+    return indices
 
 
 def _pearson(pairs: Sequence[Tuple[float, float]]) -> float:
@@ -88,16 +92,39 @@ def _raw_features(
     return features
 
 
+def _best_correlation(
+    features: Dict[str, List[Tuple[float, float]]],
+    n_observations: int,
+    y_points: Sequence[Tuple[float, float]],
+    max_gap_s: float = 1.5,
+) -> float:
+    """Best |Pearson correlation| between any raw feature and ``y_points``.
+
+    A feature with a point for every observation is sampled at the
+    observations' own timestamps, so all such features share one pairing;
+    a ragged one (bytes missing from some responses) pairs on its own.
+    """
+    shared: Optional[List[Tuple[int, int]]] = None
+    best = 0.0
+    for feature in features.values():
+        if len(feature) < n_observations:
+            indices = _nearest_indices(feature, y_points, max_gap_s)
+        else:
+            if shared is None:
+                shared = _nearest_indices(feature, y_points, max_gap_s)
+            indices = shared
+        pairs = [(feature[i][1], y_points[j][1]) for i, j in indices]
+        best = max(best, abs(_pearson(pairs)))
+    return best
+
+
 def correlation_score(
     observations: Sequence[EsvObservation], series: UiSeries, max_gap_s: float = 1.5
 ) -> float:
     """Best |Pearson correlation| between any raw feature and the UI series."""
-    y_points = series.values()
-    best = 0.0
-    for feature in _raw_features(observations).values():
-        score = abs(_pearson(_pair_by_time(feature, y_points, max_gap_s)))
-        best = max(best, score)
-    return best
+    return _best_correlation(
+        _raw_features(observations), len(observations), series.values(), max_gap_s
+    )
 
 
 # ----------------------------------------------------------------- enum match
@@ -148,23 +175,32 @@ def match_semantics(
     """Associate identifiers with labels inside one time window.
 
     Greedy max-score assignment: compute all pair scores, then repeatedly
-    take the highest-scoring unassigned (identifier, label) pair.
+    take the highest-scoring unassigned (identifier, label) pair.  What a
+    score needs from one side only — the windowed samples and points of a
+    label, the windowed observations and raw features of an identifier —
+    is computed once per window, not once per pair.
     """
     def in_window(t: float) -> bool:
         return window is None or window[0] <= t <= window[1]
+
+    # Per label in the window: its samples and, when numeric, its (t, value) points.
+    labels: List[Tuple[str, UiSeries, Optional[List[Tuple[float, float]]]]] = []
+    for label, series in ui_series.items():
+        samples_in = [s for s in series.samples if in_window(s.timestamp)]
+        if len(samples_in) < 3:
+            continue
+        windowed = UiSeries(label, samples_in)
+        labels.append((label, windowed, windowed.values() if windowed.is_numeric else None))
 
     candidates: List[Tuple[float, str, str, str]] = []
     for identifier, observations in grouped.items():
         observations = [o for o in observations if in_window(o.timestamp)]
         if len(observations) < 3:
             continue
-        for label, series in ui_series.items():
-            samples_in = [s for s in series.samples if in_window(s.timestamp)]
-            if len(samples_in) < 3:
-                continue
-            windowed = UiSeries(label, samples_in)
-            if windowed.is_numeric:
-                score = correlation_score(observations, windowed)
+        features = _raw_features(observations)
+        for label, windowed, y_points in labels:
+            if y_points is not None:
+                score = _best_correlation(features, len(observations), y_points)
                 method = "correlation"
             else:
                 score = change_time_score(observations, windowed)

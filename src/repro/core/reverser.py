@@ -36,7 +36,7 @@ from .formula_memo import FormulaMemo, dataset_key
 from .gp import GpConfig, prime_instruction_tables
 from .request_analysis import SemanticMatch, match_semantics
 from .response_analysis import InferredFormula, infer_formula, infer_formula_steps
-from .screenshot import FilterReport, UiSeries, analyze_video, extract_ui_series
+from .screenshot import FilterReport, UiSeries, extract_ui_series, filter_ui_series
 
 #: Execution backends for per-ESV formula inference (*where* it runs).
 _GP_BACKENDS = frozenset({"auto", "serial", "thread", "process", "island"})
@@ -722,10 +722,10 @@ class DPReverser:
         grouped = fields.by_identifier()
 
         def _screenshot_stage():
+            # One OCR read feeds both the filtered and the unfiltered series.
             ocr = OcrEngine(capture.tool_error_rate, seed=self.ocr_seed)
-            filtered, reports = analyze_video(capture.video, ocr)
-            raw_ocr = OcrEngine(capture.tool_error_rate, seed=self.ocr_seed)
-            raw = extract_ui_series(raw_ocr.read_video(list(capture.video)))
+            raw = extract_ui_series(ocr.read_video(list(capture.video)))
+            filtered, reports = filter_ui_series(raw)
             return filtered, reports, raw
 
         series, reports, series_raw = self._timed("screenshot", _screenshot_stage)

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cps.camera import CapturedFrame
-from ..cps.ocr import OcrEngine, OcrFrame
-from ..cps.uianalyzer import UIAnalyzer, text_similarity
+from ..cps.ocr import OcrEngine, OcrFrame, OcrRegion
+from ..cps.uianalyzer import text_similarity
 
 _VALUE_PATTERN = re.compile(r"^\s*(-?\d+(?:\.\d+)?)\s*([^\d\s].*)?$")
 
@@ -73,9 +73,26 @@ def parse_value(text: str) -> Tuple[Optional[float], str]:
     return value, unit
 
 
+def pair_value_rows(frame: OcrFrame) -> List[Tuple[OcrRegion, OcrRegion]]:
+    """Pair each live value region with the nearest label on its row.
+
+    Pairing is geometry only: a label shares the value's row when its y
+    lies within half the value's height, and the horizontally closest such
+    label wins.  Buttons play no part, so no keyword matching runs here.
+    """
+    labels = [r for r in frame.regions if r.kind == "label"]
+    rows: List[Tuple[OcrRegion, OcrRegion]] = []
+    for value in frame.regions:
+        if value.kind != "value":
+            continue
+        row_labels = [l for l in labels if abs(l.y - value.y) <= value.height // 2]
+        if row_labels:
+            rows.append((min(row_labels, key=lambda l: abs(l.x - value.x)), value))
+    return rows
+
+
 def extract_ui_series(
     ocr_frames: Sequence[OcrFrame],
-    analyzer: Optional[UIAnalyzer] = None,
     merge_threshold: float = 0.88,
 ) -> Dict[str, UiSeries]:
     """Build per-label time series from OCR'd video frames.
@@ -84,11 +101,9 @@ def extract_ui_series(
     therefore canonicalised by fuzzy-merging near-duplicates into the most
     frequent spelling.
     """
-    analyzer = analyzer or UIAnalyzer()
     raw: Dict[str, UiSeries] = {}
     for frame in ocr_frames:
-        analysis = analyzer.analyze(frame)
-        for label_region, value_region in analysis.value_rows:
+        for label_region, value_region in pair_value_rows(frame):
             text = value_region.text.strip()
             if text in ("---", ""):
                 continue
@@ -194,17 +209,22 @@ def filter_series(
     return UiSeries(series.label, stage2), report
 
 
-def analyze_video(
-    video: Sequence[CapturedFrame],
-    ocr: OcrEngine,
-    analyzer: Optional[UIAnalyzer] = None,
+def filter_ui_series(
+    raw_series: Dict[str, UiSeries],
     bounds: Tuple[float, float] = DEFAULT_RANGE,
 ) -> Tuple[Dict[str, UiSeries], Dict[str, FilterReport]]:
-    """Full §3.3 pipeline: OCR the video, build series, filter each one."""
-    ocr_frames = ocr.read_video(list(video))
-    raw_series = extract_ui_series(ocr_frames, analyzer)
+    """Filter every series; ``raw_series`` itself is left untouched."""
     cleaned: Dict[str, UiSeries] = {}
     reports: Dict[str, FilterReport] = {}
     for label, series in raw_series.items():
         cleaned[label], reports[label] = filter_series(series, bounds)
     return cleaned, reports
+
+
+def analyze_video(
+    video: Sequence[CapturedFrame],
+    ocr: OcrEngine,
+    bounds: Tuple[float, float] = DEFAULT_RANGE,
+) -> Tuple[Dict[str, UiSeries], Dict[str, FilterReport]]:
+    """Full §3.3 pipeline: OCR the video, build series, filter each one."""
+    return filter_ui_series(extract_ui_series(ocr.read_video(list(video))), bounds)

@@ -50,7 +50,6 @@ class UiAnalysis:
     selectable_rows: List[OcrRegion] = field(default_factory=list)
     plain_buttons: List[OcrRegion] = field(default_factory=list)
     icon_buttons: List[Tuple[OcrRegion, str, float]] = field(default_factory=list)
-    value_rows: List[Tuple[OcrRegion, OcrRegion]] = field(default_factory=list)
     title: str = ""
     page: int = 1
     pages: int = 1
@@ -130,15 +129,6 @@ class UIAnalyzer:
                 analysis.selectable_rows.append(region)
                 continue
             analysis.plain_buttons.append(region)
-
-        # Pair live-data rows: a value region aligned with the nearest label
-        # on the same row (same y band).
-        values = [r for r in frame.regions if r.kind == "value"]
-        for value in values:
-            row_labels = [l for l in labels if abs(l.y - value.y) <= value.height // 2]
-            if row_labels:
-                label = min(row_labels, key=lambda l: abs(l.x - value.x))
-                analysis.value_rows.append((label, value))
         return analysis
 
     # ---------------------------------------------------------------- helpers

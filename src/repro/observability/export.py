@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
-from .trace import Tracer
+from .trace import Span, Tracer
 
 SNAPSHOT_SCHEMA_VERSION = 1
 
@@ -191,24 +191,60 @@ def prometheus_text(snapshot: dict, prefix: str = "repro") -> str:
 # ------------------------------------------------------------------ profile
 
 
+def _self_times(spans: List[Span]) -> Dict[int, float]:
+    """Each span's duration minus the part of it its child spans cover.
+
+    Children may overlap (spans absorbed from parallel workers), so the
+    covered part is the union of their intervals, clipped to the parent's.
+    """
+    children: Dict[int, List[Span]] = {}
+    for span in spans:
+        if span.parent_id is not None:
+            children.setdefault(span.parent_id, []).append(span)
+    self_times: Dict[int, float] = {}
+    for span in spans:
+        covered, reach = 0.0, span.start
+        for child in sorted(children.get(span.span_id, ()), key=lambda c: c.start):
+            lo, hi = max(child.start, reach), min(child.end, span.end)
+            if hi > lo:
+                covered += hi - lo
+                reach = hi
+        self_times[span.span_id] = span.duration - covered
+    return self_times
+
+
 def profile_table(tracer: Tracer, top: int = 0) -> str:
     """Human-readable per-span-name profile (the ``--profile`` output).
 
-    Aggregates finished spans by name: call count, total, mean and max
-    duration, sorted by total descending.
+    Aggregates finished spans by name: call count, total (inclusive) and
+    self time, total as a percentage of the root spans' summed duration,
+    and mean and max duration, sorted by total descending.  A root span is
+    one whose parent was not recorded; ``reverse`` records each stage as a
+    root, so there ``%root`` is the stage's share of the run.
     """
+    groups = tracer.by_name()
+    spans = [span for group in groups.values() for span in group]
+    span_ids = {span.span_id for span in spans}
+    self_times = _self_times(spans)
+    root_total = sum(span.duration for span in spans if span.parent_id not in span_ids)
     rows = []
-    for name, group in tracer.by_name().items():
+    for name, group in groups.items():
         durations = [span.duration for span in group]
         total = sum(durations)
-        rows.append((total, name, len(durations), max(durations)))
+        self_total = sum(self_times[span.span_id] for span in group)
+        rows.append((total, name, len(durations), self_total, max(durations)))
     rows.sort(key=lambda row: (-row[0], row[1]))
     if top:
         rows = rows[:top]
-    lines = [f"{'span':<28}{'count':>7}{'total_s':>10}{'mean_s':>10}{'max_s':>10}"]
-    for total, name, count, peak in rows:
+    lines = [
+        f"{'span':<28}{'count':>7}{'total_s':>10}{'self_s':>10}{'%root':>8}"
+        f"{'mean_s':>10}{'max_s':>10}"
+    ]
+    for total, name, count, self_total, peak in rows:
+        share = 100.0 * total / root_total if root_total > 0 else 0.0
         lines.append(
-            f"{name:<28}{count:>7}{total:>10.4f}{total / count:>10.4f}{peak:>10.4f}"
+            f"{name:<28}{count:>7}{total:>10.4f}{self_total:>10.4f}{share:>8.1f}"
+            f"{total / count:>10.4f}{peak:>10.4f}"
         )
     if len(lines) == 1:
         lines.append("(no spans recorded)")

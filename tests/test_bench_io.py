@@ -9,6 +9,7 @@ location here.
 import importlib.util
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -51,10 +52,9 @@ class TestBenchIo:
         assert artifact["schema_version"] == bench_io.BENCH_SCHEMA_VERSION
         assert artifact["metrics"] == {"cases": 8, "wall_s": 1.25}
         assert artifact["units"] == {"cases": "count", "wall_s": "s"}
-        assert artifact["config"] == {"quick": True}
-        assert artifact["config_fingerprint"] == bench_io.config_fingerprint(
-            {"quick": True}
-        )
+        config = {"quick": True, "cpu_count": os.cpu_count()}
+        assert artifact["config"] == config
+        assert artifact["config_fingerprint"] == bench_io.config_fingerprint(config)
 
     def test_metrics_without_units_rejected(self):
         with pytest.raises(ValueError, match="without units"):
@@ -128,6 +128,12 @@ class TestCompareMetric:
         # 0.01 s -> 0.05 s is a 400% relative move but negligible wall time.
         assert severity("b", "wall_s", "s", 0.01, 0.05) == WARN
         assert severity("b", "wall_s", "s", 0.01, 0.05, abs_tol=0.1) == OK
+
+    def test_rate_drop_beyond_tolerance_warns_not_fails(self):
+        # An absolute rate is timing: it moves with the host, so a drop
+        # warns like a slower wall time instead of failing as an identity.
+        assert severity("b", "frames_per_s", "1/s", 1000.0, 700.0) == WARN
+        assert severity("b", "frames_per_s", "1/s", 1000.0, 800.0) == OK
 
     def test_timing_zero_baseline(self):
         assert severity("b", "wall_s", "s", 0.0, 0.0) == OK

@@ -248,6 +248,45 @@ class TestExport:
         assert "count" in table.splitlines()[0]
         assert "(no spans recorded)" in profile_table(Tracer())
 
+    @staticmethod
+    def profile_rows(tracer):
+        """span name -> [count, total_s, self_s, %root, mean_s, max_s]."""
+        lines = profile_table(tracer).splitlines()
+        assert lines[0].split() == "span count total_s self_s %root mean_s max_s".split()
+        return {line.split()[0]: line.split()[1:] for line in lines[1:]}
+
+    def test_profile_table_self_time_and_root_share(self):
+        ticks = iter([0.0, 1.0, 2.0, 3.0, 5.0, 6.0, 8.0, 10.0])
+        tracer = Tracer(clock=lambda: next(ticks))
+        with tracer.span("reverse"):  # 0 .. 10
+            with tracer.span("screenshot"):  # 1 .. 5
+                with tracer.span("ocr"):  # 2 .. 3
+                    pass
+            with tracer.span("match"):  # 6 .. 8
+                pass
+        rows = self.profile_rows(tracer)
+        assert rows["reverse"][:4] == ["1", "10.0000", "4.0000", "100.0"]
+        assert rows["screenshot"][:4] == ["1", "4.0000", "3.0000", "40.0"]
+        assert rows["ocr"][:4] == ["1", "1.0000", "1.0000", "10.0"]
+        assert rows["match"][:4] == ["1", "2.0000", "2.0000", "20.0"]
+
+    def test_profile_table_overlapping_children_counted_once(self):
+        worker_ticks = iter([0.0, 2.0])
+        worker = Tracer(clock=lambda: next(worker_ticks))
+        with worker.span("gp_formula"):  # 0 .. 2
+            pass
+        payload = worker.export_payload()
+        ticks = iter([0.0, 1.0, 2.0, 10.0])
+        tracer = Tracer(clock=lambda: next(ticks))
+        # Two parallel workers' spans, grafted at 1 and 2: 1 .. 3 and 2 .. 4.
+        with tracer.span("infer_formulas") as parent:  # 0 .. 10
+            tracer.absorb(payload, parent_id=parent.span_id)
+            tracer.absorb(payload, parent_id=parent.span_id)
+        rows = self.profile_rows(tracer)
+        # The two workers overlap on 2..3: the parent loses 3 s, not 4.
+        assert rows["infer_formulas"][:4] == ["1", "10.0000", "7.0000", "100.0"]
+        assert rows["gp_formula"][:4] == ["2", "4.0000", "4.0000", "40.0"]
+
 
 # ------------------------------------------------------------------ metrics
 

@@ -3,9 +3,14 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.fields import EsvObservation
 from repro.core.request_analysis import (
+    SemanticMatch,
+    _pearson,
+    _raw_features,
     change_time_score,
     correlation_score,
     match_semantics,
@@ -114,3 +119,169 @@ class TestMatching:
         }
         matches = match_semantics(grouped, series)
         assert len(matches) == 1
+
+
+# ----------------------------------------------------------- reference loop
+
+
+def reference_pair_by_time(xs, ys, max_gap_s=1.5):
+    """Nearest-timestamp pairing, written out as the per-feature loop."""
+    pairs = []
+    if not xs or not ys:
+        return pairs
+    y_index = 0
+    for t, x in xs:
+        while y_index + 1 < len(ys) and abs(ys[y_index + 1][0] - t) <= abs(ys[y_index][0] - t):
+            y_index += 1
+        if abs(ys[y_index][0] - t) <= max_gap_s:
+            pairs.append((x, ys[y_index][1]))
+    return pairs
+
+
+def reference_correlation_score(observations, series):
+    y_points = series.values()
+    best = 0.0
+    for feature in _raw_features(observations).values():
+        best = max(best, abs(_pearson(reference_pair_by_time(feature, y_points))))
+    return best
+
+
+def reference_match_semantics(grouped, ui_series, window=None, min_score=0.35):
+    """Semantic matching with every per-window quantity recomputed per pair:
+    the window filter of both sides, the raw features and the pairing."""
+    def in_window(t):
+        return window is None or window[0] <= t <= window[1]
+
+    candidates = []
+    for identifier, observations in grouped.items():
+        observations = [o for o in observations if in_window(o.timestamp)]
+        if len(observations) < 3:
+            continue
+        for label, series in ui_series.items():
+            samples_in = [s for s in series.samples if in_window(s.timestamp)]
+            if len(samples_in) < 3:
+                continue
+            windowed = UiSeries(label, samples_in)
+            if windowed.is_numeric:
+                score = reference_correlation_score(observations, windowed)
+                method = "correlation"
+            else:
+                score = change_time_score(observations, windowed)
+                method = "change-times"
+            if score >= min_score:
+                candidates.append((score, identifier, label, method))
+    candidates.sort(reverse=True)
+    matches = []
+    used_identifiers, used_labels = set(), set()
+    for score, identifier, label, method in candidates:
+        if identifier in used_identifiers or label in used_labels:
+            continue
+        used_identifiers.add(identifier)
+        used_labels.add(label)
+        matches.append(SemanticMatch(identifier, label, score, method))
+    return matches
+
+
+# Observations sit on a 0.25 s grid and UI samples on a 0.125 s grid, so a
+# UI sample pair straddling an observation is often exactly equidistant.
+_OBS_TIMES = st.lists(st.integers(0, 48), min_size=3, max_size=24).map(
+    lambda ticks: [t * 0.25 for t in sorted(ticks)]
+)
+_UI_TIMES = st.lists(st.integers(0, 96), min_size=3, max_size=24).map(
+    lambda ticks: [t * 0.125 for t in sorted(ticks)]
+)
+
+
+@st.composite
+def observation_series(draw, index):
+    times = draw(_OBS_TIMES)
+    if draw(st.booleans()):
+        # UDS: per-byte variables, with ragged lengths so var0/var1/product
+        # miss some observations while "int" covers them all.
+        identifier, protocol = f"uds:F4{index:02X}", "uds"
+        raws = [bytes(draw(st.lists(st.integers(0, 255), max_size=3))) for __ in times]
+    else:
+        # KWP: every record carries the two formula variables.
+        identifier, protocol = f"kwp:01/{index}", "kwp"
+        raws = [bytes(draw(st.lists(st.integers(0, 255), min_size=2, max_size=2))) for __ in times]
+    observations = [EsvObservation(protocol, identifier, raw, t) for raw, t in zip(raws, times)]
+    return identifier, observations
+
+
+@st.composite
+def label_series(draw, index):
+    label = f"Label {index}"
+    samples = []
+    numeric_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    for t in draw(_UI_TIMES):
+        if draw(st.floats(0, 1)) < numeric_share:
+            value = float(draw(st.integers(-20, 20)))
+            samples.append(UiSample(t, f"{value}", value))
+        else:
+            samples.append(UiSample(t, draw(st.sampled_from(["Open", "Closed", "On"])), None))
+    return label, UiSeries(label, samples)
+
+
+@st.composite
+def matching_inputs(draw):
+    n_ids = draw(st.integers(1, 4))
+    n_labels = draw(st.integers(1, 4))
+    grouped = dict(draw(observation_series(i)) for i in range(n_ids))
+    series = dict(draw(label_series(i)) for i in range(n_labels))
+    window = None
+    if draw(st.booleans()):
+        lo = draw(st.integers(-4, 24)) * 0.25
+        window = (lo, lo + draw(st.integers(0, 48)) * 0.25)
+    return grouped, series, window
+
+
+def _ties_case():
+    # uds:F400 at t = 1.0 .. 3.0 pairs with UI samples straddling every
+    # observation at +-0.125 s: each pairing is an exact distance tie.
+    observations = obs_series("uds:F400", [10, 20, 35, 40, 60], dt=0.5)
+    observations = [
+        EsvObservation(o.protocol, o.identifier, o.raw_bytes, o.timestamp + 1.0)
+        for o in observations
+    ]
+    samples = []
+    for i, value in enumerate([5, 9, 11, 18, 21, 30, 29, 41, 40, 50]):
+        t = 1.0 + (i // 2) * 0.5 + (0.125 if i % 2 else -0.125)
+        samples.append(UiSample(t, f"{value}", float(value)))
+    return {"uds:F400": observations}, {"Speed": UiSeries("Speed", samples)}, None
+
+
+def _window_makes_numeric_case():
+    # Numeric readings, then enum text: the whole series is not numeric
+    # (6 of 14 samples), but the window keeps only the numeric part, so
+    # the label must be scored by correlation, not by change times.
+    observations = obs_series("uds:F400", [10, 20, 35, 40, 60, 70])
+    samples = [UiSample(i * 0.5, f"{v}", float(v)) for i, v in enumerate([5, 9, 18, 21, 30, 34])]
+    samples += [UiSample(3.0 + i * 0.5, "Open", None) for i in range(8)]
+    return {"uds:F400": observations}, {"Speed": UiSeries("Speed", samples)}, (0.0, 2.5)
+
+
+class TestMatchingAgainstReference:
+    """``match_semantics`` hoists per-window work out of the pair loop; it
+    must return exactly what the per-pair loop does, scores compared by
+    ``==``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=matching_inputs())
+    @example(inputs=_ties_case())
+    @example(inputs=_window_makes_numeric_case())
+    def test_matches_equal_per_pair_reference(self, inputs):
+        grouped, series, window = inputs
+        assert match_semantics(grouped, series, window) == reference_match_semantics(
+            grouped, series, window
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=matching_inputs())
+    @example(inputs=_ties_case())
+    def test_correlation_score_equals_per_pair_reference(self, inputs):
+        grouped, series, __ = inputs
+        for observations in grouped.values():
+            for ui in series.values():
+                assert correlation_score(observations, ui) == reference_correlation_score(
+                    observations, ui
+                )

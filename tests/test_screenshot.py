@@ -2,18 +2,22 @@
 
 import pytest
 
+from repro.core import DPReverser
 from repro.core.screenshot import (
     UiSample,
     UiSeries,
     extract_ui_series,
     filter_series,
     outlier_filter,
+    pair_value_rows,
     parse_value,
     range_filter,
 )
-from repro.cps import Camera, OcrEngine
+from repro.cps import Camera, DataCollector, OcrEngine, UIAnalyzer
 from repro.simtime import SimClock
-from repro.tools.ui import ScreenBuilder
+from repro.tools import make_tool_for_car
+from repro.tools.ui import ScreenBuilder, Widget, WidgetKind
+from repro.vehicle import build_car
 
 
 class TestParseValue:
@@ -34,7 +38,7 @@ class TestParseValue:
         assert value == 2500.0
 
 
-def live_frames(values, label="Engine Speed", dt=0.5):
+def live_frames(values, label="Engine Speed", dt=0.5, buttons=()):
     camera = Camera(SimClock())
     ocr = OcrEngine(error_rate=0.0)
     frames = []
@@ -42,9 +46,68 @@ def live_frames(values, label="Engine Speed", dt=0.5):
     for value in values:
         builder = ScreenBuilder("live", "Engine - Data Stream")
         builder.add_pair(label, f"{value}")
+        for text in buttons:
+            builder.add_row(WidgetKind.BUTTON, text)
         frames.append(ocr.read_frame(camera.capture(builder.screen)))
         clock.advance(dt)
     return frames
+
+
+def paired_texts(screen):
+    frame = OcrEngine(error_rate=0.0).read_frame(Camera(SimClock()).capture(screen))
+    return [(label.text, value.text) for label, value in pair_value_rows(frame)]
+
+
+class TestValueRows:
+    def test_value_rows_paired_by_geometry(self):
+        builder = ScreenBuilder("live", "Engine - Data Stream")
+        builder.add_pair("Engine Speed", "800 rpm")
+        builder.add_pair("Coolant Temperature", "90.0 degC")
+        assert dict(paired_texts(builder.screen)) == {
+            "Engine Speed": "800 rpm",
+            "Coolant Temperature": "90.0 degC",
+        }
+
+    def test_value_pairs_with_nearest_label_on_its_row(self):
+        builder = ScreenBuilder("live", "Engine - Data Stream")
+        name_widget, value_widget = builder.add_pair("Coolant Temperature", "90.0 degC")
+        # A second label on the same row, horizontally nearer the value.
+        builder.screen.add(
+            Widget(WidgetKind.LABEL, "Sensor 2", x=value_widget.x + 250, y=name_widget.y)
+        )
+        assert paired_texts(builder.screen) == [("Sensor 2", "90.0 degC")]
+
+    def test_keyword_buttons_leave_series_unchanged(self):
+        """Pairing ignores buttons, including the clicker's keywords."""
+        values = [800, 810, 820]
+        buttons = ("Back", "Clear Trouble Codes")
+        plain = extract_ui_series(live_frames(values))
+        with_buttons = extract_ui_series(live_frames(values, buttons=buttons))
+        assert with_buttons == plain
+        assert [s.value for s in with_buttons["Engine Speed"].samples] == values
+
+
+class TestWorkCount:
+    def test_analyze_reads_each_video_frame_once(self, monkeypatch):
+        """One OCR pass feeds both series, and no button is classified."""
+        car = build_car("C")
+        capture = DataCollector(make_tool_for_car("C", car), read_duration_s=8.0).collect()
+        calls = {"read_frame": 0, "analyze": 0}
+
+        def count(cls, name):
+            original = getattr(cls, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        count(OcrEngine, "read_frame")
+        count(UIAnalyzer, "analyze")
+        context = DPReverser().analyze(capture)
+        assert context.series_raw
+        assert calls == {"read_frame": len(capture.video), "analyze": 0}
 
 
 class TestSeriesExtraction:

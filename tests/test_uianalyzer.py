@@ -1,4 +1,4 @@
-"""Tests for the UI analyzer (keyword filtering, icons, row pairing)."""
+"""Tests for the UI analyzer (keyword filtering, icons, selectable rows)."""
 
 from repro.cps import Camera, OcrEngine, UIAnalyzer, fuzzy_match, text_similarity
 from repro.simtime import SimClock
@@ -73,14 +73,3 @@ class TestClassification:
         builder = ScreenBuilder("sel", "Engine - Read Data Stream (2/3)")
         analysis = analyze(builder.screen)
         assert (analysis.page, analysis.pages) == (2, 3)
-
-    def test_value_rows_paired_by_geometry(self):
-        builder = ScreenBuilder("live", "Engine - Data Stream")
-        builder.add_pair("Engine Speed", "800 rpm")
-        builder.add_pair("Coolant Temperature", "90.0 degC")
-        analysis = analyze(builder.screen)
-        pairs = {label.text: value.text for label, value in analysis.value_rows}
-        assert pairs == {
-            "Engine Speed": "800 rpm",
-            "Coolant Temperature": "90.0 degC",
-        }
