@@ -10,7 +10,7 @@ speedups — wall-clock ratios vary with the machine, the correctness
 contract does not.
 
 Set ``GP_PERF_QUICK=1`` (the CI smoke mode) to run a reduced case set at a
-small GP budget with 2-worker pools.  Timing *assertions* (the >=2.5x
+small GP budget with a 2-worker pool.  Timing *assertions* (the >=2x
 process-pool target, the warm-memo floor) additionally require
 ``GP_PERF_ASSERT_TIMING=1``: they are only meaningful on a multi-core,
 lightly loaded host, so CI opts in explicitly instead of flaking.
@@ -134,7 +134,7 @@ def test_compiled_vs_interpreted(benchmark, report_file, bench_artifact, fleet):
 
 
 def test_serial_vs_parallel_esvs(benchmark, report_file, bench_artifact, fleet):
-    from repro.core.gp.islands import shared_pool
+    from repro.core.gp.pool import shared_pool
 
     context = fleet.context("K")
 
@@ -151,7 +151,7 @@ def test_serial_vs_parallel_esvs(benchmark, report_file, bench_artifact, fleet):
         report = reverser.infer(context)
         return time.perf_counter() - start, report
 
-    # The island pool persists across infer calls by design, so its spawn
+    # The process pool persists across infer calls by design, so its spawn
     # and warm-up cost belongs outside the timed region — a fleet or
     # service run pays it once, not per capture.
     shared_pool(WORKERS).warm()
@@ -162,9 +162,7 @@ def test_serial_vs_parallel_esvs(benchmark, report_file, bench_artifact, fleet):
         for name, backend, workers, batch in (
             ("serial", "serial", 1, False),
             ("batch", "serial", 1, True),
-            ("thread", "thread", WORKERS, False),
-            ("process_per_esv", "process", WORKERS, False),
-            ("island", "island", WORKERS, False),
+            ("process", "process", WORKERS, False),
         ):
             timings[name], reports[name] = reverse(workers, backend, batch)
         return timings, reports
@@ -172,33 +170,23 @@ def test_serial_vs_parallel_esvs(benchmark, report_file, bench_artifact, fleet):
     timings, reports = benchmark.pedantic(run, rounds=1, iterations=1)
 
     serial_report = reports["serial"]
-    for name in ("batch", "thread", "process_per_esv", "island"):
+    for name in ("batch", "process"):
         assert serial_report.to_dict() == reports[name].to_dict(), name
 
     n = len(serial_report.formula_esvs)
     batch_x = timings["serial"] / timings["batch"]
-    thread_x = timings["serial"] / timings["thread"]
-    per_esv_x = timings["serial"] / timings["process_per_esv"]
-    island_x = timings["serial"] / timings["island"]
+    process_x = timings["serial"] / timings["process"]
     report_file(
         f"Per-ESV inference backends (car K, {n} formula ESVs, "
         f"{WORKERS} workers{', quick mode' if QUICK else ''}):"
     )
-    report_file(f"  serial:                {timings['serial']:6.2f} s")
+    report_file(f"  serial:                   {timings['serial']:6.2f} s")
     report_file(
         f"  serial + cross-ESV batch: {timings['batch']:6.2f} s = {batch_x:.2f}x"
     )
     report_file(
-        f"  thread pool:           {timings['thread']:6.2f} s = {thread_x:.2f}x "
-        "(GIL-bound evolution limits scaling)"
-    )
-    report_file(
-        f"  process, task per ESV: {timings['process_per_esv']:6.2f} s = "
-        f"{per_esv_x:.2f}x (pays pool spawn + per-task dataset pickling)"
-    )
-    report_file(
-        f"  island (persistent workers + shm datasets): {timings['island']:6.2f} s "
-        f"= {island_x:.2f}x (scales with physical cores; this host has "
+        f"  process (persistent pool, task per ESV): {timings['process']:6.2f} s "
+        f"= {process_x:.2f}x (scales with physical cores; this host has "
         f"{os.cpu_count()})"
     )
     report_file("  identical report asserted on every backend")
@@ -207,27 +195,19 @@ def test_serial_vs_parallel_esvs(benchmark, report_file, bench_artifact, fleet):
             "backend_formula_esvs": n,
             "serial_s": round(timings["serial"], 3),
             "batch_s": round(timings["batch"], 3),
-            "thread_s": round(timings["thread"], 3),
-            "process_per_esv_s": round(timings["process_per_esv"], 3),
-            "island_s": round(timings["island"], 3),
+            "process_s": round(timings["process"], 3),
             "batch_speedup": round(batch_x, 3),
-            "thread_speedup": round(thread_x, 3),
-            "process_per_esv_speedup": round(per_esv_x, 3),
             # The headline process-parallelism number CI floors on: the
-            # island backend (persistent workers, batched islands, shm
-            # datasets) against serial.
-            "process_speedup": round(island_x, 3),
+            # process backend (persistent warmed pool, one task per ESV)
+            # against serial.
+            "process_speedup": round(process_x, 3),
         },
         {
             "backend_formula_esvs": "count",
             "serial_s": "s",
             "batch_s": "s",
-            "thread_s": "s",
-            "process_per_esv_s": "s",
-            "island_s": "s",
+            "process_s": "s",
             "batch_speedup": "x",
-            "thread_speedup": "x",
-            "process_per_esv_speedup": "x",
             "process_speedup": "x",
         },
         config=BENCH_CONFIG,
@@ -240,8 +220,8 @@ def test_serial_vs_parallel_esvs(benchmark, report_file, bench_artifact, fleet):
                 "beat serial without cores to scale onto"
             )
         else:
-            assert island_x >= 2.0, (
-                f"island backend only {island_x:.2f}x over serial "
+            assert process_x >= 2.0, (
+                f"process backend only {process_x:.2f}x over serial "
                 f"(GP_PERF_ASSERT_TIMING demands >=2.0x at {WORKERS} workers)"
             )
 

@@ -106,13 +106,6 @@ class CorpusAnalysis:
     per_app: Dict[str, Dict[str, int]]  # app -> protocol -> formula count
     formulas: List[ExtractedAppFormula]
 
-    def apps_with(self, protocol: str) -> List[str]:
-        return [
-            name
-            for name, counts in self.per_app.items()
-            if counts.get(protocol, 0) > 0
-        ]
-
     def total_formulas(self) -> int:
         return len(self.formulas)
 

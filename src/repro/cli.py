@@ -22,25 +22,17 @@ import time
 from pathlib import Path
 
 
-def _add_gp_batch_args(
+def _add_gp_batch_arg(
     parser: argparse.ArgumentParser, batch_default: bool = False
 ) -> None:
-    """The shared ``--gp-batch`` / ``--gp-islands`` flags."""
+    """The shared ``--gp-batch`` flag."""
     parser.add_argument(
         "--gp-batch",
         action=argparse.BooleanOptionalAction,
         default=batch_default,
-        help="merge same-shape GP fitness evaluations across ESVs into "
-        "single batched matrix passes (bit-identical results)",
-    )
-    parser.add_argument(
-        "--gp-islands",
-        type=int,
-        metavar="N",
-        default=0,
-        help="shorthand for --gp-backend island --gp-workers N: N "
-        "persistent island workers, each evolving its slice of the ESVs "
-        "in one batched pass, reading datasets from shared memory",
+        help="serial backend: merge same-shape GP fitness evaluations "
+        "across ESVs into single batched matrix passes (bit-identical "
+        "results)",
     )
 
 
@@ -50,7 +42,7 @@ def _add_formula_backend_arg(parser: argparse.ArgumentParser) -> None:
     Deliberately distinct from ``--gp-backend``: this picks *what solver*
     recovers each formula (GP search, closed-form least squares, or
     linear-first-GP-fallback), while ``--gp-backend`` picks *where* GP
-    fitness evaluations execute (serial/thread/process/island).
+    fitness evaluations execute (serial/process).
     """
     parser.add_argument(
         "--formula-backend",
@@ -62,14 +54,6 @@ def _add_formula_backend_arg(parser: argparse.ArgumentParser) -> None:
         "for the hard tail (same formulas as gp, much faster); distinct "
         "from --gp-backend, which picks where GP evaluations *execute*",
     )
-
-
-def _resolve_gp_flags(args: argparse.Namespace) -> None:
-    """Expand the ``--gp-islands`` shorthand onto backend and workers."""
-    islands = getattr(args, "gp_islands", 0)
-    if islands:
-        args.gp_backend = "island"
-        args.gp_workers = max(getattr(args, "gp_workers", 1), islands)
 
 
 def _add_observability_args(parser: argparse.ArgumentParser) -> None:
@@ -169,7 +153,6 @@ def _cmd_reverse(args: argparse.Namespace) -> int:
         print(f"bad --noise-profile: {error}", file=sys.stderr)
         return 2
     capture = load_capture(args.capture)
-    _resolve_gp_flags(args)
     tracer = Tracer() if _observability_requested(args) else None
     start = time.perf_counter()
     config = ReverserConfig(
@@ -290,7 +273,6 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"bad --noise-profile: {error}", file=sys.stderr)
         return 2
-    _resolve_gp_flags(args)
     tracer = Tracer() if _observability_requested(args) else None
     try:
         specs = fleet_job_specs(
@@ -353,7 +335,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .core import GpConfig
     from .service import DiagnosticServer, ServiceConfig
 
-    _resolve_gp_flags(args)
     # `kill <pid>` must drain like Ctrl-C: route SIGTERM through the same
     # KeyboardInterrupt path so shards stop cleanly and --metrics-out /
     # --trace-out still emit (the default handler would skip the finally).
@@ -495,16 +476,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reverse.add_argument(
         "--gp-backend",
-        choices=("auto", "serial", "thread", "process", "island"),
+        choices=("auto", "serial", "process"),
         default="auto",
         help="per-ESV GP *execution* backend (where fitness evaluations "
-        "run, not which solver — see --formula-backend); auto uses a "
-        "process pool when --gp-workers > 1, island keeps persistent "
-        "workers fed over shared memory (results are identical on every "
-        "backend)",
+        "run, not which solver — see --formula-backend): serial runs "
+        "in-process, process submits one task per ESV to a persistent "
+        "pool of --gp-workers processes, auto picks process when "
+        "--gp-workers > 1 (results are identical on every backend)",
     )
     _add_formula_backend_arg(reverse)
-    _add_gp_batch_args(reverse)
+    _add_gp_batch_arg(reverse)
     reverse.add_argument(
         "--gp-memo",
         metavar="DIR",
@@ -577,15 +558,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_run.add_argument(
         "--gp-backend",
-        choices=("auto", "serial", "thread", "process", "island"),
+        choices=("auto", "serial", "process"),
         default="auto",
         help="per-ESV GP *execution* backend inside each job (where "
-        "fitness evaluations run — see --formula-backend for the solver); "
-        "auto uses a process pool when --gp-workers > 1, island keeps "
-        "persistent workers fed over shared memory",
+        "fitness evaluations run — see --formula-backend for the solver): "
+        "serial runs in-process, process uses a persistent per-ESV pool "
+        "of --gp-workers processes, auto picks process when "
+        "--gp-workers > 1",
     )
     _add_formula_backend_arg(fleet_run)
-    _add_gp_batch_args(fleet_run)
+    _add_gp_batch_arg(fleet_run)
     fleet_run.add_argument(
         "--gp-memo",
         metavar="DIR",
@@ -653,14 +635,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--gp-backend",
-        choices=("auto", "serial", "thread", "process", "island"),
+        choices=("auto", "serial", "process"),
         default="auto",
         help="per-ESV GP *execution* backend for finalize (where fitness "
         "evaluations run — see --formula-backend for the solver); auto "
-        "resolves to island (persistent workers, shared-memory datasets)",
+        "resolves to process (a persistent per-ESV pool of --gp-workers "
+        "processes, shared by every session)",
     )
     _add_formula_backend_arg(serve)
-    _add_gp_batch_args(serve, batch_default=True)
+    _add_gp_batch_arg(serve, batch_default=True)
     serve.add_argument(
         "--gp-memo",
         metavar="DIR",

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .batch import TRIM_FRACTION, MaesRequest, batched_linear_fit, batched_maes, drive
+from .batch import TRIM_FRACTION, MaesRequest, drive
 from .cache import FitnessCache
 from .compile import CompiledProgram, compile_tree
 from .functions import DEFAULT_FUNCTION_NAMES
@@ -249,15 +249,6 @@ class GeneticProgrammer:
             return self._scaled_mae(tree, columns, y)
         return self._program_mae(compile_tree(tree), columns, y)
 
-    def _evaluate_population(
-        self,
-        population: List[Node],
-        columns: List[np.ndarray],
-        y: np.ndarray,
-    ) -> Tuple[List[float], List[int]]:
-        """In-process driver for :meth:`_evaluate_population_steps`."""
-        return drive(self._evaluate_population_steps(population, columns, y))
-
     def _evaluate_population_steps(
         self,
         population: List[Node],
@@ -308,16 +299,6 @@ class GeneticProgrammer:
             return maes, sizes
         maes = yield from self._batched_fitness_steps(programs, columns, y, "full")
         return maes, sizes
-
-    def _batched_fitness(
-        self,
-        programs: List[CompiledProgram],
-        columns: List[np.ndarray],
-        y: np.ndarray,
-        tag: str,
-    ) -> List[float]:
-        """In-process driver for :meth:`_batched_fitness_steps`."""
-        return drive(self._batched_fitness_steps(programs, columns, y, tag))
 
     def _batched_fitness_steps(
         self,
@@ -384,17 +365,6 @@ class GeneticProgrammer:
                 if cache is not None:
                     cache.put(key, mae)
         return maes  # type: ignore[return-value]
-
-    def _batched_maes(self, F: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The per-tree fitness math, vectorised over population rows.
-
-        Thin delegate to :func:`repro.core.gp.batch.batched_maes` (where
-        the math lives so merged cross-ESV passes can reuse it), bound to
-        this engine's scaling mode and trim fraction.
-        """
-        return batched_maes(F, y, self.config.linear_scaling, self.TRIM_FRACTION)
-
-    _batched_linear_fit = staticmethod(batched_linear_fit)
 
     # -------------------------------------------------------------- operators
 
@@ -656,12 +626,6 @@ class GeneticProgrammer:
             term = Node.call("mul", Node.const(round(float(coefficients[index]), 6)), Node.var(index))
             tree = term if tree is None else Node.call("add", tree, term)
         return Node.call("add", tree, Node.const(round(float(coefficients[-1]), 6)))
-
-    def _refine_constants(
-        self, tree: Node, columns: List[np.ndarray], y: np.ndarray
-    ) -> Node:
-        """In-process driver for :meth:`_refine_constants_steps`."""
-        return drive(self._refine_constants_steps(tree, columns, y))
 
     def _refine_constants_steps(
         self, tree: Node, columns: List[np.ndarray], y: np.ndarray

@@ -25,8 +25,8 @@ Every backend speaks the same generator protocol as the GP path: its
 linear solver yields none — it is closed-form) and *returns* the
 :class:`~repro.core.response_analysis.InferredFormula`, so backends plug
 into :func:`~repro.core.gp.drive`, the cross-ESV
-:class:`~repro.core.gp.BatchEvaluator` and the island workers without
-those layers knowing which engine ran.
+:class:`~repro.core.gp.BatchEvaluator` and the process-pool workers
+without those layers knowing which engine ran.
 
 Confidence: every recovered formula carries a ``confidence`` field — the
 fraction of paired training samples the formula reproduces within the
@@ -113,8 +113,8 @@ class LinearFormula(Formula):
     """A recovered closed-form formula: ``Y = Σ cᵢ · termᵢ(X)``.
 
     The terms come from the :class:`LinearBackend` feature dictionary and
-    are stored as strings, so the object is naturally picklable (process
-    and island backends ship it between processes) and JSON round-trips
+    are stored as strings, so the object is naturally picklable (the
+    process backend ships it between processes) and JSON round-trips
     exactly through :meth:`to_payload`/:meth:`from_payload` for the
     on-disk formula memo.
     """

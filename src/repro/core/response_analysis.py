@@ -368,11 +368,6 @@ RESTART_FITNESS = 0.02
 MAX_RESTARTS = 3
 
 
-def _evolve_with_restarts(config: GpConfig, scaled: "ScaledDataset"):
-    """In-process driver for :func:`_evolve_with_restarts_steps`."""
-    return drive(_evolve_with_restarts_steps(config, scaled))
-
-
 def _evolve_with_restarts_steps(config: GpConfig, scaled: "ScaledDataset"):
     from dataclasses import replace as _replace
 
@@ -400,13 +395,6 @@ def _evolve_with_restarts_steps(config: GpConfig, scaled: "ScaledDataset"):
         if best.fitness <= RESTART_FITNESS:
             break
     return best
-
-
-def _fit_robust(
-    dataset: PairedDataset, config: GpConfig, interpretation: str
-) -> InferredFormula:
-    """In-process driver for :func:`_fit_robust_steps`."""
-    return drive(_fit_robust_steps(dataset, config, interpretation))
 
 
 def _fit_robust_steps(

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +38,7 @@ from .response_analysis import InferredFormula, infer_formula, infer_formula_ste
 from .screenshot import FilterReport, UiSeries, extract_ui_series, filter_ui_series
 
 #: Execution backends for per-ESV formula inference (*where* it runs).
-_GP_BACKENDS = frozenset({"auto", "serial", "thread", "process", "island"})
+_GP_BACKENDS = frozenset({"auto", "serial", "process"})
 
 #: Inference backends for per-ESV formula inference (*which engine* runs);
 #: see :mod:`repro.core.inference`.
@@ -71,15 +70,15 @@ class ReverserConfig:
     perf: Optional[Callable[[], float]] = None
     #: Worker count for per-ESV formula inference (1 = serial in-process).
     gp_workers: int = 1
-    #: Execution backend for per-ESV formula inference: ``"auto"`` picks a
-    #: process pool whenever ``gp_workers > 1`` (the GP hot path is pure
-    #: Python, so only processes escape the GIL), ``"serial"``/``"thread"``
-    #: /``"process"`` force a specific backend, and ``"island"`` fans the
-    #: ESVs out over long-lived worker processes that each evolve an
-    #: *island* of ESVs through one cross-ESV batched pass, reading the
-    #: observation datasets from shared memory
-    #: (:mod:`repro.core.gp.islands`).  Every backend produces
-    #: byte-identical reports; only wall-clock differs.
+    #: Execution backend for per-ESV formula inference.  ``"serial"`` runs
+    #: every ESV in-process; ``"process"`` submits one task per ESV to a
+    #: persistent pool of ``gp_workers`` worker processes, shared by every
+    #: reverser with the same worker/memo/trace configuration
+    #: (:mod:`repro.core.gp.pool`; the GP hot path is pure Python, so only
+    #: processes escape the GIL); ``"auto"`` picks ``"process"`` when
+    #: ``gp_workers > 1`` and a pass has more than one ESV, ``"serial"``
+    #: otherwise.  Every backend produces byte-identical reports; only
+    #: wall-clock differs.
     gp_backend: str = "auto"
     #: *Inference* backend for formula recovery — which engine turns a
     #: paired dataset into a formula, orthogonal to :attr:`gp_backend`
@@ -90,12 +89,12 @@ class ReverserConfig:
     #: first and falls back to GP for the hard tail
     #: (:mod:`repro.core.inference`).
     formula_backend: str = "gp"
-    #: Cross-ESV batched fitness evaluation for the in-process backends:
-    #: when True (and more than one formula task is planned) the serial
-    #: path drives every ESV's inference generator through one
+    #: Cross-ESV batched fitness evaluation for the serial backend: when
+    #: True (and more than one formula task is planned) the serial path
+    #: drives every ESV's inference generator through one
     #: :class:`~repro.core.gp.BatchEvaluator`, merging same-shape fitness
-    #: passes across ESVs.  Island workers always evaluate this way.
-    #: Reports stay byte-identical either way.
+    #: passes across ESVs.  The ``process`` backend ignores it.  Reports
+    #: stay byte-identical either way.
     gp_batch: bool = False
     #: Directory of the cross-run formula memo store
     #: (:class:`~repro.core.formula_memo.FormulaMemo`).  Empty string
@@ -336,7 +335,7 @@ class _FormulaTask:
 
     ``slot`` is the ESV's position in the report, fixed at plan time so the
     output order is identical whether the tasks run serially or fan out
-    over a thread or process pool.
+    over the process pool.
     """
 
     slot: int
@@ -349,8 +348,8 @@ class _FormulaTask:
     protocol: str
     formula_type: int
     #: Requested inference backend (``gp``/``linear``/``hybrid``); rides
-    #: in the pickled payload so process/island workers run the same
-    #: engine — and key the memo the same way — as the serial path.
+    #: in the pickled payload so pool workers run the same engine — and
+    #: key the memo the same way — as the serial path.
     backend: str = "gp"
 
 
@@ -482,8 +481,8 @@ def run_batched_tasks(
 
 
 #: Per-process state for the ``process`` GP backend, installed once per pool
-#: worker by :func:`_gp_worker_init`.  Module-level because
-#: :class:`ProcessPoolExecutor` only ships module-level callables.
+#: worker by :func:`_gp_worker_init`.  Module-level because a
+#: process pool only ships module-level callables.
 _WORKER_MEMO: Optional[FormulaMemo] = None
 _WORKER_TRACE: bool = False
 
@@ -601,7 +600,7 @@ class DPReverser:
         #: wall-clock only, never the report.  The fitness hot path is the
         #: compiled-program interpreter loop: Python bytecode dispatching
         #: numpy calls on arrays of a few dozen samples, so the GIL is held
-        #: nearly the whole time and threads serialise on it.  Real speedup
+        #: nearly the whole time and threads would serialise on it.  Speedup
         #: needs the ``process`` backend, which ``"auto"`` selects whenever
         #: ``gp_workers > 1``.
         self.gp_workers = self.config.gp_workers
@@ -907,38 +906,30 @@ class DPReverser:
     def _resolve_backend(self, n_tasks: int) -> str:
         """The backend one inference pass actually uses.
 
-        An explicitly requested ``"island"`` backend always wins — its
-        pool is shared across :meth:`infer` calls, so even a one-task
-        pass benefits from the already-warm workers.  Otherwise a single
-        worker or a single task runs serially in-process (no pool is
-        worth starting), and ``"auto"`` picks the process pool, the only
-        per-ESV backend the GIL lets scale.
+        An explicitly requested ``"process"`` backend always uses the
+        pool — it is shared across :meth:`infer` calls, so even a one-task
+        pass runs on already-warm workers.  ``"auto"`` uses it only when
+        there are several workers and several tasks to spread over them;
+        otherwise the pass runs serially in-process.
         """
-        if self.gp_backend == "island":
-            return "island"
-        if self.gp_workers == 1 or n_tasks <= 1:
-            return "serial"
-        if self.gp_backend == "auto":
+        if self.gp_backend == "process":
             return "process"
-        return self.gp_backend
+        if self.gp_backend == "auto" and self.gp_workers > 1 and n_tasks > 1:
+            return "process"
+        return "serial"
 
     def _execute_tasks(self, tasks: List[_FormulaTask]) -> List[_TaskOutcome]:
         """Run every planned task on the resolved backend.
 
-        Inference raises on bugs rather than degrading, and both pool
-        backends re-raise the first task exception out of ``result()`` —
-        parallel modes keep serial mode's exception behaviour.
+        Inference raises on bugs rather than degrading, and the pool
+        re-raises the first task exception out of ``result()`` — the
+        process backend keeps serial mode's exception behaviour.
         """
         if not tasks:
             return []
-        backend = self._resolve_backend(len(tasks))
-        if backend == "island":
-            return self._run_tasks_island(tasks)
-        if backend == "process":
+        if self._resolve_backend(len(tasks)) == "process":
             return self._run_tasks_process(tasks)
         memo = FormulaMemo(self.gp_memo_dir) if self.gp_memo_dir else None
-        if backend == "thread":
-            return self._run_tasks_thread(tasks, memo)
         if self.gp_batch and len(tasks) > 1:
             return run_batched_tasks(tasks, memo, self.perf)
         return [self._run_one(task, memo) for task in tasks]
@@ -946,53 +937,29 @@ class DPReverser:
     def _run_one(
         self, task: _FormulaTask, memo: Optional[FormulaMemo]
     ) -> _TaskOutcome:
-        """Serial/thread task execution, timed with the injected clock."""
+        """Serial task execution, timed with the injected clock."""
         start = self.perf()
         with self.tracer.span("gp_formula", esv=task.identifier, backend=task.backend):
             esv, memo_hit = _execute_formula_task(task, memo)
         return _TaskOutcome(task.slot, esv, self.perf() - start, memo_hit)
 
-    def _run_tasks_thread(
-        self, tasks: List[_FormulaTask], memo: Optional[FormulaMemo]
-    ) -> List[_TaskOutcome]:
-        """Thread-pool backend: zero startup cost, GIL-bound scaling."""
-        with ThreadPoolExecutor(
-            max_workers=min(self.gp_workers, len(tasks))
-        ) as pool:
-            futures = [pool.submit(self._run_one, task, memo) for task in tasks]
-            return [future.result() for future in futures]
-
-    def _run_tasks_island(self, tasks: List[_FormulaTask]) -> List[_TaskOutcome]:
-        """Island backend: persistent workers + shared-memory datasets.
+    def _run_tasks_process(self, tasks: List[_FormulaTask]) -> List[_TaskOutcome]:
+        """Process backend: one task per ESV on the shared persistent pool.
 
         The pool outlives this call (and this reverser — it is cached at
-        module level in :mod:`repro.core.gp.islands` and reused by every
-        reverser with the same worker/memo/trace configuration), so
-        repeated :meth:`infer` calls pay the process-spawn and
-        instruction-table warm-up exactly once per run, not once per
-        capture.
+        module level by :func:`~repro.core.gp.pool.shared_pool` and reused
+        by every reverser with the same worker/memo/trace configuration),
+        so repeated :meth:`infer` calls pay process spawn and worker
+        warm-up (:func:`_gp_worker_init`) once per process, not once per
+        capture.  Workers receive only pickled :class:`_FormulaTask`
+        payloads; results carry the stage timings, memo flags and spans
+        back because neither :attr:`stage_hook`, the parent memo handle
+        nor the tracer can cross the process boundary.
         """
-        from .gp.islands import shared_pool
+        from .gp.pool import shared_pool
 
         pool = shared_pool(self.gp_workers, self.gp_memo_dir, self.tracer.enabled)
-        return pool.run(tasks)
-
-    def _run_tasks_process(self, tasks: List[_FormulaTask]) -> List[_TaskOutcome]:
-        """Process-pool backend: persistent warmed workers, lean payloads.
-
-        Workers are initialised once (:func:`_gp_worker_init`) and then
-        receive only pickled :class:`_FormulaTask` payloads; results carry
-        the stage timings and memo flags back because neither
-        :attr:`stage_hook` nor the parent memo handle can cross the
-        process boundary.
-        """
-        with ProcessPoolExecutor(
-            max_workers=min(self.gp_workers, len(tasks)),
-            initializer=_gp_worker_init,
-            initargs=(self.gp_memo_dir, self.tracer.enabled),
-        ) as pool:
-            futures = [pool.submit(_run_formula_task, task) for task in tasks]
-            return [future.result() for future in futures]
+        return pool.run(_run_formula_task, tasks)
 
 
 def _stable_seed(identifier: str, base: int) -> int:

@@ -74,10 +74,6 @@ MODE_READ_DTCS = 0x03
 MODE_CLEAR_DTCS = 0x04
 
 
-def encode_obd_read_dtcs() -> bytes:
-    return bytes([MODE_READ_DTCS])
-
-
 def encode_obd_dtc_response(dtcs: Sequence[Dtc]) -> bytes:
     out = bytearray([MODE_READ_DTCS + 0x40, len(dtcs)])
     for dtc in dtcs:

@@ -64,10 +64,6 @@ def encode_session_control(session: SessionType = SessionType.EXTENDED) -> bytes
     return bytes([UdsService.DIAGNOSTIC_SESSION_CONTROL, session])
 
 
-def encode_ecu_reset(reset_type: int = 0x01) -> bytes:
-    return bytes([UdsService.ECU_RESET, reset_type])
-
-
 def encode_tester_present(suppress_response: bool = False) -> bytes:
     return bytes([UdsService.TESTER_PRESENT, 0x80 if suppress_response else 0x00])
 

@@ -53,13 +53,13 @@ class JobSpec:
     #: never the payload — excluded from :attr:`job_id` like
     #: :attr:`live_latency_s`.
     gp_workers: int = 1
-    #: Per-ESV inference backend (``"auto"``/``"serial"``/``"thread"``/
-    #: ``"process"``/``"island"``).  Every backend produces byte-identical
-    #: payloads, so this is execution policy like :attr:`gp_workers` —
-    #: excluded from :attr:`job_id`.
+    #: Per-ESV inference backend (``"auto"``/``"serial"``/``"process"``,
+    #: see :attr:`repro.core.reverser.ReverserConfig.gp_backend`).  Every
+    #: backend produces byte-identical payloads, so this is execution
+    #: policy like :attr:`gp_workers` — excluded from :attr:`job_id`.
     gp_backend: str = "auto"
     #: Merge same-shape fitness evaluations across this job's ESVs into
-    #: single batched matrix passes (see
+    #: single batched matrix passes when GP runs serially (see
     #: :class:`~repro.core.gp.BatchEvaluator`).  Byte-identical results,
     #: so execution policy — excluded from :attr:`job_id`.
     gp_batch: bool = False

@@ -152,10 +152,11 @@ class SchedulerConfig:
     #: of building and tearing down a pool per batch.  Repeated sweeps
     #: (benchmark sizings, the streaming service's periodic re-runs) then
     #: pay process spawn and worker warm-up once per scheduler lifetime —
-    #: the same long-lived-worker model the island GP backend uses.  Call
-    #: :meth:`Scheduler.close` (or use the scheduler as a context manager)
-    #: when done; timed-out attempts left running can occupy a persistent
-    #: worker until they finish, exactly as they occupy an abandoned pool.
+    #: the same long-lived-worker model the ``process`` GP backend uses.
+    #: Call :meth:`Scheduler.close` (or use the scheduler as a context
+    #: manager) when done; timed-out attempts left running can occupy a
+    #: persistent worker until they finish, exactly as they occupy an
+    #: abandoned pool.
     persistent_pool: bool = False
 
     def __post_init__(self) -> None:

@@ -63,7 +63,13 @@ import json
 import struct
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..can import MAX_DATA_LENGTH, CanFrame, InvalidFrameError
+from ..can import (
+    MAX_DATA_LENGTH,
+    MAX_EXTENDED_ID,
+    MAX_STANDARD_ID,
+    CanFrame,
+    InvalidFrameError,
+)
 from ..cps.arm import ClickRecord
 from ..cps.camera import CapturedFrame, TextRegion
 from ..cps.collector import Capture, Segment
@@ -203,12 +209,18 @@ class MessageDecoder:
         return messages
 
 
+#: What ``json.loads`` raises on hostile bytes: ``ValueError`` covers bad
+#: syntax, bad UTF-8 and integers past the interpreter's digit limit;
+#: ``RecursionError`` comes from deeply nested arrays and objects.
+_JSON_ERRORS = (ValueError, RecursionError)
+
+
 def _parse_body(body: bytes) -> dict:
     if body[:1] == _BINARY_MAGIC:
         return _parse_binary_body(body)
     try:
         message = json.loads(body.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+    except _JSON_ERRORS as error:
         raise ProtocolError(f"message body is not JSON: {error}") from None
     if not isinstance(message, dict) or "type" not in message:
         raise ProtocolError("message must be an object with a 'type' field")
@@ -224,13 +236,13 @@ def _parse_binary_body(body: bytes) -> dict:
         raise ProtocolError("binary header overruns the message body")
     try:
         header = json.loads(body[start : start + header_length].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+    except _JSON_ERRORS as error:
         raise ProtocolError(f"binary header is not JSON: {error}") from None
     if not isinstance(header, dict) or header.get("type") != FRAME_BATCH:
         raise ProtocolError("binary envelope must carry a frame-batch header")
     packed = body[start + header_length :]
     count = header.get("n")
-    if not isinstance(count, int) or count < 0:
+    if type(count) is not int or count < 0:  # JSON true is no count
         raise ProtocolError("frame-batch header needs a non-negative 'n'")
     if count * FRAME_RECORD.size != len(packed):
         raise ProtocolError(
@@ -421,7 +433,8 @@ def arrays_from_batch(message: dict):
     """Decode one ``frame-batch`` straight into a columnar view.
 
     Validates the same invariants as :func:`frames_from_batch` (record
-    stride, DLC bound, channel-table bounds) but reinterprets the packed
+    stride, DLC bound, channel-table bounds, identifier range) — so both
+    decoders reject exactly the same batches — but reinterprets the packed
     body as a numpy record array instead of looping — no per-frame Python
     object is built.  The returned :class:`FrameArrays` carries a lazy
     ``frames`` sequence that materialises real :class:`CanFrame` objects
@@ -448,6 +461,9 @@ def arrays_from_batch(message: dict):
             raise ProtocolError(f"frame record declares DLC {int(dlcs.max())}")
         if int(records["flags"].max()) >> _CHANNEL_SHIFT > len(channels):
             raise ProtocolError("frame record names a channel outside the table")
+        limits = np.where(records["flags"] & FLAG_EXTENDED, MAX_EXTENDED_ID, MAX_STANDARD_ID)
+        if (records["id"] > limits).any():
+            raise ProtocolError("frame record carries an out-of-range CAN id")
     payloads = records["data"].copy()
     columns = np.arange(MAX_DATA_LENGTH, dtype=np.int16)
     payloads[columns[None, :] >= dlcs[:, None]] = 0  # pad bytes are not data

@@ -92,17 +92,16 @@ class ServiceConfig:
     #: GP search parameters for final inference (None = paper defaults).
     gp_config: Optional[GpConfig] = None
     gp_workers: int = 1
-    #: Per-ESV inference backend for finalize.  ``"auto"`` resolves to
-    #: ``"island"`` here (unlike the batch CLI): a long-lived server
-    #: amortises the island pool's one-off spawn across every session, and
-    #: each finalize then ships its observation datasets to the workers
-    #: through one shared-memory segment instead of pickling them through
-    #: a fresh pool's pipe per request.  Reports are byte-identical on
-    #: every backend.
+    #: Per-ESV inference backend for finalize (``"auto"``/``"serial"``/
+    #: ``"process"``).  ``"auto"`` resolves to ``"process"`` here, whatever
+    #: :attr:`gp_workers` (unlike the batch CLI): a long-lived server
+    #: amortises the persistent pool's one-off spawn across every session,
+    #: and GP then runs outside the server process, where its evolution
+    #: cannot compete with the event loop for the GIL.  Reports are
+    #: byte-identical on every backend.
     gp_backend: str = "auto"
     #: Merge same-shape GP evaluations across a session's ESVs into single
-    #: batched matrix passes (applies to the serial backend; island
-    #: workers always batch their islands).
+    #: batched matrix passes (applies to the serial backend only).
     gp_batch: bool = True
     #: Shared on-disk formula memo directory ("" disables cross-session
     #: formula reuse).
@@ -239,7 +238,7 @@ class DiagnosticServer:
     def _build_reverser(self, session: VehicleSession) -> DPReverser:
         backend = self.config.gp_backend
         if backend == "auto":
-            backend = "island"
+            backend = "process"
         return DPReverser(
             ReverserConfig(
                 gp_config=self.config.gp_config,

@@ -5,10 +5,10 @@
 ``SO_REUSEPORT`` — the kernel load-balances incoming connections across
 the listening sockets, so clients need no balancer and no shard
 awareness.  Each shard owns a full event loop, analysis
-:class:`~repro.runtime.scheduler.WorkerPool` and (when configured) GP
-island pool; the shards share nothing in memory and meet only at the
-on-disk :class:`~repro.core.formula_memo.FormulaMemo` directory, which is
-already multi-process safe.
+:class:`~repro.runtime.scheduler.WorkerPool` and (when GP runs out of
+process) persistent GP worker pool; the shards share nothing in memory
+and meet only at the on-disk :class:`~repro.core.formula_memo.FormulaMemo`
+directory, which is already multi-process safe.
 
 The parent process never touches a connection.  It:
 
@@ -38,7 +38,7 @@ import signal
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..observability.export import build_snapshot
 from ..observability.trace import NULL_TRACER, Tracer
@@ -159,8 +159,8 @@ class ShardSupervisor:
 
     def _spawn(self, slot: _ShardSlot) -> None:
         parent_pipe, child_pipe = self._context.Pipe()
-        # Not daemonic: a shard spawns its own worker processes (GP island
-        # pools), which daemonic processes are forbidden to do.
+        # Not daemonic: a shard spawns its own worker processes (the GP
+        # worker pool), which daemonic processes are forbidden to do.
         process = self._context.Process(
             target=_shard_main,
             args=(self._shard_config(slot.index), slot.index, child_pipe),
@@ -342,26 +342,3 @@ class ShardSupervisor:
             gauges={"service.sessions_active": 0.0},
         )
 
-
-def run_sharded(
-    config: ServiceConfig, shards: int, sessions: int = 0
-) -> Tuple[ShardSupervisor, dict]:
-    """Convenience wrapper: start N shards, serve, stop, merge.
-
-    With ``sessions > 0`` the fleet exits once that many sessions have
-    completed; otherwise it serves until the process receives SIGINT.
-    Returns the (stopped) supervisor and its merged snapshot.
-    """
-    supervisor = ShardSupervisor(config, shards)
-    supervisor.start()
-    try:
-        if sessions > 0:
-            supervisor.wait_for_sessions(sessions)
-        else:
-            while True:
-                time.sleep(POLL_INTERVAL_S)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        supervisor.stop()
-    return supervisor, supervisor.merged_snapshot()

@@ -128,6 +128,3 @@ class ScreenBuilder:
             width=200,
         )
         return name_widget, self.screen.add(value_widget)
-
-    def rows_used(self) -> int:
-        return self._row

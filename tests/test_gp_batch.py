@@ -6,7 +6,8 @@ never a math change.  A merged (ΣP×N) pass answers each member request
 with bit-exactly the floats the member's own (P×N) pass produces, the
 lock-step :class:`BatchEvaluator` finishes every generator with the same
 return value the serial :func:`drive` produces, and a full reverse run
-with ``gp_batch``/the island backend emits a byte-identical report.
+with ``gp_batch`` (or on the process backend) emits a byte-identical
+report.
 """
 
 import json
@@ -152,23 +153,8 @@ class TestBatchedBackendsByteIdentical:
         serial = reverse_capture(capture)
         assert reverse_capture(capture, gp_batch=True) == serial
         assert (
-            reverse_capture(capture, gp_backend="island", gp_workers=2) == serial
+            reverse_capture(capture, gp_backend="process", gp_workers=2) == serial
         )
-
-
-class TestSharedPool:
-    def test_pool_persists_across_calls(self):
-        from repro.core.gp.islands import shared_pool
-
-        assert shared_pool(2) is shared_pool(2)
-        assert shared_pool(2) is not shared_pool(2, memo_dir="/tmp/other")
-
-    def test_shutdown_forgets_cached_pools(self):
-        from repro.core.gp.islands import shared_pool, shutdown_shared_pools
-
-        first = shared_pool(2)
-        shutdown_shared_pools()
-        assert shared_pool(2) is not first
 
 
 class TestJobSpecGpBatch:

@@ -186,7 +186,7 @@ class TestFitEquivalence:
 
 @pytest.mark.slow
 class TestReverserParallelism:
-    """Per-ESV thread fan-out must leave the report byte-identical."""
+    """Per-ESV process-pool fan-out must leave the report byte-identical."""
 
     GP = GpConfig(seed=2, generations=8, population_size=100)
 
@@ -240,15 +240,15 @@ class TestFleetDigest:
         serial = Scheduler(SchedulerConfig()).run(
             fleet_job_specs(["C"], read_duration_s=8.0, gp_overrides=self.GP)
         )
-        threaded = Scheduler(SchedulerConfig()).run(
+        parallel = Scheduler(SchedulerConfig()).run(
             fleet_job_specs(
                 ["C"], read_duration_s=8.0, gp_overrides=self.GP, gp_workers=4
             )
         )
         # gp_workers is excluded from the job id, so the digests are
         # directly comparable — and must be equal.
-        assert serial.results_digest() == threaded.results_digest()
-        hists = threaded.metrics["histograms"]
+        assert serial.results_digest() == parallel.results_digest()
+        hists = parallel.metrics["histograms"]
         assert hists["stage.gp_formula_call_seconds"]["count"] > 1
 
     def test_interpreter_fallback_matches_compiled_payload(self):

@@ -1,15 +1,21 @@
 """Process-parallel GP inference and the cross-run formula memo.
 
-The load-bearing invariant: every execution backend (serial, thread pool,
-process pool) and every memo path (cold, warm, corrupt store) produces a
-byte-identical :class:`~repro.core.reverser.ReverseReport` — and therefore
-identical fleet results digests.  Everything here asserts that invariant
-or the serialization machinery it rests on.
+The load-bearing invariant: both execution backends (serial, and the
+persistent per-ESV process pool) and every memo path (cold, warm, corrupt
+store) produce a byte-identical :class:`~repro.core.reverser.ReverseReport`
+— and therefore identical fleet results digests.  Everything here asserts
+that invariant, the serialization machinery it rests on, or the shared
+pool's lifecycle (persistence across calls, rebuild after a worker crash).
 """
 
 import json
+import os
 import pickle
 import random
+import signal
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -21,6 +27,7 @@ from repro.core import (
     dataset_key,
     infer_formula,
 )
+from repro.core import reverser as reverser_module
 from repro.core.fields import EsvObservation
 from repro.core.formula_memo import MEMO_FORMAT_VERSION
 from repro.core.gp import (
@@ -144,21 +151,18 @@ def reverse_capture(capture, **kwargs):
 
 @pytest.mark.slow
 class TestBackendEquivalence:
-    """serial == thread == process, byte for byte."""
+    """serial == process, byte for byte."""
 
     def test_all_backends_byte_identical(self):
         capture = car_capture()
         serial, serial_stages, reverser = reverse_capture(capture)
         n_formulas = len(reverser.last_report.formula_esvs)
         assert n_formulas > 1
-        for backend in ("thread", "process"):
-            parallel, stages, __ = reverse_capture(
-                capture, gp_workers=4, gp_backend=backend
-            )
-            assert parallel == serial, f"{backend} backend diverged from serial"
-            # stage_hook cannot cross the process boundary; timings ride
-            # back in the result objects and replay once per formula ESV.
-            assert stages.count("gp_formula") == n_formulas
+        parallel, stages, __ = reverse_capture(capture, gp_workers=4, gp_backend="process")
+        assert parallel == serial, "process backend diverged from serial"
+        # stage_hook cannot cross the process boundary; timings ride back
+        # in the result objects and replay once per formula ESV.
+        assert stages.count("gp_formula") == n_formulas
         assert serial_stages.count("gp_formula") == n_formulas
 
     def test_explicit_serial_backend_ignores_workers(self):
@@ -171,16 +175,21 @@ class TestBackendEquivalence:
         assert reverser._resolve_backend(n_tasks=1) == "serial"
         assert DPReverser(ReverserConfig())._resolve_backend(n_tasks=10) == "serial"
 
+    def test_explicit_process_always_uses_the_pool(self):
+        reverser = DPReverser(ReverserConfig(gp_backend="process"))
+        assert reverser._resolve_backend(n_tasks=1) == "process"
+
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            DPReverser(ReverserConfig(gp_backend="greenlet"))
+        for backend in ("greenlet", "thread", "island"):
+            with pytest.raises(ValueError):
+                DPReverser(ReverserConfig(gp_backend=backend))
 
     def test_fleet_digest_identical_across_gp_backends(self):
         from repro.runtime import Scheduler, SchedulerConfig, fleet_job_specs
 
         overrides = (("generations", 8), ("population_size", 100))
         digests = {}
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             report = Scheduler(SchedulerConfig()).run(
                 fleet_job_specs(
                     ["C"],
@@ -210,7 +219,7 @@ class TestJobSpecFields:
     def test_round_trip(self, tmp_path):
         from repro.runtime import JobSpec
 
-        spec = JobSpec(car_key="C", gp_backend="thread", gp_memo_dir=str(tmp_path))
+        spec = JobSpec(car_key="C", gp_backend="process", gp_memo_dir=str(tmp_path))
         assert JobSpec.from_dict(spec.to_dict()) == spec
 
     def test_from_dict_defaults_for_old_checkpoints(self):
@@ -318,7 +327,7 @@ class TestMemoEndToEnd:
             "gp.misses": n_formulas,
         }
 
-        for backend, workers in (("process", 2), ("serial", 1), ("thread", 2)):
+        for backend, workers in (("process", 2), ("serial", 1)):
             warm_report, stages, warm_reverser = reverse_capture(
                 capture,
                 gp_workers=workers,
@@ -332,3 +341,172 @@ class TestMemoEndToEnd:
                 "gp.hits": n_formulas,
             }
             assert stages.count("gp_formula") == n_formulas
+
+
+# ---------------------------------------------------------------- shared pool
+
+#: The real task entry point, bound before any test monkeypatches it.
+_run_formula_task = reverser_module._run_formula_task
+
+
+def _run_recording_pid(task):
+    """Pool task wrapper: run the real task, note which worker ran it."""
+    outcome = _run_formula_task(task)
+    outcome.worker_pid = os.getpid()
+    return outcome
+
+
+def _kill_self(task):
+    """Stand-in task body: die the way a segfaulting worker does."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.fixture(scope="module")
+def context_c():
+    return DPReverser(ReverserConfig(gp_config=GP)).analyze(car_capture())
+
+
+def infer_json(context, **kwargs):
+    report = DPReverser(ReverserConfig(gp_config=GP, **kwargs)).infer(context)
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+class TestSharedPool:
+    def test_pool_persists_across_calls(self):
+        from repro.core.gp.pool import shared_pool
+
+        assert shared_pool(2) is shared_pool(2)
+        assert shared_pool(2) is not shared_pool(2, memo_dir="/tmp/other")
+
+    def test_shutdown_forgets_cached_pools(self):
+        from repro.core.gp.pool import shared_pool, shutdown_shared_pools
+
+        first = shared_pool(2)
+        shutdown_shared_pools()
+        assert shared_pool(2) is not first
+
+    def test_concurrent_callers_share_one_pool(self, tmp_path):
+        """Service offload threads race to build the pool; one must win."""
+        import sys
+        import threading
+
+        from repro.core.gp.pool import shared_pool
+
+        memo_dir = str(tmp_path)
+        barrier = threading.Barrier(8)
+        pools = []
+
+        def build():
+            barrier.wait(timeout=10)
+            pools.append(shared_pool(3, memo_dir))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for __ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(pools) == 8 and all(pool is pools[0] for pool in pools)
+        pools[0].shutdown()
+
+    def test_pool_built_in_a_pool_worker_lets_the_worker_exit(self, tmp_path):
+        """A fleet sweep's job worker may build its own GP pool: it must not
+        reuse the pool it inherited from its parent, and its exit must shut
+        its own pool down instead of waiting on it forever."""
+        script = tmp_path / "nested_pools.py"
+        script.write_text(
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "from repro.core.gp.pool import shared_pool\n"
+            "\n"
+            "def job(_):\n"
+            "    shared_pool(2).warm()\n"
+            "    return 'ok'\n"
+            "\n"
+            "if __name__ == '__main__':\n"
+            "    shared_pool(2).warm()\n"
+            "    with ProcessPoolExecutor(1) as outer:\n"
+            "        print(outer.submit(job, 0).result())\n"
+        )
+        process = subprocess.Popen(
+            [sys.executable, str(script)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = process.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            pytest.fail("the pool worker never exited")
+        assert process.returncode == 0, err
+        assert out.strip() == "ok"
+
+    @pytest.mark.slow
+    def test_infer_calls_reuse_the_same_workers(self, context_c, monkeypatch):
+        from repro.core.gp.pool import shared_pool
+
+        ran_on = []
+        execute = DPReverser._execute_tasks
+
+        def recording_execute(self, tasks):
+            outcomes = execute(self, tasks)
+            ran_on.append({outcome.worker_pid for outcome in outcomes})
+            return outcomes
+
+        serial = infer_json(context_c, gp_backend="serial")
+        monkeypatch.setattr(reverser_module, "_run_formula_task", _run_recording_pid)
+        monkeypatch.setattr(DPReverser, "_execute_tasks", recording_execute)
+        pool = shared_pool(2)
+        assert infer_json(context_c, gp_backend="process", gp_workers=2) == serial
+        workers = set(pool._executor._processes)
+        assert len(workers) == 2 and os.getpid() not in workers
+        assert infer_json(context_c, gp_backend="process", gp_workers=2) == serial
+        assert shared_pool(2) is pool and set(pool._executor._processes) == workers
+        first, second = ran_on
+        assert first and second and first | second <= workers
+
+    @pytest.mark.slow
+    def test_worker_crash_surfaces_then_pool_is_rebuilt(self, context_c, monkeypatch):
+        from repro.core.gp.pool import shared_pool
+
+        serial = infer_json(context_c, gp_backend="serial")
+        doomed = shared_pool(2)
+        monkeypatch.setattr(reverser_module, "_run_formula_task", _kill_self)
+        with pytest.raises(BrokenProcessPool):
+            infer_json(context_c, gp_backend="process", gp_workers=2)
+        monkeypatch.undo()
+        assert doomed.broken
+        assert infer_json(context_c, gp_backend="process", gp_workers=2) == serial
+        assert shared_pool(2) is not doomed and not shared_pool(2).broken
+
+
+class TestCliBackendChoices:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reverse", "capture", "--gp-backend", "island"],
+            ["reverse", "capture", "--gp-backend", "thread"],
+            ["reverse", "capture", "--gp-islands", "2"],
+            ["fleet-run", "--gp-backend", "island"],
+            ["serve", "--gp-backend", "thread"],
+        ],
+    )
+    def test_removed_backends_rejected(self, argv, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+    def test_kept_backends_parse(self):
+        from repro.cli import build_parser
+
+        for backend in ("auto", "serial", "process"):
+            args = build_parser().parse_args(["serve", "--gp-backend", backend])
+            assert args.gp_backend == backend

@@ -1,19 +1,26 @@
 """The service wire protocol: framing, round-trips, and bounds."""
 
+import json
 import random
 import struct
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from repro.can import CanFrame
+from repro.can import MAX_DATA_LENGTH, CanFrame
 from repro.cps.arm import ClickRecord
 from repro.cps.camera import CapturedFrame, TextRegion
 from repro.cps.collector import Capture, Segment
 from repro.can import CanLog
 from repro.service import MessageDecoder, ProtocolError, capture_to_wire, encode_message
 from repro.service.protocol import (
+    FLAG_EXTENDED,
+    FRAME_BATCH,
     FRAME_RECORD,
     MAX_BATCH_FRAMES,
+    MAX_MESSAGE_BYTES,
+    arrays_from_batch,
     click_from_wire,
     click_to_wire,
     frame_batch_to_wire,
@@ -28,6 +35,7 @@ from repro.service.protocol import (
     video_from_wire,
     video_to_wire,
 )
+from repro.transport.arrays import FrameArrays
 from repro.transport.kline import KLineByte
 
 
@@ -284,3 +292,222 @@ class TestCaptureToWire:
         capture = make_capture([CanFrame(1, b"\x01", 0.0)])
         kinds = [m["type"] for m in capture_to_wire(capture, transport="isotp")]
         assert "frame" in kinds and "frame-batch" not in kinds
+
+
+# ------------------------------------------------------------------- fuzzing
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**53), max_value=2**53)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12)
+)
+
+
+def json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3)
+
+
+JSON_VALUES = st.recursive(JSON_SCALARS, json_containers, max_leaves=8)
+JSON_MESSAGES = st.builds(
+    lambda kind, extra: {**extra, "type": kind},
+    st.sampled_from(["hello", "frame", "video", "click", "segment", "finish", "kbyte"]),
+    st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=3),
+)
+
+
+@st.composite
+def can_frames(draw):
+    extended = draw(st.booleans())
+    return CanFrame(
+        can_id=draw(st.integers(0, 0x1FFFFFFF if extended else 0x7FF)),
+        data=draw(st.binary(max_size=8)),
+        timestamp=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        extended=extended,
+        channel=draw(st.sampled_from(["can0", "can1", "vcan0"])),
+    )
+
+
+FRAME_BATCHES = st.lists(can_frames(), max_size=6).map(frame_batch_to_wire)
+WIRE_MESSAGES = st.lists(JSON_MESSAGES | FRAME_BATCHES, min_size=1, max_size=4)
+
+
+def envelope(body: bytes) -> bytes:
+    return struct.pack(">I", len(body)) + body
+
+
+def binary_body(header, packed: bytes = b"") -> bytes:
+    """A binary envelope body around ``header`` (a dict or raw bytes)."""
+    if isinstance(header, dict):
+        header = json.dumps(header).encode()
+    return b"\x00" + struct.pack(">H", len(header)) + header + packed
+
+
+def records(*fields) -> bytes:
+    return b"".join(FRAME_RECORD.pack(*f) for f in fields)
+
+
+def assert_columns_match(arrays, frames):
+    expected = FrameArrays.from_frames(frames)
+    for column in ("can_ids", "timestamps", "dlcs", "payloads"):
+        got, want = getattr(arrays, column), getattr(expected, column)
+        assert got.tobytes() == want.tobytes(), column
+
+
+def decode_everything(wire: bytes):
+    """The full decode path a server runs on untrusted bytes."""
+    for message in MessageDecoder().feed(wire):
+        if message["type"] == FRAME_BATCH:
+            assert_columns_match(arrays_from_batch(message), frames_from_batch(message))
+
+
+class TestWireFuzz:
+    """Hypothesis properties over the untrusted side of the wire."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(messages=WIRE_MESSAGES, cuts=st.lists(st.integers(0, 1 << 16), max_size=8))
+    def test_split_reads_decode_like_one_feed(self, messages, cuts):
+        wire = b"".join(encode_message(m) for m in messages)
+        whole = MessageDecoder().feed(wire)
+        assert whole == messages
+        bounds = sorted({0, len(wire), *(cut % (len(wire) + 1) for cut in cuts)})
+        decoder = MessageDecoder()
+        chunked = []
+        for start, stop in zip(bounds, bounds[1:]):
+            chunked.extend(decoder.feed(wire[start:stop]))
+        assert chunked == whole
+        for offset in range(len(wire) + 1):
+            decoder = MessageDecoder()
+            assert decoder.feed(wire[:offset]) + decoder.feed(wire[offset:]) == whole
+
+    @settings(max_examples=40, deadline=None)
+    @given(excess=st.integers(1, 1 << 20), tail=st.binary(max_size=64))
+    def test_declared_length_over_bound(self, excess, tail):
+        wire = struct.pack(">I", MAX_MESSAGE_BYTES + excess) + tail
+        with pytest.raises(ProtocolError, match="exceeds"):
+            MessageDecoder().feed(wire)
+
+    @settings(max_examples=20, deadline=None)
+    @given(rest=st.binary(max_size=1))
+    def test_truncated_binary_envelope(self, rest):
+        with pytest.raises(ProtocolError, match="truncated"):
+            MessageDecoder().feed(envelope(b"\x00" + rest))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_header_length_overruns_body(self, data):
+        tail = data.draw(st.binary(max_size=64))
+        declared = data.draw(st.integers(len(tail) + 1, 0xFFFF))
+        body = b"\x00" + struct.pack(">H", declared) + tail
+        with pytest.raises(ProtocolError, match="overruns"):
+            MessageDecoder().feed(envelope(body))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        frames=st.lists(can_frames(), max_size=4),
+        n=st.integers(-(2**40), 2**40)
+        | st.booleans()
+        | st.floats(allow_nan=False)
+        | st.text(max_size=4)
+        | st.none()
+        | st.lists(st.integers(), max_size=2),
+    )
+    @example(frames=[CanFrame(1, b"\x01")], n=True)
+    def test_bad_frame_count(self, frames, n):
+        batch = frame_batch_to_wire(frames)
+        assume(not (type(n) is int and n == len(frames)))
+        header = {"type": FRAME_BATCH, "n": n}
+        with pytest.raises(ProtocolError, match="'n'|declares"):
+            MessageDecoder().feed(envelope(binary_body(header, batch["_packed"])))
+
+    @settings(max_examples=40, deadline=None)
+    @given(dlc=st.integers(MAX_DATA_LENGTH + 1, 0xFF), position=st.integers(0, 2))
+    def test_dlc_over_eight(self, dlc, position):
+        good = (0.0, 0x123, 0, 2, b"\x01\x02" + bytes(6))
+        fields = [good, good, good]
+        fields[position] = (1.0, 0x7E8, 0, dlc, bytes(8))
+        wire = envelope(binary_body({"type": FRAME_BATCH, "n": 3}, records(*fields)))
+        (message,) = MessageDecoder().feed(wire)
+        for decode in (frames_from_batch, arrays_from_batch):
+            with pytest.raises(ProtocolError, match="DLC"):
+                decode(message)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        channels=st.lists(st.sampled_from(["can1", "can2", "vcan0"]), max_size=3),
+        data=st.data(),
+    )
+    def test_channel_index_outside_table(self, channels, data):
+        index = data.draw(st.integers(len(channels) + 1, 0x7F))
+        packed = records((0.5, 0x10, index << 1, 1, b"\x01" + bytes(7)))
+        header = {"type": FRAME_BATCH, "n": 1, "channels": channels}
+        (message,) = MessageDecoder().feed(envelope(binary_body(header, packed)))
+        for decode in (frames_from_batch, arrays_from_batch):
+            with pytest.raises(ProtocolError, match="channel"):
+                decode(message)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wire=st.binary(max_size=256))
+    def test_random_bytes(self, wire):
+        try:
+            decode_everything(wire)
+        except ProtocolError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(body=st.binary(max_size=256), binary=st.booleans())
+    @example(body=b"[" * 50_000, binary=False)
+    @example(body=b"[" * 50_000, binary=True)
+    @example(body=b'{"type":"frame","t":' + b"1" * 5000 + b"}", binary=False)
+    @example(body=b'{"type":"frame-batch","n":' + b"1" * 5000 + b"}", binary=True)
+    def test_random_bodies_behind_a_valid_length(self, body, binary):
+        """Random JSON-ish or binary-envelope bodies under a correct prefix:
+        deep nesting and over-long integers are ``ProtocolError`` too."""
+        wire = envelope(binary_body(body) if binary else body)
+        try:
+            decode_everything(wire)
+        except ProtocolError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        packed=st.binary(max_size=4 * FRAME_RECORD.size),
+        channels=st.lists(st.sampled_from(["can1", "can2"]), max_size=2),
+    )
+    @example(packed=records((0.0, 0x800, 0, 0, bytes(8))), channels=[])
+    @example(packed=records((0.0, 0x20000000, FLAG_EXTENDED, 0, bytes(8))), channels=[])
+    def test_both_batch_decoders_accept_the_same_records(self, packed, channels):
+        """Random records: ``arrays_from_batch`` rejects exactly what
+        ``frames_from_batch`` rejects (out-of-range ids included), and
+        agrees with it column for column on the rest."""
+        message = {"type": FRAME_BATCH, "channels": channels, "_packed": packed}
+        try:
+            frames = frames_from_batch(message)
+        except ProtocolError:
+            with pytest.raises(ProtocolError):
+                arrays_from_batch(message)
+            return
+        assert_columns_match(arrays_from_batch(message), frames)
+
+    @settings(max_examples=60, deadline=None)
+    @given(frames=st.lists(can_frames(), max_size=8))
+    def test_arrays_agree_with_frames_on_valid_batches(self, frames):
+        (message,) = MessageDecoder().feed(encode_message(frame_batch_to_wire(frames)))
+        frames_decoded, arrays = frames_from_batch(message), arrays_from_batch(message)
+        assert frames_decoded == frames
+        assert list(arrays.frames) == frames_decoded
+        assert_columns_match(arrays, frames)
+
+
+class TestDeepNesting:
+    """``json.loads`` raises ``RecursionError`` on deep nesting; the
+    decoder must turn that into a ``ProtocolError`` like any bad body."""
+
+    def test_nested_json_body(self):
+        with pytest.raises(ProtocolError, match="not JSON"):
+            MessageDecoder().feed(envelope(b"[" * 50_000))
+
+    def test_nested_frame_batch_header(self):
+        with pytest.raises(ProtocolError, match="not JSON"):
+            MessageDecoder().feed(envelope(binary_body(b"[" * 50_000)))

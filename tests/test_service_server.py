@@ -3,8 +3,10 @@
 import asyncio
 import hashlib
 import json
+import struct
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -258,6 +260,24 @@ class TestLimitsAndBackpressure:
         assert "expected hello" in reply["error"]
         assert service_counters(server)["service.protocol_errors"] == 1
 
+    def test_deeply_nested_json_counts_protocol_error(self):
+        body = b"[" * 50_000  # json.loads raises RecursionError on this
+
+        async def run():
+            async with DiagnosticServer(ServiceConfig(gp_config=GP)) as server:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                writer.write(struct.pack(">I", len(body)) + body)
+                await writer.drain()
+                reply = await read_message(reader)
+                writer.close()
+                await writer.wait_closed()
+                return server, reply
+
+        server, reply = asyncio.run(run())
+        assert reply["type"] == "error"
+        assert "not JSON" in reply["error"]
+        assert service_counters(server)["service.protocol_errors"] == 1
+
 
 class TestObservability:
     def test_per_session_trace_lanes(self, capture_a):
@@ -265,7 +285,7 @@ class TestObservability:
             async with DiagnosticServer(
                 ServiceConfig(gp_config=GP, trace=True)
             ) as server:
-                await asyncio.gather(
+                results = await asyncio.gather(
                     *(
                         stream_capture_async(
                             "127.0.0.1",
@@ -277,17 +297,21 @@ class TestObservability:
                         for i in range(2)
                     )
                 )
-                return server
+                return server, results
 
-        server = asyncio.run(run())
+        server, results = asyncio.run(run())
         assert server.tracer.enabled
         lanes = {span.tid for span in server.tracer.spans}
         assert len(lanes) >= 2, "each session should occupy its own trace lane"
-        names = {span.name for span in server.tracer.spans}
-        # Inference spans rode the absorb path: the island backend records
-        # one gp_island span per worker batch (per-formula spans cannot
-        # nest across the interleaved island coroutines).
-        assert "gp_island" in names
+        # Inference spans rode the absorb path: the default backend runs
+        # GP on the shared worker pool, each worker records one gp_formula
+        # span per task, and each lands in its own session's lane.
+        gp_lanes = Counter(span.tid for span in server.tracer.spans if span.name == "gp_formula")
+        formula_esvs = [
+            sum(not esv["is_enum"] for esv in result.report["esvs"]) for result in results
+        ]
+        assert all(formula_esvs)
+        assert sorted(gp_lanes.values()) == sorted(formula_esvs)
         trace = server.tracer.to_chrome()
         assert len({event["tid"] for event in trace["traceEvents"]}) >= 2
 

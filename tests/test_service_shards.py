@@ -28,7 +28,7 @@ from repro.vehicle import build_car
 GP = GpConfig(seed=2, generations=8, population_size=100)
 
 #: Serial GP backend: each shard already is a process, and the tests want
-#: shard spawn/teardown fast, not island pools inside every shard.
+#: shard spawn/teardown fast, not a GP worker pool inside every shard.
 CONFIG = ServiceConfig(gp_config=GP, gp_backend="serial", analysis_workers=1)
 
 
