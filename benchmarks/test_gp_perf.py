@@ -1,13 +1,13 @@
-"""GP inference-engine performance: compiled vs interpreted, serial vs
+"""GP inference-engine performance: the engine per formula, serial vs
 parallel backends, cold vs warm formula memo.
 
-The perf features are exactness-preserving (compiled evaluation applies
-the same primitives in the same order; the fitness cache returns the float
-the evaluation produced; worker pools only reorder independent per-ESV
-work and merge in slot order; the memo replays the exact stored result),
-so this bench *asserts* result identity and *reports* the measured
-speedups — wall-clock ratios vary with the machine, the correctness
-contract does not.
+The perf features are exactness-preserving (the fitness cache returns the
+float the evaluation produced; worker pools only reorder independent
+per-ESV work and merge in slot order; the memo replays the exact stored
+result), so this bench *asserts* result identity and *reports* the
+measured speedups — wall-clock ratios vary with the machine, the
+correctness contract does not.  The engine's own exactness (flat programs
+against the plain tree loop) is a tier-1 test, ``tests/test_gp_reference.py``.
 
 Set ``GP_PERF_QUICK=1`` (the CI smoke mode) to run a reduced case set at a
 small GP budget with a 2-worker pool.  Timing *assertions* (the >=2x
@@ -33,10 +33,9 @@ WORKERS = 2 if QUICK else 4
 #: container scheduling noise without changing what is measured.
 ROUNDS = 1 if QUICK else 5
 
-FAST = GpConfig(seed=2)  # the default engine: compiled + cached
+FAST = GpConfig(seed=2)  # the default engine, fitness cache on
 if QUICK:
     FAST = replace(FAST, population_size=100, generations=8)
-SLOW = replace(FAST, compiled=False, fitness_cache=False)
 
 
 def formula_cases(fleet, keys=("K", "B"), limit=2 if QUICK else 8):
@@ -60,19 +59,14 @@ def formula_cases(fleet, keys=("K", "B"), limit=2 if QUICK else 8):
 
 
 def _time_engine(cases, config):
-    """Best-of-ROUNDS total inference time + the per-case results."""
-    results = None
+    """Best-of-ROUNDS total inference time."""
     best = float("inf")
     for __ in range(ROUNDS):
         start = time.perf_counter()
-        round_results = [
+        for __, observations, series in cases:
             infer_formula(observations, series, config)
-            for __, observations, series in cases
-        ]
         best = min(best, time.perf_counter() - start)
-        if results is None:
-            results = round_results
-    return best, results
+    return best
 
 
 #: Knobs that shape every artifact this module writes (the comparer flags
@@ -86,48 +80,25 @@ BENCH_CONFIG = {
 }
 
 
-def test_compiled_vs_interpreted(benchmark, report_file, bench_artifact, fleet):
+def test_engine_per_formula(benchmark, report_file, bench_artifact, fleet):
     cases = formula_cases(fleet)
     assert len(cases) >= 2
 
-    def run():
-        fast_s, fast_results = _time_engine(cases, FAST)
-        slow_s, slow_results = _time_engine(cases, SLOW)
-        return fast_s, slow_s, fast_results, slow_results
-
-    fast_s, slow_s, fast_results, slow_results = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-
-    # Correctness is the assertion: identical inferred expressions and
-    # fitness at equal seeds, engine by engine.
-    for (identifier, *_), fast, slow in zip(cases, fast_results, slow_results):
-        assert (fast is None) == (slow is None), identifier
-        if fast is not None:
-            assert fast.description == slow.description, identifier
-            assert fast.fitness == slow.fitness, identifier
-
-    speedup = slow_s / fast_s if fast_s else float("inf")
+    engine_s = benchmark.pedantic(_time_engine, args=(cases, FAST), rounds=1, iterations=1)
     report_file(
         f"Per-formula engine ({len(cases)} KWP ESVs, best of {ROUNDS} round(s)"
         f"{', quick mode' if QUICK else ''}):"
     )
-    report_file(f"  interpreted (compiled=False, cache=False): {slow_s/len(cases)*1000:7.0f} ms/formula")
-    report_file(f"  compiled + fitness cache (default):        {fast_s/len(cases)*1000:7.0f} ms/formula")
-    report_file(f"  speedup: {speedup:.2f}x, identical formulas on all {len(cases)} ESVs")
+    report_file(f"  engine (defaults): {engine_s / len(cases) * 1000:7.0f} ms/formula")
     report_file()
     bench_artifact(
         {
             "engine_cases": len(cases),
-            "compiled_ms_per_formula": round(fast_s / len(cases) * 1000, 3),
-            "interpreted_ms_per_formula": round(slow_s / len(cases) * 1000, 3),
-            "compiled_speedup": round(speedup, 3),
+            "engine_ms_per_formula": round(engine_s / len(cases) * 1000, 3),
         },
         {
             "engine_cases": "count",
-            "compiled_ms_per_formula": "ms",
-            "interpreted_ms_per_formula": "ms",
-            "compiled_speedup": "x",
+            "engine_ms_per_formula": "ms",
         },
         config=BENCH_CONFIG,
     )

@@ -156,7 +156,7 @@ def _cmd_reverse(args: argparse.Namespace) -> int:
     tracer = Tracer() if _observability_requested(args) else None
     start = time.perf_counter()
     config = ReverserConfig(
-        gp_config=GpConfig(seed=args.seed, compiled=args.gp_compiled),
+        gp_config=GpConfig(seed=args.seed),
         gp_workers=args.gp_workers,
         gp_backend=args.gp_backend,
         gp_batch=args.gp_batch,
@@ -492,13 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="formula memo directory: runs over already-solved ESV "
         "datasets recall the stored formulas instead of re-running GP",
-    )
-    reverse.add_argument(
-        "--gp-compiled",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="use the compiled GP evaluator (--no-gp-compiled falls back "
-        "to the recursive interpreter; results are bit-identical)",
     )
     reverse.add_argument(
         "--noise-profile",

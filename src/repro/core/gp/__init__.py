@@ -1,10 +1,10 @@
 """Genetic-programming symbolic regression (the paper's formula inference)."""
 
 from .functions import DEFAULT_FUNCTION_NAMES, FUNCTION_SET, GpFunction
-from .tree import Node, random_tree
+from .tree import Node
 from .batch import BatchEvaluator, MaesRequest, batched_maes, drive
 from .cache import FitnessCache
-from .compile import CompiledProgram, compile_tree, prime_instruction_tables, tree_key
+from .program import random_tree
 from .engine import GeneticProgrammer, GpConfig, GpResult, polish_constants
 from .serialize import tree_from_tokens, tree_to_tokens
 from .simplify import fold_constants, pretty
@@ -20,10 +20,6 @@ __all__ = [
     "Node",
     "random_tree",
     "FitnessCache",
-    "CompiledProgram",
-    "compile_tree",
-    "prime_instruction_tables",
-    "tree_key",
     "tree_to_tokens",
     "tree_from_tokens",
     "GeneticProgrammer",

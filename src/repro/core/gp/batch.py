@@ -180,12 +180,16 @@ def batched_maes(
 ) -> np.ndarray:
     """The per-tree fitness math, vectorised over population rows.
 
-    Every arithmetic step applies the same scalar operation the per-tree
-    ``_mae_from_predictions`` applies, in the same order; order-sensitive
-    reductions (means, sorts) use numpy's per-row kernels, and the two
-    least-squares dot products go through the same 1-D BLAS call per row
-    — so each row's fitness is bit-equal to the per-tree result (asserted
-    by the equivalence test suite).
+    Fitness is the mean absolute error after the tree's optimal linear
+    scaling ``a*f(X)+b`` (Keijzer 2003; off with ``linear_scaling=False``)
+    with the worst ``trim_fraction`` of residuals excluded, first from a
+    refit of the scaling and then from the mean, so OCR outliers that
+    survived the §3.3 filter cannot reward clip-shaped trees.  Element-wise
+    steps run in a fixed order, order-sensitive reductions (means, sorts)
+    use numpy's per-row kernels, and the two least-squares dot products go
+    through one 1-D BLAS call per row — so each row's fitness is bit-equal
+    to a one-row call on that row alone (asserted by the equivalence test
+    suite).
 
     ``y`` is the shared (N,) target for a one-ESV pass, or a (P, N)
     per-row target matrix for a merged cross-ESV pass; each row's result

@@ -5,7 +5,7 @@ over, elitism re-inserts the champion every generation, and point/constant
 mutation frequently reproduces the parent verbatim — so across a run many
 structurally identical trees are evaluated repeatedly.  Fitness depends
 only on the tree's structure and the (fixed) dataset, so one evaluation
-per distinct structure suffices.
+per distinct program suffices.
 
 A :class:`FitnessCache` is bound to exactly one dataset: the engine
 creates a fresh one per :meth:`~repro.core.gp.engine.GeneticProgrammer.fit`
@@ -22,7 +22,7 @@ _MISSING = object()
 
 
 class FitnessCache:
-    """Memoises fitness per canonical tree key (see :func:`tree_key`)."""
+    """Memoises fitness per program (see :mod:`repro.core.gp.program`)."""
 
     def __init__(self, max_entries: int = 100_000) -> None:
         self._table: Dict[Tuple, float] = {}
@@ -30,7 +30,7 @@ class FitnessCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: Materialised constant arrays, shared by the compiled executor
+        #: Materialised constant arrays, shared by program execution
         #: across every engine bound to this cache (same dataset length).
         self.const_arrays: dict = {}
 

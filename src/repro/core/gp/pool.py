@@ -6,9 +6,9 @@ submits one :class:`~repro.core.reverser._FormulaTask` per ESV to a
 caches one per (workers, memo_dir, trace) configuration at module level
 and hands it to every :meth:`~repro.core.reverser.DPReverser.infer` call,
 reverser and service session with that configuration.  Process spawn
-and worker warm-up (:func:`~repro.core.reverser._gp_worker_init`:
-compiled-tree instruction tables, the memo handle, the trace flag) are
-therefore paid once per process lifetime, not once per capture.
+and worker warm-up (imports, then
+:func:`~repro.core.reverser._gp_worker_init`: the memo handle, the trace
+flag) are therefore paid once per process lifetime, not once per capture.
 
 One task per ESV, rather than one static slice of the ESVs per worker,
 lets the pool balance itself: a worker that finishes a cheap ESV takes

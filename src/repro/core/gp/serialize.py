@@ -8,8 +8,8 @@ reconstructed tree has to evaluate bit-for-bit like the original, because
 report byte-identity across backends and across warm/cold memo runs is an
 asserted invariant.
 
-Trees are encoded as their postfix token sequence (the same order
-:func:`repro.core.gp.compile.compile_tree` uses), with three token kinds::
+Trees are encoded as their postfix token sequence, with three token
+kinds::
 
     ["v", index]   variable reference X<index>
     ["c", value]   floating-point constant
@@ -32,7 +32,7 @@ from .tree import Node
 
 def tree_to_tokens(tree: Node) -> List[list]:
     """Flatten ``tree`` into its postfix token list."""
-    # Right-first pre-order; reversed yields postfix (as in compile_tree).
+    # Right-first pre-order; reversed, it is postfix.
     walk: List[Node] = []
     stack: List[Node] = [tree]
     while stack:

@@ -3,13 +3,13 @@
 GP represents formulas as syntax trees (§3.5): interior nodes are functions
 from the 14-function set, leaves are raw-variable references (``X0``,
 ``X1``) or floating-point constants.  Trees evaluate vectorised over the
-whole dataset.
+whole dataset.  Evolution itself breeds the flat pre-order form of a tree
+(:mod:`repro.core.gp.program`); trees are what goes in and comes out.
 """
 
 from __future__ import annotations
 
-import random
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -121,40 +121,12 @@ class Node:
     # ------------------------------------------------------------ manipulation
 
     def copy(self) -> "Node":
-        # Breeding copies hundreds of thousands of nodes per fit; going
-        # through __new__ skips the __init__ defaults-and-fallbacks dance.
-        clone = Node.__new__(Node)
-        clone.function = self.function
-        clone.children = [child.copy() for child in self.children]
-        clone.var_index = self.var_index
-        clone.constant = self.constant
-        return clone
-
-    def copy_with_nodes(self) -> Tuple["Node", List["Node"]]:
-        """Copy the tree and return the copy's pre-order node list too.
-
-        The breeding operators always need both (copy, then pick a node in
-        the copy); fusing them halves the tree walks per child.
-        """
-        out: List[Node] = []
-        clone = self._copy_into(out)
-        return clone, out
-
-    def _copy_into(self, out: List["Node"]) -> "Node":
-        clone = Node.__new__(Node)
-        out.append(clone)
-        children = self.children
-        if children:
-            clone.function = self.function
-            clone.children = [child._copy_into(out) for child in children]
-            clone.var_index = None
-            clone.constant = None
-        else:
-            clone.function = None
-            clone.children = []
-            clone.var_index = self.var_index
-            clone.constant = self.constant
-        return clone
+        return Node(
+            function=self.function,
+            children=[child.copy() for child in self.children],
+            var_index=self.var_index,
+            constant=self.constant,
+        )
 
     def nodes(self) -> List["Node"]:
         """Pre-order list of all nodes (self included)."""
@@ -163,28 +135,8 @@ class Node:
         while stack:
             node = stack.pop()
             out.append(node)
-            children = node.children
-            if children:
-                # Push right-to-left so the left subtree pops first,
-                # preserving the recursive pre-order.
-                if len(children) == 2:
-                    stack.append(children[1])
-                    stack.append(children[0])
-                elif len(children) == 1:
-                    stack.append(children[0])
-                else:  # pragma: no cover - no arity>2 functions in the set
-                    stack.extend(reversed(children))
+            stack.extend(reversed(node.children))  # the left subtree pops first
         return out
-
-    def replace_child(self, old: "Node", new: "Node") -> bool:
-        """Replace ``old`` (by identity) anywhere in the subtree."""
-        for index, child in enumerate(self.children):
-            if child is old:
-                self.children[index] = new
-                return True
-            if child.replace_child(old, new):
-                return True
-        return False
 
     # ------------------------------------------------------------------ output
 
@@ -199,39 +151,3 @@ class Node:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Node {self.to_infix()}>"
 
-
-def random_tree(
-    rng: random.Random,
-    n_variables: int,
-    function_names: Sequence[str],
-    max_depth: int = 4,
-    const_range: float = 10.0,
-    grow: bool = True,
-) -> Node:
-    """Generate a random tree (grow or full initialisation).
-
-    Initial populations (and restart populations) allocate hundreds of
-    thousands of nodes per inference run, so nodes are built through
-    ``__new__`` directly; the rng call sequence matches the naive
-    ``Node.var``/``Node.const`` construction exactly.
-    """
-    node = Node.__new__(Node)
-    if max_depth <= 1 or (grow and rng.random() < 0.3):
-        node.function = None
-        node.children = []
-        if rng.random() < 0.7:
-            node.var_index = rng.randrange(n_variables)
-            node.constant = None
-        else:
-            node.var_index = None
-            node.constant = round(rng.uniform(-const_range, const_range), 3)
-        return node
-    function = FUNCTION_SET[rng.choice(function_names)]
-    node.function = function
-    node.children = [
-        random_tree(rng, n_variables, function_names, max_depth - 1, const_range, grow)
-        for __ in range(function.arity)
-    ]
-    node.var_index = None
-    node.constant = None
-    return node

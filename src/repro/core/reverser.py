@@ -32,7 +32,7 @@ from .assembly import AssembledMessage, DecodeDiagnostics, assemble_with_diagnos
 from .ecr_analysis import EcrProcedure, attach_semantics, extract_procedures
 from .fields import EsvObservation, ExtractedFields, extract_fields
 from .formula_memo import FormulaMemo, dataset_key
-from .gp import GpConfig, prime_instruction_tables
+from .gp import GpConfig
 from .request_analysis import SemanticMatch, match_semantics
 from .response_analysis import InferredFormula, infer_formula, infer_formula_steps
 from .screenshot import FilterReport, UiSeries, extract_ui_series, filter_ui_series
@@ -488,18 +488,16 @@ _WORKER_TRACE: bool = False
 
 
 def _gp_worker_init(memo_dir: str, trace: bool = False) -> None:
-    """Warm one pool worker: instruction tables and the memo handle.
+    """Set up one pool worker: the memo handle and the trace flag.
 
     Runs inside the child process right after it starts (spawn-safe — it
     touches only module-level state), so every task submitted afterwards
-    finds hot compiled-tree instruction tables instead of repaying the
-    lazy-initialisation cost, and a single memo handle instead of
-    reopening the store per task.  ``trace`` mirrors the parent tracer's
-    enabled flag: workers record spans into a per-task tracer and ship
-    them back in the :class:`_TaskOutcome`.
+    finds a single memo handle instead of reopening the store per task.
+    ``trace`` mirrors the parent tracer's enabled flag: workers record
+    spans into a per-task tracer and ship them back in the
+    :class:`_TaskOutcome`.
     """
     global _WORKER_MEMO, _WORKER_TRACE
-    prime_instruction_tables()
     _WORKER_MEMO = FormulaMemo(memo_dir) if memo_dir else None
     _WORKER_TRACE = trace
 
@@ -597,8 +595,8 @@ class DPReverser:
         #: Worker count for per-ESV formula inference.  Each ESV's GP run
         #: is independently seeded (:func:`_stable_seed`) and outcomes
         #: merge back in slot order, so parallel execution changes
-        #: wall-clock only, never the report.  The fitness hot path is the
-        #: compiled-program interpreter loop: Python bytecode dispatching
+        #: wall-clock only, never the report.  The GP hot path is breeding
+        #: and the program interpreter loop: Python bytecode dispatching
         #: numpy calls on arrays of a few dozen samples, so the GIL is held
         #: nearly the whole time and threads would serialise on it.  Speedup
         #: needs the ``process`` backend, which ``"auto"`` selects whenever

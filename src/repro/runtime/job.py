@@ -91,6 +91,22 @@ class JobSpec:
     #: :attr:`gp_workers`.
     trace: bool = False
 
+    def __post_init__(self) -> None:
+        """Reject overrides :class:`~repro.core.GpConfig` cannot take.
+
+        A bad name would otherwise fail only inside the worker, after the
+        capture, and the scheduler would retry a config error that can
+        never succeed.  ``seed`` comes from :attr:`seed`.
+        """
+        from dataclasses import fields
+
+        from ..core.gp import GpConfig
+
+        allowed = {field.name for field in fields(GpConfig)} - {"seed"}
+        unknown = sorted(str(name) for name, __ in self.gp_overrides if name not in allowed)
+        if unknown:
+            raise ValueError(f"gp_overrides names no GpConfig field: {', '.join(unknown)}")
+
     @property
     def job_id(self) -> str:
         """Stable id derived from every outcome-determining field."""

@@ -51,18 +51,14 @@ def _process_worker_init(runner: Callable[[JobSpec], JobResult]) -> None:
     Runs once per worker process, so each job submission afterwards ships
     only its lean :class:`JobSpec` — the runner is never re-pickled per
     submit — and the first job in every worker no longer pays the lazy
-    imports and compiled-tree table initialisation that :func:`run_job`
-    would otherwise trigger (visible as first-job latency under ``spawn``
-    start methods, where workers do not inherit the parent's modules).
+    imports that :func:`run_job` would otherwise trigger (visible as
+    first-job latency under ``spawn`` start methods, where workers do not
+    inherit the parent's modules).
     """
     global _WORKER_RUNNER
     _WORKER_RUNNER = runner
-    from ..core.gp import prime_instruction_tables
-
     # Touch the modules run_job imports lazily inside the worker.
-    from .. import cps, tools, vehicle  # noqa: F401
-
-    prime_instruction_tables()
+    from .. import core, cps, tools, vehicle  # noqa: F401
 
 
 def _invoke_worker_runner(spec: JobSpec) -> JobResult:
@@ -73,11 +69,7 @@ def _invoke_worker_runner(spec: JobSpec) -> JobResult:
 
 def _generic_worker_init() -> None:
     """Warm one pool worker for arbitrary submissions (no fixed runner)."""
-    from ..core.gp import prime_instruction_tables
-
-    from .. import cps, tools, vehicle  # noqa: F401
-
-    prime_instruction_tables()
+    from .. import core, cps, tools, vehicle  # noqa: F401
 
 
 class _ImmediateFuture(Future):

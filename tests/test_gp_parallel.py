@@ -504,6 +504,14 @@ class TestCliBackendChoices:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
+    @pytest.mark.parametrize("flag", ["--gp-compiled", "--no-gp-compiled"])
+    def test_removed_gp_compiled_flag_rejected(self, flag, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["reverse", "capture", flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_kept_backends_parse(self):
         from repro.cli import build_parser
 

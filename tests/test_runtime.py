@@ -76,6 +76,20 @@ class TestJobSpec:
         spec = JobSpec("K", seed=5, gp_overrides=(("generations", 8),))
         assert JobSpec.from_dict(spec.to_dict()) == spec
 
+    def test_unknown_gp_override_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="bogus"):
+            JobSpec("C", gp_overrides=(("bogus", 1),))
+        with pytest.raises(ValueError, match="seed"):
+            JobSpec("C", gp_overrides=(("seed", 3),))
+
+    def test_from_dict_rejects_removed_gp_field(self):
+        """A spec saved when GpConfig still had ``compiled`` fails at load,
+        naming the field, instead of failing every retry of the job."""
+        payload = JobSpec("C", gp_overrides=(("generations", 8),)).to_dict()
+        payload["gp_overrides"].append(["compiled", False])
+        with pytest.raises(ValueError, match="compiled"):
+            JobSpec.from_dict(payload)
+
     def test_fleet_job_specs_validates_keys(self):
         assert [s.car_key for s in fleet_job_specs(["a", "k"])] == ["A", "K"]
         assert len(fleet_job_specs()) == 18
