@@ -28,7 +28,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..can import CanFrame
+from .pairing import nearest_pairs, pearson
 
 N_BITS = 64
 
@@ -151,22 +154,6 @@ class FieldMatch:
     correlation: float
 
 
-def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    n = min(len(xs), len(ys))
-    if n < 4:
-        return 0.0
-    xs = list(xs[:n])
-    ys = list(ys[:n])
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    var_x = sum((x - mean_x) ** 2 for x in xs)
-    var_y = sum((y - mean_y) ** 2 for y in ys)
-    if var_x <= 1e-12 or var_y <= 1e-12:
-        return 0.0
-    return cov / math.sqrt(var_x * var_y)
-
-
 def librecan_match(
     frames: Sequence[CanFrame],
     fields: Sequence[ReadField],
@@ -180,27 +167,20 @@ def librecan_match(
     values are sampled at frame times and paired with the nearest
     reference sample.
     """
+    times = [f.timestamp for f in frames]
+    columns = {
+        name: ([t for t, __ in reference], np.array([v for __, v in reference], dtype=float))
+        for name, reference in references.items()
+    }
     matches: List[FieldMatch] = []
     for read_field in fields:
         if read_field.kind != "physical":
             continue
-        series = [(f.timestamp, float(read_field.extract(f))) for f in frames]
+        values = np.array([float(read_field.extract(f)) for f in frames])
         best: Optional[FieldMatch] = None
-        for name, reference in references.items():
-            paired_field: List[float] = []
-            paired_ref: List[float] = []
-            ref_index = 0
-            for t, value in series:
-                while (
-                    ref_index + 1 < len(reference)
-                    and abs(reference[ref_index + 1][0] - t)
-                    <= abs(reference[ref_index][0] - t)
-                ):
-                    ref_index += 1
-                if reference and abs(reference[ref_index][0] - t) <= 0.5:
-                    paired_field.append(value)
-                    paired_ref.append(reference[ref_index][1])
-            correlation = abs(_pearson(paired_field, paired_ref))
+        for name, (reference_times, reference_values) in columns.items():
+            ix, iy = nearest_pairs(times, reference_times, 0.5)
+            correlation = abs(pearson(values[ix], reference_values[iy]))
             if best is None or correlation > best.correlation:
                 best = FieldMatch(read_field, name, correlation)
         if best is not None and best.correlation >= min_correlation:

@@ -37,6 +37,7 @@ from .gp import (
     tree_from_tokens,
     tree_to_tokens,
 )
+from .pairing import nearest_pairs
 from .screenshot import UiSeries
 
 
@@ -79,34 +80,24 @@ def build_dataset(
     y_values: List[float] = []
     if not samples:
         return PairedDataset(x_rows, y_values)
+    times = np.array([s.timestamp for s in samples], dtype=float)
     # Pair only when a frame genuinely belongs to the observation: tighter
     # than half the typical frame spacing, so an observation whose frame was
     # filtered out is skipped rather than paired with a neighbouring frame
     # showing a different value.
     if adaptive_gap and len(samples) >= 3:
-        gaps = sorted(
-            samples[i + 1].timestamp - samples[i].timestamp
-            for i in range(len(samples) - 1)
-        )
-        median_gap = gaps[len(gaps) // 2]
+        gaps = np.sort(np.diff(times))
+        median_gap = float(gaps[len(gaps) // 2])
         max_gap_s = min(max_gap_s, 0.6 * median_gap) if median_gap > 0 else max_gap_s
-    sample_index = 0
-    for obs in observations:
-        while (
-            sample_index + 1 < len(samples)
-            and abs(samples[sample_index + 1].timestamp - obs.timestamp)
-            <= abs(samples[sample_index].timestamp - obs.timestamp)
-        ):
-            sample_index += 1
-        nearest = samples[sample_index]
-        if abs(nearest.timestamp - obs.timestamp) > max_gap_s:
-            continue
+    ix, iy = nearest_pairs([o.timestamp for o in observations], times, max_gap_s)
+    for i, j in zip(ix.tolist(), iy.tolist()):
+        obs = observations[i]
         if obs.protocol == "kwp" or interpretation == "bytes":
             xs = tuple(float(v) for v in obs.variables())
         else:
             xs = (float(obs.as_int()),)
         x_rows.append(xs)
-        y_values.append(nearest.value)
+        y_values.append(samples[j].value)
     # A corrupted capture can yield a minority of observations with a
     # different byte count for the same ESV; keep only the dominant arity
     # so the dataset stays rectangular for scaling and GP.

@@ -33,7 +33,8 @@ from .ecr_analysis import EcrProcedure, attach_semantics, extract_procedures
 from .fields import EsvObservation, ExtractedFields, extract_fields
 from .formula_memo import FormulaMemo, dataset_key
 from .gp import GpConfig
-from .request_analysis import SemanticMatch, match_semantics
+from .pairing import nearest_pairs
+from .request_analysis import ColumnView, SemanticMatch
 from .response_analysis import InferredFormula, infer_formula, infer_formula_steps
 from .screenshot import FilterReport, UiSeries, extract_ui_series, filter_ui_series
 
@@ -759,22 +760,22 @@ class DPReverser:
         series: Dict[str, UiSeries],
         capture: Capture,
     ) -> List[SemanticMatch]:
-        """Semantic matching, per live segment when the click log has them."""
+        """Semantic matching, per live segment when the click log has them.
+
+        The column view is built once; each segment's window slices it.
+        """
+        columns = ColumnView(grouped, series)
         live_segments = [s for s in capture.segments if s.kind == "live"]
         if not live_segments:
-            return match_semantics(grouped, series)
+            return columns.match()
         matches: List[SemanticMatch] = []
         matched_ids: set = set()
         matched_labels: set = set()
         for segment in live_segments:
             window = (segment.t_start - 1.0, segment.t_end + 1.0)
-            segment_grouped = {
-                key: value for key, value in grouped.items() if key not in matched_ids
-            }
-            segment_series = {
-                key: value for key, value in series.items() if key not in matched_labels
-            }
-            for match in match_semantics(segment_grouped, segment_series, window):
+            for match in columns.match(
+                window, skip_identifiers=matched_ids, skip_labels=matched_labels
+            ):
                 matches.append(match)
                 matched_ids.add(match.identifier)
                 matched_labels.add(match.label)
@@ -970,22 +971,13 @@ def _enum_states(
     """Map each raw state value to the text most often shown with it."""
     votes: Dict[int, Dict[str, int]] = {}
     samples = series.samples
-    if not samples:
-        return {}
-    sample_index = 0
-    for obs in observations:
-        while (
-            sample_index + 1 < len(samples)
-            and abs(samples[sample_index + 1].timestamp - obs.timestamp)
-            <= abs(samples[sample_index].timestamp - obs.timestamp)
-        ):
-            sample_index += 1
-        nearest = samples[sample_index]
-        if abs(nearest.timestamp - obs.timestamp) > 1.5:
-            continue
-        raw = obs.as_int()
-        votes.setdefault(raw, {}).setdefault(nearest.text, 0)
-        votes[raw][nearest.text] += 1
+    ix, iy = nearest_pairs(
+        [o.timestamp for o in observations], [s.timestamp for s in samples], 1.5
+    )
+    for i, j in zip(ix.tolist(), iy.tolist()):
+        texts = votes.setdefault(observations[i].as_int(), {})
+        text = samples[j].text
+        texts[text] = texts.get(text, 0) + 1
     return {
         raw: max(texts.items(), key=lambda item: item[1])[0]
         for raw, texts in votes.items()
