@@ -18,7 +18,10 @@ import asyncio
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     DPReverser,
@@ -34,6 +37,7 @@ from repro.core import (
 from repro.core.inference import (
     LINEAR_ACCEPT_FITNESS,
     LinearBackend,
+    _design_matrix,
     _term_value,
     sample_agreement,
 )
@@ -122,6 +126,82 @@ class TestSampleAgreement:
         formula = LinearFormula(("x0",), (2.0,), arity=1)
         dataset = PairedDataset([(100.0,), (200.0,)], [200.0, 4000.0])
         assert sample_agreement(formula, dataset) == 0.5
+
+
+# ----------------------------------------------------------- column terms
+
+
+def reference_sample_agreement(formula, dataset):
+    """Agreement counted row by row through the scalar formula call."""
+    if not len(dataset):
+        return 0.0
+    wants = dataset.y_values
+    spread = max(wants) - min(wants)
+    agreeing = 0
+    for xs, want in zip(dataset.x_rows, wants):
+        try:
+            got = formula(xs)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            continue
+        if math.isnan(got) or math.isinf(got):
+            continue
+        if abs(got - want) <= max(0.5, 0.05 * abs(want), 0.03 * spread):
+            agreeing += 1
+    return agreeing / len(dataset)
+
+
+_TERMS = st.sampled_from(
+    ["1", "x0", "x1", "x0*x1", "x0/x1", "x1/x0", "x0>>8", "x0>>4", "x0&255",
+     "x0&15", "x1>>8", "x1&255", "x0/2", "3*x1"]
+)
+# Raw integers, zeros (divisors), values past 2**63 where an int64 cast
+# would wrap, and arbitrary floats (negative and fractional included).
+_RAW = st.one_of(
+    st.integers(0, 0xFFFF),
+    st.sampled_from([0, 2**53 + 2, 2**63, 2**63 + 4096, 2**64 - 1, 2**70]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+).map(float)
+_ROWS = st.lists(st.tuples(_RAW, _RAW), min_size=1, max_size=12)
+
+
+def _bits(array):
+    """Bit patterns, with every NaN as one pattern."""
+    values = np.asarray(array, dtype=float)
+    return np.where(np.isnan(values), np.nan, values).view(np.uint64).tolist()
+
+
+class TestColumnTerms:
+    """The column forms of term evaluation equal the per-row
+    ``_term_value`` loop bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(terms=st.lists(_TERMS, min_size=1, max_size=3), rows=_ROWS)
+    def test_design_matrix_equals_row_loop(self, terms, rows):
+        want = np.array([[_term_value(t, xs) for t in terms] for xs in rows], dtype=float)
+        got = _design_matrix(tuple(terms), rows)
+        if np.isfinite(want).all():
+            assert _bits(got) == _bits(want)
+        else:
+            assert got is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        terms=st.lists(_TERMS, min_size=1, max_size=3),
+        coefficients=st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=3, max_size=3),
+        rows=_ROWS,
+        ys=st.lists(st.floats(-1e4, 1e4, allow_nan=False), min_size=12, max_size=12),
+    )
+    def test_sample_agreement_equals_row_loop(self, terms, coefficients, rows, ys):
+        formula = LinearFormula(terms, coefficients[: len(terms)], arity=2)
+        assert _bits(formula.evaluate_rows(rows)) == _bits([formula(xs) for xs in rows])
+        dataset = PairedDataset(rows, ys[: len(rows)])
+        assert sample_agreement(formula, dataset) == reference_sample_agreement(formula, dataset)
+
+    def test_values_past_int64(self):
+        rows = [(float(2**63), 1.0), (float(2**64 - 1), 2.0), (float(2**70), 3.0)]
+        matrix = _design_matrix(("x0>>8", "x0&255"), rows)
+        assert matrix[:, 0].tolist() == [float(int(x) >> 8) for x, __ in rows]
+        assert matrix[:, 1].tolist() == [float(int(x) & 255) for x, __ in rows]
 
 
 # ------------------------------------------------------------ linear vs truth
