@@ -18,6 +18,8 @@ from __future__ import annotations
 import statistics
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..diagnostics import obd2
 from .fields import EsvObservation
 from .screenshot import UiSeries
@@ -63,22 +65,21 @@ def estimate_offset_via_obd(
         for series in ui_series.values()
         for sample in series.numeric_samples
     ]
+    times = np.array([s.timestamp for s in numeric_samples], dtype=float)
+    values = np.array([s.value for s in numeric_samples], dtype=float)
     for observation in observations:
         if observation.protocol != "obd2":
             continue
-        truths = obd_ground_truth_values(observation)
-        for truth in truths:
+        distance = np.abs(times - observation.timestamp)
+        in_reach = distance <= max_offset_s
+        for truth in obd_ground_truth_values(observation):
             tolerance = max(0.51, abs(truth) * value_tolerance)
-            candidates = [
-                sample
-                for sample in numeric_samples
-                if abs(sample.value - truth) <= tolerance
-                and abs(sample.timestamp - observation.timestamp) <= max_offset_s
-            ]
-            if not candidates:
+            candidates = np.flatnonzero(in_reach & (np.abs(values - truth) <= tolerance))
+            if not len(candidates):
                 continue
-            best = min(candidates, key=lambda s: abs(s.timestamp - observation.timestamp))
-            offsets.append(best.timestamp - observation.timestamp)
+            # The first sample at the least distance, in series order.
+            best = candidates[np.argmin(distance[candidates])]
+            offsets.append(float(times[best]) - observation.timestamp)
     if not offsets:
         return None
     return statistics.median(offsets)

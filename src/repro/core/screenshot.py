@@ -80,14 +80,20 @@ def pair_value_rows(frame: OcrFrame) -> List[Tuple[OcrRegion, OcrRegion]]:
     lies within half the value's height, and the horizontally closest such
     label wins.  Buttons play no part, so no keyword matching runs here.
     """
-    labels = [r for r in frame.regions if r.kind == "label"]
-    rows: List[Tuple[OcrRegion, OcrRegion]] = []
-    for value in frame.regions:
+    regions = frame.regions
+    return [(regions[i], regions[j]) for i, j in _row_indices(regions)]
+
+
+def _row_indices(regions: Sequence[OcrRegion]) -> List[Tuple[int, int]]:
+    """:func:`pair_value_rows` as ``(label index, value index)`` pairs."""
+    labels = [(i, r) for i, r in enumerate(regions) if r.kind == "label"]
+    rows: List[Tuple[int, int]] = []
+    for j, value in enumerate(regions):
         if value.kind != "value":
             continue
-        row_labels = [l for l in labels if abs(l.y - value.y) <= value.height // 2]
+        row_labels = [(i, l) for i, l in labels if abs(l.y - value.y) <= value.height // 2]
         if row_labels:
-            rows.append((min(row_labels, key=lambda l: abs(l.x - value.x)), value))
+            rows.append((min(row_labels, key=lambda item: abs(item[1].x - value.x))[0], j))
     return rows
 
 
@@ -102,8 +108,17 @@ def extract_ui_series(
     frequent spelling.
     """
     raw: Dict[str, UiSeries] = {}
+    # Row pairing reads only each region's kind and position, so frames of
+    # one screen layout share it: pair once per layout, as region indices.
+    layouts: Dict[Tuple[Tuple[str, int, int, int], ...], List[Tuple[int, int]]] = {}
     for frame in ocr_frames:
-        for label_region, value_region in pair_value_rows(frame):
+        regions = frame.regions
+        layout = tuple((r.kind, r.x, r.y, r.height) for r in regions)
+        rows = layouts.get(layout)
+        if rows is None:
+            rows = layouts[layout] = _row_indices(regions)
+        for label_index, value_index in rows:
+            label_region, value_region = regions[label_index], regions[value_index]
             text = value_region.text.strip()
             if text in ("---", ""):
                 continue
