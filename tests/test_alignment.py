@@ -1,6 +1,10 @@
 """Tests for message/screenshot time alignment (§9.4)."""
 
+import statistics
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.alignment import (
     estimate_offset_via_obd,
@@ -55,6 +59,55 @@ class TestOffsetEstimation:
         observations = [obd_observation(0x0D, b"\x64", 1.0)]
         ui = self.make_ui([(1.2, 250)])  # 250 matches neither 100 nor 62.1
         assert estimate_offset_via_obd(observations, ui) is None
+
+
+def reference_offset(observations, ui_series, value_tolerance=0.02, max_offset_s=30.0):
+    """The anchor search as a scan over every numeric sample."""
+    samples = [s for series in ui_series.values() for s in series.numeric_samples]
+    offsets = []
+    for observation in observations:
+        if observation.protocol != "obd2":
+            continue
+        for truth in obd_ground_truth_values(observation):
+            tolerance = max(0.51, abs(truth) * value_tolerance)
+            candidates = [
+                s
+                for s in samples
+                if abs(s.value - truth) <= tolerance
+                and abs(s.timestamp - observation.timestamp) <= max_offset_s
+            ]
+            if candidates:
+                best = min(candidates, key=lambda s: abs(s.timestamp - observation.timestamp))
+                offsets.append(best.timestamp - observation.timestamp)
+    return statistics.median(offsets) if offsets else None
+
+
+@st.composite
+def anchor_inputs(draw):
+    # Coarse grids make equal distances (ties) and repeated values common;
+    # two labels put samples out of time order across series.
+    observations = [
+        obd_observation(draw(st.sampled_from([0x0C, 0x0D, 0x05])), bytes([v, w]), t * 0.5)
+        for v, w, t in draw(
+            st.lists(st.tuples(st.integers(0, 120), st.integers(0, 255), st.integers(0, 80)),
+                     max_size=6)
+        )
+    ]
+    ui = {}
+    for label in ("Vehicle Speed", "Coolant"):
+        points = draw(st.lists(st.tuples(st.integers(0, 100), st.integers(0, 160)), max_size=12))
+        ui[label] = UiSeries(
+            label, [UiSample(t * 0.5, f"{v}", float(v)) for t, v in sorted(points)]
+        )
+    return observations, ui
+
+
+class TestOffsetAgainstScan:
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=anchor_inputs())
+    def test_equals_per_sample_scan(self, inputs):
+        observations, ui = inputs
+        assert estimate_offset_via_obd(observations, ui) == reference_offset(observations, ui)
 
 
 class TestShift:
