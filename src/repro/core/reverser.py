@@ -18,15 +18,14 @@ Pipeline (Fig. 6a):
 
 from __future__ import annotations
 
-import time
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..can.noise import FaultCounts, NoiseProfile, apply_noise
 from ..cps.collector import Capture
 from ..cps.ocr import OcrEngine
-from ..observability.trace import NULL_TRACER, Tracer, activate, activated, get_active
+from ..observability.trace import NULL_TRACER, Tracer, activated, get_active
 from .alignment import estimate_offset_via_obd, shift_series
 from .assembly import AssembledMessage, DecodeDiagnostics, assemble_with_diagnostics
 from .ecr_analysis import EcrProcedure, attach_semantics, extract_procedures
@@ -61,14 +60,6 @@ class ReverserConfig:
     ocr_seed: int = 23
     #: Estimate and correct the camera-vs-sniffer clock offset (§3.3).
     estimate_alignment: bool = True
-    #: Called as ``stage_hook(stage_name, elapsed_seconds)`` at every
-    #: pipeline stage boundary.  The runtime subsystem installs a recorder
-    #: here to build per-stage wall-clock histograms.
-    stage_hook: Optional[Callable[[str, float], None]] = None
-    #: Performance counter used to time stages.  Defaults to the real
-    #: :func:`time.perf_counter`; simulated paths pass
-    #: :meth:`repro.simtime.SimClock.perf` to stay deterministic.
-    perf: Optional[Callable[[], float]] = None
     #: Worker count for per-ESV formula inference (1 = serial in-process).
     gp_workers: int = 1
     #: Execution backend for per-ESV formula inference.  ``"serial"`` runs
@@ -106,9 +97,10 @@ class ReverserConfig:
     #: default) leaves the capture byte-identical to the clean pipeline.
     noise: Optional[NoiseProfile] = None
     #: Tracer recording a hierarchical span per pipeline stage, GP task,
-    #: restart and memo lookup (:mod:`repro.observability.trace`).  ``None``
-    #: (the default) uses the shared disabled tracer: zero overhead, and
-    #: the report stays byte-identical either way.
+    #: restart and memo lookup (:mod:`repro.observability.trace`) — the
+    #: pipeline's only timer.  ``None`` (the default) uses the shared
+    #: disabled tracer: zero overhead, and the report stays byte-identical
+    #: either way.
     trace: Optional[Tracer] = None
 
 
@@ -356,21 +348,15 @@ class _FormulaTask:
 
 @dataclass
 class _TaskOutcome:
-    """What one executed formula task sends back to the planner.
-
-    ``elapsed`` is telemetry for the parent's ``gp_formula`` stage hook —
-    the hook itself cannot cross a process boundary, so workers report
-    timings in the result object and the parent replays them during the
-    deterministic slot-order merge.
-    """
+    """What one executed formula task sends back to the planner."""
 
     slot: int
     esv: ReversedEsv
-    elapsed: float
     memo_hit: Optional[bool]  # None when memoisation was off
-    #: Spans recorded inside a pool worker (exported dict form) — the
-    #: parent grafts them into its own tracer during the merge, the same
-    #: route ``elapsed`` takes.  Empty unless tracing is on.
+    #: Spans recorded inside a pool worker (exported dict form) — a
+    #: worker's tracer cannot cross the process boundary, so the parent
+    #: grafts them into its own tracer during the deterministic slot-order
+    #: merge.  Empty unless tracing is on.
     spans: List[dict] = field(default_factory=list)
 
 
@@ -415,9 +401,7 @@ def _execute_formula_task(
 
 
 def run_batched_tasks(
-    tasks: List[_FormulaTask],
-    memo: Optional[FormulaMemo],
-    perf: Callable[[], float] = time.perf_counter,
+    tasks: List[_FormulaTask], memo: Optional[FormulaMemo]
 ) -> List[_TaskOutcome]:
     """Execute many formula tasks as one cross-ESV batched pass.
 
@@ -428,16 +412,14 @@ def run_batched_tasks(
     ESVs.  Results — and therefore reports — are byte-identical to
     running the tasks one at a time.
 
-    ``elapsed`` telemetry: concurrent inferences have no private
-    wall-clock, so each executed task reports an equal share of the batch
-    duration (memo hits report 0.0).  Per-restart spans are not recorded
-    — interleaved coroutines cannot nest spans — so the batch is covered
-    by a single ``gp_batch`` span instead.
+    Concurrent inferences have no private wall-clock, and interleaved
+    coroutines cannot nest spans, so the batch is covered by a single
+    ``gp_batch`` span instead of per-task ``gp_formula`` and per-restart
+    spans.
     """
     from .gp.batch import BatchEvaluator
 
     tracer = get_active()
-    start = perf()
     outcomes: List[_TaskOutcome] = []
     generators = []
     gen_tasks: List[Tuple[_FormulaTask, Optional[str]]] = []
@@ -456,7 +438,7 @@ def run_batched_tasks(
                     span.set(hit=memo_hit)
                 if memo_hit:
                     outcomes.append(
-                        _TaskOutcome(task.slot, _esv_from_task(task, inferred), 0.0, True)
+                        _TaskOutcome(task.slot, _esv_from_task(task, inferred), True)
                     )
                     continue
             generators.append(
@@ -466,7 +448,6 @@ def run_batched_tasks(
             )
             gen_tasks.append((task, key))
         results = BatchEvaluator().run(generators)
-        share = (perf() - start) / max(1, len(gen_tasks))
         for (task, key), inferred in zip(gen_tasks, results):
             if memo is not None:
                 memo.put(key, inferred)
@@ -474,7 +455,6 @@ def run_batched_tasks(
                 _TaskOutcome(
                     task.slot,
                     _esv_from_task(task, inferred),
-                    share,
                     False if memo is not None else None,
                 )
             )
@@ -504,30 +484,15 @@ def _gp_worker_init(memo_dir: str, trace: bool = False) -> None:
 
 
 def _run_formula_task(task: _FormulaTask) -> _TaskOutcome:
-    """Process-pool entry point: execute one task against worker state.
-
-    Timing uses the real clock — the parent's injected ``perf`` counter
-    cannot cross the process boundary — which is fine because ``elapsed``
-    is telemetry only, never part of the report payload.
-    """
-    start = time.perf_counter()
+    """Process-pool entry point: execute one task against worker state."""
     if _WORKER_TRACE:
         tracer = Tracer()
-        previous = activate(tracer)
-        try:
+        with activated(tracer):
             with tracer.span("gp_formula", esv=task.identifier, backend=task.backend):
                 esv, memo_hit = _execute_formula_task(task, _WORKER_MEMO)
-        finally:
-            activate(previous)
-        return _TaskOutcome(
-            task.slot,
-            esv,
-            time.perf_counter() - start,
-            memo_hit,
-            tracer.export_payload(),
-        )
+        return _TaskOutcome(task.slot, esv, memo_hit, tracer.export_payload())
     esv, memo_hit = _execute_formula_task(task, _WORKER_MEMO)
-    return _TaskOutcome(task.slot, esv, time.perf_counter() - start, memo_hit)
+    return _TaskOutcome(task.slot, esv, memo_hit)
 
 
 @dataclass
@@ -591,8 +556,6 @@ class DPReverser:
         self.gp_config = self.config.gp_config or GpConfig()
         self.ocr_seed = self.config.ocr_seed
         self.estimate_alignment = self.config.estimate_alignment
-        self.stage_hook = self.config.stage_hook
-        self.perf = self.config.perf or time.perf_counter
         #: Worker count for per-ESV formula inference.  Each ESV's GP run
         #: is independently seeded (:func:`_stable_seed`) and outcomes
         #: merge back in slot order, so parallel execution changes
@@ -623,21 +586,9 @@ class DPReverser:
         noise = self.config.noise
         self.noise = noise if noise is not None and not noise.is_null else None
         #: Tracer for hierarchical stage/GP/memo spans; the shared disabled
-        #: tracer when the config carries none, so every call site can use
-        #: it unconditionally.
+        #: tracer when the config carries none, so every stage can open its
+        #: span unconditionally.
         self.tracer = self.config.trace or NULL_TRACER
-
-    def _timed(self, stage: str, thunk: Callable[[], object]) -> object:
-        """Run ``thunk``, reporting its duration to :attr:`stage_hook` and
-        recording a span when tracing is enabled."""
-        if self.stage_hook is None and not self.tracer.enabled:
-            return thunk()
-        start = self.perf()
-        with self.tracer.span(stage):
-            result = thunk()
-        if self.stage_hook is not None:
-            self.stage_hook(stage, self.perf() - start)
-        return result
 
     # -------------------------------------------------------------- stages 1-4
 
@@ -670,13 +621,11 @@ class DPReverser:
             frames = list(capture.can_log)
             if self.noise is not None:
                 noise_counts = FaultCounts()
-                frames = self._timed(
-                    "noise", lambda: apply_noise(frames, self.noise, noise_counts)
-                )
+                with self.tracer.span("noise"):
+                    frames = apply_noise(frames, self.noise, noise_counts)
             transport = transport or detect_transport(frames)
-            messages, diagnostics = self._timed(
-                "assemble", lambda: assemble_with_diagnostics(frames, transport)
-            )
+            with self.tracer.span("assemble"):
+                messages, diagnostics = assemble_with_diagnostics(frames, transport)
         else:
             transport = transport or "kline"
             messages = sorted(messages, key=lambda m: m.t_last)
@@ -716,29 +665,26 @@ class DPReverser:
         diagnostics: Optional[DecodeDiagnostics],
         noise_counts: Optional[FaultCounts],
     ) -> AnalysisContext:
-        fields = self._timed("extract_fields", lambda: extract_fields(messages))
+        with self.tracer.span("extract_fields"):
+            fields = extract_fields(messages)
         grouped = fields.by_identifier()
 
-        def _screenshot_stage():
+        with self.tracer.span("screenshot"):
             # One OCR read feeds both the filtered and the unfiltered series.
             ocr = OcrEngine(capture.tool_error_rate, seed=self.ocr_seed)
-            raw = extract_ui_series(ocr.read_video(list(capture.video)))
-            filtered, reports = filter_ui_series(raw)
-            return filtered, reports, raw
-
-        series, reports, series_raw = self._timed("screenshot", _screenshot_stage)
+            series_raw = extract_ui_series(ocr.read_video(list(capture.video)))
+            series, reports = filter_ui_series(series_raw)
 
         offset: Optional[float] = None
         if self.estimate_alignment:
-            offset = self._timed(
-                "alignment",
-                lambda: estimate_offset_via_obd(fields.observations, series),
-            )
+            with self.tracer.span("alignment"):
+                offset = estimate_offset_via_obd(fields.observations, series)
             if offset is not None and abs(offset) > 1e-6:
                 series = shift_series(series, offset)
                 series_raw = shift_series(series_raw, offset)
 
-        matches = self._timed("match", lambda: self._match(grouped, series, capture))
+        with self.tracer.span("match"):
+            matches = self._match(grouped, series, capture)
         return AnalysisContext(
             capture=capture,
             transport=transport,
@@ -794,14 +740,11 @@ class DPReverser:
             return self._infer(context)
 
     def _infer(self, context: AnalysisContext) -> ReverseReport:
-        esvs = self._timed("infer_formulas", lambda: self._infer_esvs(context))
-
-        def _ecr_stage() -> List[EcrProcedure]:
+        with self.tracer.span("infer_formulas"):
+            esvs = self._infer_esvs(context)
+        with self.tracer.span("ecr"):
             procedures = extract_procedures(context.fields.io_events)
             attach_semantics(procedures, context.capture.segments)
-            return procedures
-
-        procedures = self._timed("ecr", _ecr_stage)
         return ReverseReport(
             model=context.capture.model,
             tool_name=context.capture.tool_name,
@@ -878,8 +821,6 @@ class DPReverser:
                 tagged = f"{self.formula_backend}.{verdict}"
                 self.memo_stats[tagged] = self.memo_stats.get(tagged, 0) + 1
             self._record_inference(outcome.esv)
-            if self.stage_hook is not None:
-                self.stage_hook("gp_formula", outcome.elapsed)
             if outcome.spans:
                 self.tracer.absorb(
                     outcome.spans,
@@ -930,17 +871,16 @@ class DPReverser:
             return self._run_tasks_process(tasks)
         memo = FormulaMemo(self.gp_memo_dir) if self.gp_memo_dir else None
         if self.gp_batch and len(tasks) > 1:
-            return run_batched_tasks(tasks, memo, self.perf)
+            return run_batched_tasks(tasks, memo)
         return [self._run_one(task, memo) for task in tasks]
 
     def _run_one(
         self, task: _FormulaTask, memo: Optional[FormulaMemo]
     ) -> _TaskOutcome:
-        """Serial task execution, timed with the injected clock."""
-        start = self.perf()
+        """Serial task execution under one ``gp_formula`` span."""
         with self.tracer.span("gp_formula", esv=task.identifier, backend=task.backend):
             esv, memo_hit = _execute_formula_task(task, memo)
-        return _TaskOutcome(task.slot, esv, self.perf() - start, memo_hit)
+        return _TaskOutcome(task.slot, esv, memo_hit)
 
     def _run_tasks_process(self, tasks: List[_FormulaTask]) -> List[_TaskOutcome]:
         """Process backend: one task per ESV on the shared persistent pool.
@@ -951,9 +891,9 @@ class DPReverser:
         so repeated :meth:`infer` calls pay process spawn and worker
         warm-up (:func:`_gp_worker_init`) once per process, not once per
         capture.  Workers receive only pickled :class:`_FormulaTask`
-        payloads; results carry the stage timings, memo flags and spans
-        back because neither :attr:`stage_hook`, the parent memo handle
-        nor the tracer can cross the process boundary.
+        payloads; results carry the memo flags and spans back because
+        neither the parent memo handle nor the tracer can cross the
+        process boundary.
         """
         from .gp.pool import shared_pool
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 class InjectedFault(RuntimeError):
     """Fault raised by test/benchmark fault injectors inside a worker."""
@@ -85,7 +85,9 @@ class JobSpec:
     #: Base seed for fault injection; each car derives an independent
     #: stream from it (see :meth:`noise_profile`).
     noise_seed: int = 0
-    #: Record a span tree for this job (see :mod:`repro.observability`).
+    #: Return this job's span tree in :attr:`JobResult.spans` (see
+    #: :mod:`repro.observability`).  Every job records spans for its stage
+    #: timings; this only decides whether the tree itself travels back.
     #: Tracing only observes — the payload is byte-identical either way —
     #: so this is execution policy, excluded from :attr:`job_id` like
     #: :attr:`gp_workers`.
@@ -192,10 +194,11 @@ class JobResult:
     n_correct: int = 0
     n_enum_esvs: int = 0
     n_ecrs: int = 0
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Individual samples behind :attr:`stage_seconds` for stages that fire
-    #: more than once per job (one ``gp_formula`` sample per inferred ESV).
-    #: Telemetry, like the totals: excluded from the deterministic payload.
+    #: Duration of every span below the job's ``job`` root, grouped by span
+    #: name in completion order: one sample per stage (``collect``,
+    #: ``assemble``, ``match``...), one per GP task (``gp_formula``), per
+    #: restart (``gp_restart``) and per memo lookup.  Telemetry: excluded
+    #: from the deterministic payload.
     stage_samples: Dict[str, List[float]] = field(default_factory=dict)
     wall_seconds: float = 0.0
     error: str = ""
@@ -208,7 +211,7 @@ class JobResult:
     #: (:attr:`JobSpec.trace`); the scheduler grafts them into the run's
     #: tracer.  Telemetry — excluded from :meth:`deterministic_payload`
     #: and serialised only when non-empty, so checkpoints written by
-    #: untraced runs are byte-identical to the pre-tracing format.
+    #: untraced runs carry no spans.
     spans: List[dict] = field(default_factory=list)
 
     @property
@@ -238,10 +241,6 @@ class JobResult:
         payload.update(
             {
                 "attempts": self.attempts,
-                "stage_seconds": {
-                    name: round(value, 6)
-                    for name, value in sorted(self.stage_seconds.items())
-                },
                 "stage_samples": {
                     name: [round(value, 6) for value in samples]
                     for name, samples in sorted(self.stage_samples.items())
@@ -268,7 +267,6 @@ class JobResult:
             n_correct=payload.get("n_correct", 0),
             n_enum_esvs=payload.get("n_enum_esvs", 0),
             n_ecrs=payload.get("n_ecrs", 0),
-            stage_seconds=payload.get("stage_seconds", {}),
             stage_samples=payload.get("stage_samples", {}),
             wall_seconds=payload.get("wall_seconds", 0.0),
             error=payload.get("error", ""),
@@ -317,50 +315,42 @@ def fleet_job_specs(
     ]
 
 
-def run_job(spec: JobSpec, perf: Optional[Callable[[], float]] = None) -> JobResult:
+def run_job(spec: JobSpec) -> JobResult:
     """Run one car's full collect→reverse→verify pipeline.
 
     Deterministic given ``spec``; raises on pipeline errors (the scheduler
-    owns retry/timeout policy, not the worker).
+    owns retry/timeout policy, not the worker).  Every job records into
+    its own :class:`~repro.observability.trace.Tracer` — spans are the
+    pipeline's only timer — and :attr:`JobResult.stage_samples` is read
+    off that tree; the span payload itself is returned only when
+    :attr:`JobSpec.trace` asks for it.
     """
     from ..core import DPReverser, GpConfig, ReverserConfig, check_formula
     from ..cps import DataCollector
-    from ..observability.trace import NULL_TRACER, Tracer
+    from ..observability.trace import Tracer
     from ..tools import make_tool_for_car
     from ..vehicle import build_car, ground_truth_formulas
 
-    perf = perf or time.perf_counter
-    start = perf()
-    stage_seconds: Dict[str, float] = {}
-    stage_samples: Dict[str, List[float]] = {}
-
-    def record_stage(stage: str, elapsed: float) -> None:
-        stage_seconds[stage] = stage_seconds.get(stage, 0.0) + elapsed
-        stage_samples.setdefault(stage, []).append(elapsed)
-
-    tracer = Tracer(clock=perf) if spec.trace else NULL_TRACER
+    start = time.perf_counter()
+    tracer = Tracer()
 
     # One root span per job: the per-stage spans the reverser opens (and
     # the gp_formula subtrees absorbed from pool workers) all nest under
     # it, so a fleet trace reads as one tree per car.
-    with tracer.span("job", car=spec.car_key, job_id=spec.job_id):
+    with tracer.span("job", car=spec.car_key, job_id=spec.job_id) as root:
         car = build_car(spec.car_key)
         tool = make_tool_for_car(spec.car_key, car)
-        collect_start = perf()
         with tracer.span("collect", car=spec.car_key):
             if spec.live_latency_s > 0:
                 time.sleep(spec.live_latency_s)
             capture = DataCollector(
                 tool, read_duration_s=spec.read_duration_s
             ).collect()
-        record_stage("collect", perf() - collect_start)
 
         reverser = DPReverser(
             ReverserConfig(
                 gp_config=GpConfig(seed=spec.seed, **dict(spec.gp_overrides)),
                 ocr_seed=spec.ocr_seed,
-                stage_hook=record_stage,
-                perf=perf,
                 gp_workers=spec.gp_workers,
                 gp_backend=spec.gp_backend,
                 gp_batch=spec.gp_batch,
@@ -393,6 +383,11 @@ def run_job(spec: JobSpec, perf: Optional[Callable[[], float]] = None) -> JobRes
     if report.diagnostics is not None:
         transport_counts = report.diagnostics.stats.to_dict()
 
+    stage_samples: Dict[str, List[float]] = {}
+    for span in tracer.spans:
+        if span is not root:
+            stage_samples.setdefault(span.name, []).append(span.duration)
+
     return JobResult(
         job_id=spec.job_id,
         car_key=spec.car_key,
@@ -403,9 +398,8 @@ def run_job(spec: JobSpec, perf: Optional[Callable[[], float]] = None) -> JobRes
         n_correct=n_correct,
         n_enum_esvs=len(report.enum_esvs),
         n_ecrs=len(report.ecrs),
-        stage_seconds=stage_seconds,
         stage_samples=stage_samples,
-        wall_seconds=perf() - start,
+        wall_seconds=time.perf_counter() - start,
         transport_counts=transport_counts,
-        spans=tracer.export_payload(),
+        spans=tracer.export_payload() if spec.trace else [],
     )

@@ -3,9 +3,9 @@
 Deliberately tiny and dependency-free — the registry is a plain in-memory
 object the scheduler owns for the duration of one fleet run, snapshotted
 into the :class:`~repro.runtime.report.RunReport` at the end.  Nothing here
-reads a clock: callers observe durations they measured themselves (with
-:func:`time.perf_counter` or :meth:`repro.simtime.SimClock.perf`), so the
-layer stays deterministic under simulated time.
+reads a clock: callers observe durations they measured themselves (span
+durations and :func:`time.perf_counter` wall-clock), so the layer stays
+deterministic under any clock.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ the moment they finish, so a killed run resumes without redoing them.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -175,7 +176,6 @@ class Scheduler:
         metrics: Optional[MetricsRegistry] = None,
         runner: Callable[[JobSpec], JobResult] = run_job,
         sleep: Callable[[float], None] = time.sleep,
-        perf: Callable[[], float] = time.perf_counter,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.config = config or SchedulerConfig()
@@ -184,7 +184,6 @@ class Scheduler:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.runner = runner
         self.sleep = sleep
-        self.perf = perf
         #: Run-level tracer; per-job span payloads riding back in
         #: :attr:`JobResult.spans` are grafted into it as they finish, one
         #: Chrome-trace "thread" lane per car.
@@ -215,7 +214,7 @@ class Scheduler:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate job ids in fleet run")
 
-        start = self.perf()
+        start = time.perf_counter()
         self.events.emit(
             "run_started",
             n_jobs=len(specs),
@@ -257,7 +256,7 @@ class Scheduler:
         else:
             results.update(self._run_pool(pending_specs))
 
-        wall = self.perf() - start
+        wall = time.perf_counter() - start
         n_ok = sum(1 for result in results.values() if result.ok)
         self.events.emit(
             "run_finished",
@@ -282,11 +281,11 @@ class Scheduler:
         while True:
             attempt += 1
             self.events.emit("job_started", job_id=spec.job_id, attempt=attempt)
-            attempt_start = self.perf()
+            attempt_start = time.perf_counter()
             try:
                 result = self.runner(spec)
             except Exception as error:  # noqa: BLE001 — isolate per-job faults
-                wall = self.perf() - attempt_start
+                wall = time.perf_counter() - attempt_start
                 if self._maybe_retry(spec, attempt, error):
                     continue
                 return self._finalize(
@@ -328,7 +327,7 @@ class Scheduler:
 
         def submit(spec: JobSpec, attempt: int) -> None:
             self.events.emit("job_started", job_id=spec.job_id, attempt=attempt)
-            pending[executor.submit(submit_target, spec)] = (spec, attempt, self.perf())
+            pending[executor.submit(submit_target, spec)] = (spec, attempt, time.perf_counter())
 
         try:
             for spec in specs:
@@ -336,7 +335,7 @@ class Scheduler:
             while pending:
                 slack = None
                 if self.config.timeout_s is not None:
-                    now = self.perf()
+                    now = time.perf_counter()
                     slack = max(
                         0.0,
                         min(
@@ -361,13 +360,13 @@ class Scheduler:
                                 car_key=spec.car_key,
                                 status="failed",
                                 attempts=attempt,
-                                wall_seconds=self.perf() - t0,
+                                wall_seconds=time.perf_counter() - t0,
                                 error=repr(error),
                             )
                         )
                 if self.config.timeout_s is None:
                     continue
-                now = self.perf()
+                now = time.perf_counter()
                 for future, (spec, attempt, t0) in list(pending.items()):
                     if now - t0 < self.config.timeout_s:
                         continue
@@ -434,9 +433,10 @@ class Scheduler:
         if result.ok:
             self.metrics.counter("jobs_completed").inc()
             self.metrics.histogram("job_wall_seconds").observe(result.wall_seconds)
-            for stage, seconds in result.stage_seconds.items():
-                self.metrics.histogram(f"stage.{stage}_seconds").observe(seconds)
             for stage, samples in result.stage_samples.items():
+                self.metrics.histogram(f"stage.{stage}_seconds").observe(
+                    math.fsum(samples)
+                )
                 # Per-call distributions only add information for stages
                 # that fire more than once per job (per-formula GP timing);
                 # for the rest they would just duplicate the totals above.

@@ -188,26 +188,21 @@ class TestReverserParallelism:
 
     def test_parallel_report_identical_and_timed(self):
         from repro.core import DPReverser, ReverserConfig
+        from repro.observability import Tracer
 
         capture = self.capture()
-        serial_stages = []
+        serial_tracer = Tracer()
         serial = DPReverser(
-            ReverserConfig(
-                gp_config=self.GP, stage_hook=lambda s, e: serial_stages.append(s)
-            )
+            ReverserConfig(gp_config=self.GP, trace=serial_tracer)
         ).reverse_engineer(capture)
-        parallel_stages = []
+        parallel_tracer = Tracer()
         parallel = DPReverser(
-            ReverserConfig(
-                gp_config=self.GP,
-                stage_hook=lambda s, e: parallel_stages.append(s),
-                gp_workers=4,
-            )
+            ReverserConfig(gp_config=self.GP, trace=parallel_tracer, gp_workers=4)
         ).reverse_engineer(capture)
         assert serial.to_dict() == parallel.to_dict()
         n_formulas = len(serial.formula_esvs)
-        assert serial_stages.count("gp_formula") == n_formulas
-        assert parallel_stages.count("gp_formula") == n_formulas
+        assert len(serial_tracer.by_name()["gp_formula"]) == n_formulas
+        assert len(parallel_tracer.by_name()["gp_formula"]) == n_formulas
 
     def test_gp_workers_validation(self):
         from repro.core import DPReverser, ReverserConfig

@@ -40,6 +40,7 @@ from repro.core.gp import (
     tree_to_tokens,
 )
 from repro.core.screenshot import UiSample, UiSeries
+from repro.observability import Tracer
 
 GP = GpConfig(seed=2, generations=8, population_size=100)
 
@@ -135,17 +136,12 @@ def car_capture(key="C", read_duration_s=8.0):
 
 
 def reverse_capture(capture, **kwargs):
-    """(canonical report JSON, stage-hook trace, reverser) for one run."""
-    stages = []
-    reverser = DPReverser(
-        ReverserConfig(
-            gp_config=GP,
-            stage_hook=lambda stage, __: stages.append(stage),
-            **kwargs,
-        )
-    )
+    """(canonical report JSON, span names, reverser) for one traced run."""
+    tracer = Tracer()
+    reverser = DPReverser(ReverserConfig(gp_config=GP, trace=tracer, **kwargs))
     report = reverser.reverse_engineer(capture)
     reverser.last_report = report
+    stages = [span.name for span in tracer.spans]
     return json.dumps(report.to_dict(), sort_keys=True), stages, reverser
 
 
@@ -160,8 +156,8 @@ class TestBackendEquivalence:
         assert n_formulas > 1
         parallel, stages, __ = reverse_capture(capture, gp_workers=4, gp_backend="process")
         assert parallel == serial, "process backend diverged from serial"
-        # stage_hook cannot cross the process boundary; timings ride back
-        # in the result objects and replay once per formula ESV.
+        # Worker tracers cannot cross the process boundary; their spans
+        # ride back in the result objects, one gp_formula per formula ESV.
         assert stages.count("gp_formula") == n_formulas
         assert serial_stages.count("gp_formula") == n_formulas
 
