@@ -21,6 +21,7 @@ from repro.service import (
 )
 from repro.service.protocol import (
     PROTOCOL_VERSION,
+    capture_to_wire,
     encode_message,
     read_message,
 )
@@ -276,6 +277,36 @@ class TestLimitsAndBackpressure:
         server, reply = asyncio.run(run())
         assert reply["type"] == "error"
         assert "not JSON" in reply["error"]
+        assert service_counters(server)["service.protocol_errors"] == 1
+
+    @pytest.mark.parametrize("field, value", [("x", "a"), ("text", 7), ("height", True)])
+    def test_ill_typed_video_region_counts_protocol_error(self, capture_a, field, value):
+        """A region field of the wrong JSON type is refused at the wire with
+        an error reply, not left to crash the session's finalize."""
+        hello, *records = capture_to_wire(capture_a, transport="isotp")
+        video = next(
+            record
+            for record in records
+            if record["type"] == "video"
+            and any(region["kind"] == "value" for region in record["regions"])
+        )
+        video = dict(video, regions=[dict(region, **{field: value}) for region in video["regions"]])
+
+        async def run():
+            async with DiagnosticServer(ServiceConfig(gp_config=GP)) as server:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                for message in (hello, video, {"type": "finish"}):
+                    writer.write(encode_message(message))
+                await writer.drain()
+                replies = [await read_message(reader) for __ in range(2)]
+                writer.close()
+                await writer.wait_closed()
+                return server, replies
+
+        server, (welcome, reply) = asyncio.run(run())
+        assert welcome["type"] == "welcome"
+        assert reply["type"] == "error"
+        assert f"region field {field!r}" in reply["error"]
         assert service_counters(server)["service.protocol_errors"] == 1
 
 
