@@ -613,8 +613,6 @@ class DPReverser:
         messages: Optional[List[AssembledMessage]],
         transport: str,
     ) -> AnalysisContext:
-        from .screening import detect_transport
-
         diagnostics: Optional[DecodeDiagnostics] = None
         noise_counts: Optional[FaultCounts] = None
         if messages is None:
@@ -623,9 +621,9 @@ class DPReverser:
                 noise_counts = FaultCounts()
                 with self.tracer.span("noise"):
                     frames = apply_noise(frames, self.noise, noise_counts)
-            transport = transport or detect_transport(frames)
             with self.tracer.span("assemble"):
                 messages, diagnostics = assemble_with_diagnostics(frames, transport)
+            transport = diagnostics.transport
         else:
             transport = transport or "kline"
             messages = sorted(messages, key=lambda m: m.t_last)

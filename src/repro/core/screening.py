@@ -16,10 +16,12 @@ pipeline needs no per-vehicle configuration.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, Iterable, List
+from typing import Iterable, List
+
+import numpy as np
 
 from ..can import CanFrame, CanLog
+from ..transport.arrays import FrameArrays
 from ..transport.isotp import PciType
 from ..transport.vwtp import (
     BROADCAST_ID_BASE,
@@ -39,56 +41,49 @@ def _isotp_pci_nibble(data: bytes, offset: int = 0) -> int:
     return data[offset] >> 4
 
 
-def detect_transport(frames: Iterable[CanFrame]) -> str:
+def detect_transport(frames) -> str:
     """Guess the transport family of a capture.
 
     VW TP 2.0 reveals itself through channel-setup frames in the broadcast
     id range; BMW extended addressing through frames whose *second* byte
     carries a valid ISO-TP PCI while the first byte repeats per CAN id (the
     ECU address).  Plain ISO-TP is the default.
+
+    ``frames`` is an iterable of :class:`CanFrame` or the capture's
+    :class:`~repro.transport.arrays.FrameArrays`; the heuristic is a few
+    reductions over its id and first-two-byte columns.
     """
-    frames = list(frames)
-    for frame in frames:
-        if (
-            BROADCAST_ID_BASE <= frame.can_id <= BROADCAST_ID_BASE + 0xFF
-            and len(frame.data) >= 2
-            and frame.data[1] in (0xC0, 0xD0)
-        ):
-            return TRANSPORT_VWTP
+    arrays = frames if isinstance(frames, FrameArrays) else FrameArrays.from_frames(frames)
+    usable = arrays.dlcs >= 2  # frames holding both candidate PCI bytes
+    ids = arrays.can_ids[usable]
+    first = arrays.payloads[usable, 0]
+    second = arrays.payloads[usable, 1]
+    setup = (second == 0xC0) | (second == 0xD0)
+    if (setup & (ids >= BROADCAST_ID_BASE) & (ids <= BROADCAST_ID_BASE + 0xFF)).any():
+        return TRANSPORT_VWTP
+    if not ids.size:
+        return TRANSPORT_ISOTP
     # BMW heuristic: per-id *dominant* first byte + valid PCI at offset 1,
     # while offset 0 is *not* a globally valid PCI for a decent fraction.
     # A lossy sniffer tap flips the occasional bit, so strict per-id
     # constancy would abandon the whole BMW decode over a single corrupted
     # frame; instead require the most common first byte to account for the
-    # overwhelming majority of each id's traffic.
-    votes_bmw = 0
-    votes_isotp = 0
-    first_bytes: Dict[int, Counter] = {}
-    for frame in frames:
-        if len(frame.data) < 2:
-            continue
-        first_bytes.setdefault(frame.can_id, Counter())[frame.data[0]] += 1
-        pci0 = _isotp_pci_nibble(frame.data, 0)
-        pci1 = _isotp_pci_nibble(frame.data, 1)
-        if pci0 in (0x0, 0x1, 0x2, 0x3):
-            # Could still be BMW if byte 0 is an address that happens to
-            # have a low nibble; disambiguate via per-id dominance below.
-            votes_isotp += 1
-        if pci1 in (0x0, 0x1, 0x2, 0x3):
-            votes_bmw += 1
-    dominant = {
-        can_id: counts.most_common(1)[0]
-        for can_id, counts in first_bytes.items()
-    }
-    if (
-        first_bytes
-        and all(
-            count >= 0.9 * sum(first_bytes[can_id].values())
-            for can_id, (__, count) in dominant.items()
-        )
-        and votes_bmw >= votes_isotp
-        and any(byte not in range(0x00, 0x40) for byte, __ in dominant.values())
-    ):
+    # overwhelming majority of each id's traffic.  (Byte 0 of an ISO-TP
+    # frame could still be a BMW address with a low nibble; per-id
+    # dominance disambiguates.)
+    votes_isotp = np.count_nonzero(first >> 4 <= PciType.FLOW_CONTROL)
+    votes_bmw = np.count_nonzero(second >> 4 <= PciType.FLOW_CONTROL)
+    pairs, counts = np.unique((ids.astype(np.int64) << 8) | first, return_counts=True)
+    pair_ids = pairs >> 8
+    new_id = np.append(True, pair_ids[1:] != pair_ids[:-1])
+    id_starts = np.flatnonzero(new_id)
+    totals = np.add.reduceat(counts, id_starts)
+    tops = np.maximum.reduceat(counts, id_starts)
+    if votes_bmw < votes_isotp or not (tops >= 0.9 * totals).all():
+        return TRANSPORT_ISOTP
+    # Each id's top count is now over 90% of its frames: one dominant byte.
+    dominant = (pairs & 0xFF)[counts == tops[np.cumsum(new_id) - 1]]
+    if (dominant >= 0x40).any():
         return TRANSPORT_BMW
     return TRANSPORT_ISOTP
 

@@ -60,8 +60,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import struct
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..can import (
     MAX_DATA_LENGTH,
@@ -73,11 +76,8 @@ from ..can import (
 from ..cps.arm import ClickRecord
 from ..cps.camera import CapturedFrame, TextRegion
 from ..cps.collector import Capture, Segment
-from ..transport.arrays import HAVE_NUMPY, FrameArrays
+from ..transport.arrays import FrameArrays
 from ..transport.kline import KLineByte
-
-if HAVE_NUMPY:
-    import numpy as np
 
 PROTOCOL_VERSION = 1
 
@@ -292,6 +292,19 @@ def write_message(writer: asyncio.StreamWriter, message: dict) -> None:
 _BAD_FIELD = (KeyError, ValueError, TypeError, OverflowError, InvalidFrameError)
 
 
+def _timestamp(value) -> float:
+    """A wire timestamp as a finite float.
+
+    ``float()`` takes JSON ``NaN``/``Infinity`` and strings such as
+    ``"1e999"``; a non-finite time would poison every later difference of
+    sample times, so it is refused like any other bad field.
+    """
+    timestamp = float(value)
+    if not math.isfinite(timestamp):
+        raise ValueError(f"timestamp {value!r} is not finite")
+    return timestamp
+
+
 def frame_to_wire(frame: CanFrame) -> dict:
     message = {"type": "frame", "t": frame.timestamp, "id": frame.can_id, "data": frame.data.hex()}
     if frame.extended:
@@ -306,7 +319,7 @@ def frame_from_wire(message: dict) -> CanFrame:
         return CanFrame(
             can_id=int(message["id"]),
             data=bytes.fromhex(message.get("data", "")),
-            timestamp=float(message["t"]),
+            timestamp=_timestamp(message["t"]),
             extended=bool(message.get("ext", False)),
             channel=str(message.get("ch", "can0")),
         )
@@ -372,6 +385,8 @@ def frames_from_batch(message: dict) -> List[CanFrame]:
         for timestamp, can_id, flags, dlc, data in FRAME_RECORD.iter_unpack(packed):
             if dlc > MAX_DATA_LENGTH:
                 raise ProtocolError(f"frame record declares DLC {dlc}")
+            if not math.isfinite(timestamp):
+                raise ProtocolError("frame record carries a non-finite timestamp")
             frames.append(
                 CanFrame(
                     can_id=can_id,
@@ -422,33 +437,31 @@ class _LazyBatchFrames:
 
 #: The packed record as a numpy structured dtype — field-for-field the
 #: layout of :data:`FRAME_RECORD`, so a batch body *is* a record array.
-if HAVE_NUMPY:
-    _RECORD_DTYPE = np.dtype(
-        [
-            ("t", "<f8"),
-            ("id", "<u4"),
-            ("flags", "u1"),
-            ("dlc", "u1"),
-            ("data", "u1", (MAX_DATA_LENGTH,)),
-        ]
-    )
-    assert _RECORD_DTYPE.itemsize == FRAME_RECORD.size
+_RECORD_DTYPE = np.dtype(
+    [
+        ("t", "<f8"),
+        ("id", "<u4"),
+        ("flags", "u1"),
+        ("dlc", "u1"),
+        ("data", "u1", (MAX_DATA_LENGTH,)),
+    ]
+)
+assert _RECORD_DTYPE.itemsize == FRAME_RECORD.size
 
 
 def arrays_from_batch(message: dict):
     """Decode one ``frame-batch`` straight into a columnar view.
 
     Validates the same invariants as :func:`frames_from_batch` (record
-    stride, DLC bound, channel-table bounds, identifier range) — so both
-    decoders reject exactly the same batches — but reinterprets the packed
-    body as a numpy record array instead of looping — no per-frame Python
-    object is built.  The returned :class:`FrameArrays` carries a lazy
+    stride, DLC bound, channel-table bounds, identifier range, finite
+    timestamps) — so both decoders reject exactly the same batches — but
+    reinterprets the packed body as a numpy record array instead of
+    looping — no per-frame Python object is built.  The returned
+    :class:`FrameArrays` carries a lazy
     ``frames`` sequence that materialises real :class:`CanFrame` objects
     only if a fallback path (noisy stream, capture rebuild) asks for
-    them.  Without numpy this degrades to :func:`frames_from_batch`.
+    them.
     """
-    if not HAVE_NUMPY:
-        return frames_from_batch(message)
     packed = message.get("_packed")
     if not isinstance(packed, (bytes, bytearray, memoryview)):
         raise ProtocolError("frame-batch message carries no packed records")
@@ -470,6 +483,8 @@ def arrays_from_batch(message: dict):
         limits = np.where(records["flags"] & FLAG_EXTENDED, MAX_EXTENDED_ID, MAX_STANDARD_ID)
         if (records["id"] > limits).any():
             raise ProtocolError("frame record carries an out-of-range CAN id")
+        if not np.isfinite(records["t"]).all():
+            raise ProtocolError("frame record carries a non-finite timestamp")
     payloads = records["data"].copy()
     columns = np.arange(MAX_DATA_LENGTH, dtype=np.int16)
     payloads[columns[None, :] >= dlcs[:, None]] = 0  # pad bytes are not data
@@ -491,7 +506,7 @@ def kline_byte_from_wire(message: dict) -> KLineByte:
         value = int(message["b"])
         if not 0 <= value <= 0xFF:
             raise ValueError(f"byte value {value} out of range")
-        return KLineByte(timestamp=float(message["t"]), value=value)
+        return KLineByte(timestamp=_timestamp(message["t"]), value=value)
     except _BAD_FIELD as error:
         raise ProtocolError(f"bad kbyte message: {error}") from None
 
@@ -544,7 +559,7 @@ def _region_from_wire(region: object) -> TextRegion:
 def video_from_wire(message: dict) -> CapturedFrame:
     try:
         return CapturedFrame(
-            timestamp=float(message["t"]),
+            timestamp=_timestamp(message["t"]),
             screen_name=str(message["screen"]),
             regions=[_region_from_wire(region) for region in message.get("regions", [])],
         )
@@ -566,7 +581,7 @@ def click_to_wire(click: ClickRecord) -> dict:
 def click_from_wire(message: dict) -> ClickRecord:
     try:
         return ClickRecord(
-            timestamp=float(message["t"]),
+            timestamp=_timestamp(message["t"]),
             x=message["x"],
             y=message["y"],
             label=str(message.get("label", "")),
@@ -593,8 +608,8 @@ def segment_from_wire(message: dict) -> Segment:
             kind=str(message["kind"]),
             ecu=str(message["ecu"]),
             label=str(message["label"]),
-            t_start=float(message["t_start"]),
-            t_end=float(message["t_end"]),
+            t_start=_timestamp(message["t_start"]),
+            t_end=_timestamp(message["t_end"]),
         )
     except _BAD_FIELD as error:
         raise ProtocolError(f"bad segment message: {error}") from None

@@ -1,20 +1,18 @@
 """Columnar (structure-of-arrays) view of a CAN capture.
 
 The event decoders in this package process one frame at a time through a
-Python state machine — necessary for multi-frame reassembly, but pure
-overhead for the common capture where most conversations are clean
-single-frame request/response pairs.  :class:`FrameArrays` converts a
-whole capture into numpy columns once (ids, timestamps, DLCs, and a
-zero-padded ``N x 8`` payload matrix) so that screening, transport
-classification, and single-frame payload extraction become array
+Python state machine — necessary for a stream that is lossy, corrupt or
+hostile, but pure overhead for the common conversation of complete,
+well-formed transfers.  :class:`FrameArrays` converts a whole capture into
+numpy columns once (ids, timestamps, DLCs, and a zero-padded ``N x 8``
+payload matrix) so that transport detection, screening and the slicing of
+complete single- and multi-frame ISO-TP/BMW transfers
+(:meth:`~repro.core.assembly.StreamAssembler.feed_chunk`) become array
 operations over the entire capture instead of per-frame Python calls.
 
 The original :class:`~repro.can.CanFrame` objects are kept alongside the
-columns: any stream the vectorised path cannot prove clean falls back to
-the event decoders, which need the real frames.
-
-Hosts without numpy (:data:`HAVE_NUMPY` false) simply never build the
-columnar view; every caller treats that as "use the event path".
+columns: the frames around a chunk boundary or a fault go to the event
+decoders, which need the real frames.
 """
 
 from __future__ import annotations
@@ -22,13 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List
 
-try:
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    np = None
-    HAVE_NUMPY = False
+import numpy as np
 
 from ..can import MAX_DATA_LENGTH, CanFrame
 
@@ -55,8 +47,6 @@ class FrameArrays:
         the mask's true cells is exactly frame order x byte order, so no
         per-frame Python assignment is needed.
         """
-        if not HAVE_NUMPY:
-            raise RuntimeError("numpy unavailable; use the event decode path")
         frames = list(frames)
         n = len(frames)
         can_ids = np.fromiter((f.can_id for f in frames), dtype=np.uint32, count=n)

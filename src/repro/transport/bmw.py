@@ -15,7 +15,7 @@ what a naive per-frame analysis gets wrong.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..can import CanFrame, MAX_DATA_LENGTH
 from .base import (
@@ -79,6 +79,16 @@ class BmwReassembler(TransportDecoder):
         freed = sum(decoder.evict_partial() for decoder in self._peers.values())
         self._peers.clear()
         return freed
+
+    def open_transfer(self) -> Optional[Tuple[int, int, int]]:
+        """``(address, next_sequence, bytes_missing)`` of the one partial
+        message, or ``None`` unless exactly one peer holds exactly one
+        (see :meth:`IsoTpReassembler.open_transfer`)."""
+        if len(self._peers) != 1:
+            return None
+        ((address, decoder),) = self._peers.items()
+        transfer = decoder.open_transfer()
+        return None if transfer is None else (address, *transfer)
 
     def feed(self, frame: CanFrame) -> List[DecodeEvent]:
         if len(frame.data) < 2:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..can import CanFrame, MAX_DATA_LENGTH
 from .base import (
@@ -240,6 +240,19 @@ class IsoTpReassembler(TransportDecoder):
         for context in list(self._contexts):
             self._abandon(context, "global byte budget", stale=True)
         return freed
+
+    def open_transfer(self) -> Optional[Tuple[int, int]]:
+        """``(next_sequence, bytes_missing)`` of the one partial message.
+
+        ``None`` unless exactly one context is open and it is not
+        overtaken: only then does a run of in-sequence consecutive frames
+        that reaches the announced length provably complete it and leave
+        the decoder idle.
+        """
+        if len(self._contexts) != 1 or self._contexts[0].overtaken:
+            return None
+        context = self._contexts[0]
+        return context.next_sequence, context.expected_length - len(context.buffer)
 
     def _abandon(self, context: _ReassemblyContext, why: str, stale: bool = False) -> DecodeEvent:
         """Drop one partial message and account the loss."""

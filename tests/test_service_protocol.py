@@ -141,6 +141,51 @@ class TestRecordRoundTrips:
         assert segment_from_wire(segment_to_wire(segment)) == segment
 
 
+#: Timestamps every record decoder must refuse: JSON ``NaN`` and
+#: ``Infinity`` parse to these floats, and ``float()`` reads the strings.
+NON_FINITE = [float("nan"), float("inf"), float("-inf"), "1e999", "-1e999", "NaN", "Infinity"]
+
+
+class TestNonFiniteTimestamps:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize(
+        "decode, message",
+        [
+            (frame_from_wire, {"type": "frame", "id": 0x7E8, "data": "0241"}),
+            (kline_byte_from_wire, {"type": "kbyte", "b": 0x55}),
+            (video_from_wire, {"type": "video", "screen": "live", "regions": []}),
+            (click_from_wire, {"type": "click", "x": 5, "y": 7}),
+        ],
+        ids=["frame", "kbyte", "video", "click"],
+    )
+    def test_record_decoders_reject(self, decode, message, bad):
+        with pytest.raises(ProtocolError, match="not finite"):
+            decode({**message, "t": bad})
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("field", ["t_start", "t_end"])
+    def test_segment_bounds_rejected(self, field, bad):
+        message = {"kind": "live", "ecu": "Engine", "label": "read", "t_start": 1.0, "t_end": 9.0}
+        with pytest.raises(ProtocolError, match="not finite"):
+            segment_from_wire({**message, field: bad})
+
+    @pytest.mark.parametrize("body", [b'{"type":"video","t":NaN', b'{"type":"video","t":Infinity'])
+    def test_json_constants_off_the_wire(self, body):
+        (message,) = MessageDecoder().feed(envelope(body + b',"screen":"s"}'))
+        with pytest.raises(ProtocolError, match="not finite"):
+            video_from_wire(message)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_packed_records_rejected_by_both_batch_decoders(self, bad, position):
+        fields = [(0.001 * i, 0x7E8, 0, 2, b"\x01\x41" + bytes(6)) for i in range(3)]
+        fields[position] = (bad,) + fields[position][1:]
+        message = {"type": FRAME_BATCH, "n": 3, "_packed": records(*fields)}
+        for decode in (frames_from_batch, arrays_from_batch):
+            with pytest.raises(ProtocolError, match="non-finite timestamp"):
+                decode(message)
+
+
 def random_frames(seed, n=200):
     """A frame mix covering every codec dimension the wire must carry."""
     rng = random.Random(seed)
