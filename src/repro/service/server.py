@@ -18,6 +18,9 @@ Architecture:
     ``writer.drain()`` until the client catches up;
   - **retention** — at most ``max_capture_frames`` frames are kept per
     session; overflow is counted in ``service.frames_dropped`` and shed.
+    Video, click and segment records are capped at
+    :data:`~repro.service.session.MAX_SESSION_RECORDS` per session; the
+    record past it ends the session with an ``error`` reply.
 
 * GP inference shares one on-disk :class:`~repro.core.formula_memo
   .FormulaMemo` directory across all sessions, so tenants streaming the
@@ -261,7 +264,8 @@ class DiagnosticServer:
         while the handler sleeps it is not reading the socket, the kernel
         buffer fills, and TCP flow control pushes back on the sender.
         ``cost`` is the records in the arriving message, so a 256-frame
-        batch spends 256 tokens: the rate limit is per record, however the
+        batch spends 256 tokens and a frame, K-Line byte, video, click or
+        segment message one: the rate limit is per record, however the
         client framed them.
         """
         rate = self.config.rate_limit
@@ -456,10 +460,13 @@ class DiagnosticServer:
                     conn.since_status = 0
                     await self._interim(writer, conn)
             elif kind == "video":
+                await self._throttle(conn)
                 session.ingest_video(video_from_wire(message))
             elif kind == "click":
+                await self._throttle(conn)
                 session.ingest_click(click_from_wire(message))
             elif kind == "segment":
+                await self._throttle(conn)
                 session.ingest_segment(segment_from_wire(message))
             else:
                 raise ProtocolError(f"unknown message type {kind!r}")

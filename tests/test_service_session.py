@@ -12,6 +12,7 @@ or accepted, never crash ingest or finalize.
 """
 
 import copy
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -332,6 +333,29 @@ class TestSessionGuards:
         assert dropped == 4
         assert completed == session.messages_assembled == 5
 
+    def test_record_bound_refuses_the_record_past_it(self, monkeypatch):
+        """A click flood no longer grows a session without bound (scaled
+        down: the bound patched to 300, frames capped at 10)."""
+        from repro.cps.arm import ClickRecord
+        from repro.cps.camera import CapturedFrame
+        from repro.cps.collector import Segment
+        from repro.service import session as session_module
+
+        monkeypatch.setattr(session_module, "MAX_SESSION_RECORDS", 300)
+        session = VehicleSession(0, transport="isotp", max_capture_frames=10)
+        session.ingest_video(CapturedFrame(timestamp=0.0, screen_name="live", regions=[]))
+        session.ingest_segment(Segment("live", "Engine", "read", 0.0, 1.0))
+        for i in range(298):
+            session.ingest_click(ClickRecord(0.001 * i, 1, 2, "Live Data", True))
+        for ingest, record in (
+            (session.ingest_click, ClickRecord(1.0, 1, 2, "Live Data", True)),
+            (session.ingest_video, CapturedFrame(timestamp=1.0, screen_name="live", regions=[])),
+            (session.ingest_segment, Segment("live", "Engine", "read", 1.0, 2.0)),
+        ):
+            with pytest.raises(SessionError, match="exceeds 300"):
+                ingest(record)
+        assert (len(session.video), len(session.clicks), len(session.segments)) == (1, 298, 1)
+
     def test_batched_counters_match_per_frame(self, captures):
         capture = captures["isotp"]
         per_frame = stream_session(capture, transport="auto")
@@ -518,13 +542,38 @@ class TestHostileSession:
         inserted=[(0, ("frame", MAX_STANDARD_ID + 1, False, 0, 0.0))],
         after_finish=[],
     )
+    @example(
+        batched=False,
+        bound=MAX_CAPTURE_FRAMES,
+        inserted=[(1, ("video", 0, "t", float("inf"))), (2, ("video", 1, "t", float("inf")))],
+        after_finish=[],
+    )
+    @example(
+        batched=False,
+        bound=MAX_CAPTURE_FRAMES,
+        inserted=[
+            (0, ("frame", 0x7E8, False, 2, float("nan"))),
+            (3, ("click", "t", "1e999")),
+            (5, ("segment", "t_end", float("-inf"))),
+        ],
+        after_finish=[],
+    )
+    @example(
+        batched=True,
+        bound=MAX_CAPTURE_FRAMES,
+        inserted=[(0, ("batch", [(0.5, 0x7E8, 0, 8), (float("inf"), 0x7E8, 0, 8)]))],
+        after_finish=[],
+    )
     def test_records_rejected_or_accepted(self, wire_c, batched, bound, inserted, after_finish):
         """Every record raises ProtocolError/SessionError or is accepted;
         finalize returns a report or raises one of the two; the session
         never retains more than ``max_capture_frames`` frames.  The
-        explicit examples once escaped as other errors: region fields of
-        the wrong JSON type passed the wire and crashed finalize, and a
-        JSON frame past the 11-bit id bound raised InvalidFrameError."""
+        explicit examples once escaped as other errors or were accepted:
+        region fields of the wrong JSON type passed the wire and crashed
+        finalize, a JSON frame past the 11-bit id bound raised
+        InvalidFrameError, and non-finite timestamps were kept (two video
+        frames at ``t = inf`` made finalize's sample-time differences
+        warn)."""
         streams, templates = wire_c
         clean = streams[batched]
         hello, records = clean[0], clean[1:-1]
@@ -547,3 +596,15 @@ class TestHostileSession:
         for recipe in after_finish:
             feed_wire(session, hostile_message(recipe, templates))
         assert len(session.build_capture().can_log) <= bound
+
+    def test_infinite_video_times_never_reach_finalize(self, wire_c):
+        streams, templates = wire_c
+        hello, *records, __ = streams[False]
+        hostile = [dict(templates["video"][i], t=float("inf")) for i in (0, 1)]
+        session = VehicleSession(0, transport=hello["transport"], meta=hello["meta"])
+        for message in hostile + records:
+            feed_wire(session, message)
+        assert len(session.video) == len(templates["video"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            session.finalize(make_reverser())
