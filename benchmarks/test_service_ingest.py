@@ -29,7 +29,18 @@ Metrics (``BENCH_service_ingest.json``):
   ``frames_per_s_batched``, ``ingest_speedup``.  CI pins
   ``--floor ingest_speedup=3.0``; the bench-host target is >= 5x.
 
-``SERVICE_SMOKE=1`` shrinks the capture to CI size.
+The synthetic capture carries no multi-frame transfer, so a second case
+decodes real clean 30 s fleet captures of the ISO-TP and BMW cars (VW TP
+2.0 always decodes per frame) straight through the assembler: every frame
+through :meth:`~repro.core.assembly.StreamAssembler.feed`, against
+256-frame :meth:`~repro.core.assembly.StreamAssembler.feed_chunk` calls.
+Messages, diagnostics and decoder state must be identical before
+``fleet_decode_speedup`` is reported; CI pins ``--floor
+fleet_decode_speedup=1.5``, which a return to per-frame multi-frame
+decode fails.
+
+``SERVICE_SMOKE=1`` shrinks the synthetic capture and the fleet case's
+car list to CI size.
 """
 
 from __future__ import annotations
@@ -40,6 +51,8 @@ import time
 import pytest
 
 from repro.can import CanFrame
+from repro.core.assembly import StreamAssembler
+from repro.cps import DataCollector
 from repro.service import MessageDecoder, encode_message
 from repro.service.protocol import (
     arrays_from_batch,
@@ -48,6 +61,8 @@ from repro.service.protocol import (
     frame_to_wire,
 )
 from repro.service.session import VehicleSession
+from repro.tools import make_tool_for_car
+from repro.vehicle import CAR_SPECS, build_car
 
 SMOKE = bool(os.environ.get("SERVICE_SMOKE"))
 FRAMES = 6_000 if SMOKE else 24_000
@@ -55,11 +70,21 @@ REPEATS = 3 if SMOKE else 5
 BATCH_SIZE = 256
 CHUNK_BYTES = 32 * 1024  # one socket read's worth of wire
 
+#: The fleet-decode case's cars: every ISO-TP and BMW car, or two of each.
+FLEET_CARS = (
+    ("A", "E", "F", "I")
+    if SMOKE
+    else tuple(key for key, spec in sorted(CAR_SPECS.items()) if spec.transport.value != "vwtp")
+)
+FLEET_READ_S = 30.0
+
 BENCH_CONFIG = {
     "smoke": SMOKE,
     "frames": FRAMES,
     "batch_size": BATCH_SIZE,
     "chunk_bytes": CHUNK_BYTES,
+    "fleet_cars": "".join(FLEET_CARS),
+    "fleet_read_s": FLEET_READ_S,
 }
 
 
@@ -197,4 +222,91 @@ class TestIngestFastPath:
         report_file(
             f"  noisy fallback: {slow_diag.stats.errors} decode errors, "
             "batched == per-frame state"
+        )
+
+
+def fleet_captures():
+    """``(transport, frames)`` of each fleet car's clean capture."""
+    captures = []
+    for key in FLEET_CARS:
+        car = build_car(key)
+        capture = DataCollector(make_tool_for_car(key, car), read_duration_s=FLEET_READ_S).collect()
+        captures.append((CAR_SPECS[key].transport.value, list(capture.can_log)))
+    return captures
+
+
+def decode_state(assembler):
+    messages, diagnostics = assembler.finish()
+    decoders = {
+        can_id: (
+            decoder.idle,
+            getattr(decoder, "current_address", None),
+            getattr(decoder, "last_address", None),
+        )
+        for can_id, decoder in assembler._streams.items()
+    }
+    return messages, diagnostics.to_dict(), decoders
+
+
+def decode_per_frame(captures):
+    states = []
+    start = time.perf_counter()
+    for transport, frames in captures:
+        assembler = StreamAssembler(transport)
+        for frame in frames:
+            assembler.feed(frame)
+        assembler.finish()
+        states.append(assembler)
+    return states, time.perf_counter() - start
+
+
+def decode_chunked(captures):
+    states = []
+    start = time.perf_counter()
+    for transport, frames in captures:
+        assembler = StreamAssembler(transport)
+        for offset in range(0, len(frames), BATCH_SIZE):
+            assembler.feed_chunk(frames[offset : offset + BATCH_SIZE])
+        assembler.finish()
+        states.append(assembler)
+    return states, time.perf_counter() - start
+
+
+class TestFleetDecode:
+    def test_chunked_vs_per_frame_fleet_decode(self, bench_artifact, report_file):
+        captures = fleet_captures()
+        frames = sum(len(frames) for __, frames in captures)
+        slow, __ = decode_per_frame(captures)
+        fast, __ = decode_chunked(captures)
+        slow_states = [decode_state(assembler) for assembler in slow]
+        assert [decode_state(assembler) for assembler in fast] == slow_states
+        messages = sum(len(state[0]) for state in slow_states)
+
+        slow_s = min(decode_per_frame(captures)[1] for __ in range(REPEATS))
+        fast_s = min(decode_chunked(captures)[1] for __ in range(REPEATS))
+        speedup = slow_s / fast_s
+        bench_artifact(
+            {
+                "fleet_frames": frames,
+                "fleet_messages": messages,
+                "fleet_per_frame_s": round(slow_s, 4),
+                "fleet_chunked_s": round(fast_s, 4),
+                "fleet_decode_speedup": round(speedup, 2),
+            },
+            {
+                "fleet_frames": "count",
+                "fleet_messages": "count",
+                "fleet_per_frame_s": "s",
+                "fleet_chunked_s": "s",
+                "fleet_decode_speedup": "x",
+            },
+            config=BENCH_CONFIG,
+        )
+        report_file(
+            f"Fleet capture decode ({len(captures)} cars, {frames} frames"
+            f"{', smoke mode' if SMOKE else ''}):"
+        )
+        report_file(
+            f"  per-frame feed {slow_s:.3f} s, {BATCH_SIZE}-frame feed_chunk "
+            f"{fast_s:.3f} s, {speedup:.2f}x"
         )
