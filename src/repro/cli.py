@@ -22,20 +22,6 @@ import time
 from pathlib import Path
 
 
-def _add_gp_batch_arg(
-    parser: argparse.ArgumentParser, batch_default: bool = False
-) -> None:
-    """The shared ``--gp-batch`` flag."""
-    parser.add_argument(
-        "--gp-batch",
-        action=argparse.BooleanOptionalAction,
-        default=batch_default,
-        help="serial backend: merge same-shape GP fitness evaluations "
-        "across ESVs into single batched matrix passes (bit-identical "
-        "results)",
-    )
-
-
 def _add_formula_backend_arg(parser: argparse.ArgumentParser) -> None:
     """The shared ``--formula-backend`` flag.
 
@@ -159,7 +145,6 @@ def _cmd_reverse(args: argparse.Namespace) -> int:
         gp_config=GpConfig(seed=args.seed),
         gp_workers=args.gp_workers,
         gp_backend=args.gp_backend,
-        gp_batch=args.gp_batch,
         gp_memo_dir=args.gp_memo,
         formula_backend=args.formula_backend,
         noise=noise,
@@ -281,7 +266,6 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
             read_duration_s=args.duration,
             gp_workers=args.gp_workers,
             gp_backend=args.gp_backend,
-            gp_batch=args.gp_batch,
             gp_memo_dir=args.gp_memo,
             formula_backend=args.formula_backend,
             noise_spec=noise_spec,
@@ -353,7 +337,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         gp_config=GpConfig(seed=args.seed),
         gp_workers=args.gp_workers,
         gp_backend=args.gp_backend,
-        gp_batch=args.gp_batch,
         gp_memo_dir=args.gp_memo,
         formula_backend=args.formula_backend,
         trace=_observability_requested(args),
@@ -485,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--gp-workers > 1 (results are identical on every backend)",
     )
     _add_formula_backend_arg(reverse)
-    _add_gp_batch_arg(reverse)
     reverse.add_argument(
         "--gp-memo",
         metavar="DIR",
@@ -560,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--gp-workers > 1",
     )
     _add_formula_backend_arg(fleet_run)
-    _add_gp_batch_arg(fleet_run)
     fleet_run.add_argument(
         "--gp-memo",
         metavar="DIR",
@@ -636,7 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
         "processes, shared by every session)",
     )
     _add_formula_backend_arg(serve)
-    _add_gp_batch_arg(serve, batch_default=True)
     serve.add_argument(
         "--gp-memo",
         metavar="DIR",

@@ -2,7 +2,7 @@
 
 from .functions import DEFAULT_FUNCTION_NAMES, FUNCTION_SET, GpFunction
 from .tree import Node
-from .batch import BatchEvaluator, MaesRequest, batched_maes, drive
+from .batch import batched_maes
 from .cache import FitnessCache
 from .program import random_tree
 from .engine import GeneticProgrammer, GpConfig, GpResult, polish_constants
@@ -10,10 +10,7 @@ from .serialize import tree_from_tokens, tree_to_tokens
 from .simplify import fold_constants, pretty
 
 __all__ = [
-    "BatchEvaluator",
-    "MaesRequest",
     "batched_maes",
-    "drive",
     "DEFAULT_FUNCTION_NAMES",
     "FUNCTION_SET",
     "GpFunction",

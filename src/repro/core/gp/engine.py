@@ -27,7 +27,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .batch import TRIM_FRACTION, MaesRequest, drive
+from .batch import TRIM_FRACTION, batched_maes
 from .cache import FitnessCache
 from .functions import DEFAULT_FUNCTION_NAMES
 from .program import (
@@ -147,7 +147,9 @@ class GeneticProgrammer:
             for mae, program in zip(maes, programs)
         ]
 
-    def _fitness_steps(self, programs: List[Program], columns: List[np.ndarray], y: np.ndarray):
+    def _fitness(
+        self, programs: List[Program], columns: List[np.ndarray], y: np.ndarray
+    ) -> List[float]:
         """Fitness of every program in one batch.
 
         Programs found in the fitness cache cost nothing; each distinct
@@ -156,11 +158,6 @@ class GeneticProgrammer:
         all their prediction rows.  The batched math applies the per-row
         operations of a single-tree evaluation in the same order, so every
         float is the one a tree-by-tree evaluation gives.
-
-        A generator: the math happens wherever the yielded
-        :class:`MaesRequest` is answered — in-process via
-        :func:`repro.core.gp.batch.drive`, or merged across ESVs by a
-        :class:`~repro.core.gp.batch.BatchEvaluator`.
         """
         cache = self._cache
         maes: List[Optional[float]] = [None] * len(programs)
@@ -200,7 +197,7 @@ class GeneticProgrammer:
                 matrix = np.empty((len(live), y.shape[0]))
                 for offset, slot in enumerate(live):
                     matrix[offset] = rows[slot]
-                batched = yield MaesRequest(
+                batched = batched_maes(
                     matrix, y, self.config.linear_scaling, self.TRIM_FRACTION
                 )
                 for offset, slot in enumerate(live):
@@ -340,23 +337,7 @@ class GeneticProgrammer:
     # -------------------------------------------------------------- evolution
 
     def fit(self, x_rows: Sequence[Sequence[float]], y_values: Sequence[float]) -> GpResult:
-        """Evolve a formula for the dataset ``(x_rows, y_values)``.
-
-        In-process driver for :meth:`fit_steps`; results are bit-identical
-        to a :class:`~repro.core.gp.batch.BatchEvaluator` driving the same
-        generator interleaved with other ESVs.
-        """
-        return drive(self.fit_steps(x_rows, y_values))
-
-    def fit_steps(self, x_rows: Sequence[Sequence[float]], y_values: Sequence[float]):
-        """Generator form of :meth:`fit`: yields every fitness-math request.
-
-        The evolution logic — rng stream, selection, operators, elitism,
-        early exit — runs inside the generator and is untouched by *where*
-        the yielded :class:`MaesRequest`\\ s are answered, which is what
-        keeps reports byte-identical across the serial and cross-ESV
-        batched execution modes.
-        """
+        """Evolve a formula for the dataset ``(x_rows, y_values)``."""
         if not x_rows:
             raise ValueError("empty dataset")
         config = self.config
@@ -388,7 +369,7 @@ class GeneticProgrammer:
         ]
         population += [from_tree(shape) for shape in self._seed_shapes(columns, y)]
 
-        maes = yield from self._fitness_steps(population, columns, y)
+        maes = self._fitness(population, columns, y)
         scores = self._scores(maes, population)
         best_index = int(np.argmin(scores))
         best, best_mae = population[best_index], maes[best_index]
@@ -399,7 +380,7 @@ class GeneticProgrammer:
             population = self._next_generation(
                 rng, population, scores, best, grow_program, n_variables
             )
-            maes = yield from self._fitness_steps(population, columns, y)
+            maes = self._fitness(population, columns, y)
             scores = self._scores(maes, population)
             best_index = int(np.argmin(scores))
             if maes[best_index] < best_mae:
@@ -407,7 +388,7 @@ class GeneticProgrammer:
             if best_mae <= config.fitness_threshold:
                 break  # stopping criterion (ii): fitness reached the threshold
 
-        best = yield from self._refine_constants_steps(best, columns, y)
+        best = self._refine_constants(best, columns, y)
         best_tree = to_tree(best)
         if config.linear_scaling:
             best_tree = polish_constants(best_tree, columns, y)
@@ -473,7 +454,9 @@ class GeneticProgrammer:
             tree = term if tree is None else Node.call("add", tree, term)
         return Node.call("add", tree, Node.const(round(float(coefficients[-1]), 6)))
 
-    def _refine_constants_steps(self, program: Program, columns: List[np.ndarray], y: np.ndarray):
+    def _refine_constants(
+        self, program: Program, columns: List[np.ndarray], y: np.ndarray
+    ) -> Program:
         """Greedy hill-climb on each constant of the winning program.
 
         Evolution finds the right *shape* quickly but fine constants (e.g.
@@ -483,7 +466,7 @@ class GeneticProgrammer:
         front, so the greedy accept only orders comparisons and all eight
         are scored in one batch.
         """
-        (best_score,) = yield from self._fitness_steps([program], columns, y)
+        (best_score,) = self._fitness([program], columns, y)
         if not math.isfinite(best_score):
             return program
         best = program
@@ -496,7 +479,7 @@ class GeneticProgrammer:
                     original - 0.1, original + 0.1, original - 0.02, original + 0.02,
                 ]
                 head, tail = best[:position], best[position + 1 :]
-                scores = yield from self._fitness_steps(
+                scores = self._fitness(
                     [head + ((CONST, candidate),) + tail for candidate in candidates],
                     columns,
                     y,

@@ -20,13 +20,10 @@ into a first-class :class:`InferenceBackend` seam:
   non-linear manufacturer formulas), which is where the fleet
   wall-clock win comes from.
 
-Every backend speaks the same generator protocol as the GP path: its
-``infer_steps`` yields :class:`~repro.core.gp.MaesRequest` objects (the
-linear solver yields none — it is closed-form) and *returns* the
-:class:`~repro.core.response_analysis.InferredFormula`, so backends plug
-into :func:`~repro.core.gp.drive`, the cross-ESV
-:class:`~repro.core.gp.BatchEvaluator` and the process-pool workers
-without those layers knowing which engine ran.
+Every backend's :meth:`~InferenceBackend.infer` returns the
+:class:`~repro.core.response_analysis.InferredFormula` (or None), so the
+serial path and the process-pool workers run any engine without knowing
+which one ran.
 
 Confidence: every recovered formula carries a ``confidence`` field — the
 fraction of paired training samples the formula reproduces within the
@@ -40,18 +37,18 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..formulas import Formula
 from .fields import EsvObservation
-from .gp import GpConfig, drive
+from .gp import GpConfig
 from .response_analysis import (
     InferredFormula,
     PairedDataset,
     build_dataset,
-    gp_infer_steps,
+    gp_infer,
     table2_factor,
     _median_magnitude,
 )
@@ -407,25 +404,36 @@ def _interpretations(
 class InferenceBackend(abc.ABC):
     """One way of turning a paired ESV dataset into a formula.
 
-    Implementations are stateless (all run state lives in the generator),
-    which is what lets one backend object serve every ESV of a batch and
-    cross process boundaries by name rather than by pickle.
+    Implementations are stateless (all run state lives in one
+    :meth:`infer` call), which is what lets one backend object serve every
+    ESV of a pass and cross process boundaries by name rather than by
+    pickle.
     """
 
     #: The backend's registry name (``ReverserConfig.formula_backend``).
     name: str
 
     @abc.abstractmethod
-    def infer_steps(
+    def infer(
         self,
         observations: Sequence[EsvObservation],
         series: UiSeries,
         config: Optional[GpConfig] = None,
         max_gap_s: float = 1.5,
-    ) -> Iterator:
-        """Generator form: yields :class:`~repro.core.gp.MaesRequest`
-        fitness evaluations (none for closed-form solvers) and returns
-        the :class:`InferredFormula` (or None)."""
+    ) -> Optional[InferredFormula]:
+        """The :class:`InferredFormula` of one ESV, or None."""
+
+
+class GpBackend(InferenceBackend):
+    """The paper's genetic-programming search, behind the seam.
+
+    Pure delegation to :func:`~repro.core.response_analysis.gp_infer`;
+    results are byte-identical to the pre-seam pipeline, and the
+    ``confidence`` field keeps its 1.0 default so report digests do not
+    move.
+    """
+
+    name = "gp"
 
     def infer(
         self,
@@ -434,30 +442,7 @@ class InferenceBackend(abc.ABC):
         config: Optional[GpConfig] = None,
         max_gap_s: float = 1.5,
     ) -> Optional[InferredFormula]:
-        """In-process driver for :meth:`infer_steps`."""
-        return drive(self.infer_steps(observations, series, config, max_gap_s))
-
-
-class GpBackend(InferenceBackend):
-    """The paper's genetic-programming search, behind the seam.
-
-    Pure delegation to :func:`~repro.core.response_analysis
-    .gp_infer_steps`; results are byte-identical to the pre-seam
-    pipeline, and the ``confidence`` field keeps its 1.0 default so
-    report digests do not move.
-    """
-
-    name = "gp"
-
-    def infer_steps(
-        self,
-        observations: Sequence[EsvObservation],
-        series: UiSeries,
-        config: Optional[GpConfig] = None,
-        max_gap_s: float = 1.5,
-    ):
-        result = yield from gp_infer_steps(observations, series, config, max_gap_s)
-        return result
+        return gp_infer(observations, series, config, max_gap_s)
 
 
 class LinearBackend(InferenceBackend):
@@ -473,16 +458,6 @@ class LinearBackend(InferenceBackend):
     """
 
     name = "linear"
-
-    def infer_steps(
-        self,
-        observations: Sequence[EsvObservation],
-        series: UiSeries,
-        config: Optional[GpConfig] = None,
-        max_gap_s: float = 1.5,
-    ):
-        return self._infer(observations, series, max_gap_s)[0]
-        yield  # pragma: no cover — generator protocol; closed-form solver
 
     def infer(
         self,
@@ -557,17 +532,17 @@ class HybridBackend(InferenceBackend):
     def __init__(self) -> None:
         self._linear = LinearBackend()
 
-    def infer_steps(
+    def infer(
         self,
         observations: Sequence[EsvObservation],
         series: UiSeries,
         config: Optional[GpConfig] = None,
         max_gap_s: float = 1.5,
-    ):
+    ) -> Optional[InferredFormula]:
         accepted, usable = self._linear._infer(observations, series, max_gap_s)
         if accepted is not None or not usable:
             return accepted
-        result = yield from gp_infer_steps(observations, series, config, max_gap_s)
+        result = gp_infer(observations, series, config, max_gap_s)
         if result is not None:
             mode = "bytes" if result.interpretation in ("bytes", "kwp") else "int"
             dataset = build_dataset(observations, series, mode, max_gap_s)

@@ -31,8 +31,8 @@ from .gp import (
     FitnessCache,
     GeneticProgrammer,
     GpConfig,
+    GpResult,
     Node,
-    drive,
     fold_constants,
     tree_from_tokens,
     tree_to_tokens,
@@ -280,56 +280,29 @@ def infer_formula(
     big-endian integer vs one variable per byte) and returns the better
     fit.  Returns ``None`` when too few samples pair up.
 
-    In-process driver for :func:`infer_formula_steps`: results are
-    bit-identical whether the generator runs alone here or interleaved
-    with other ESVs under a :class:`~repro.core.gp.BatchEvaluator`.
-    """
-    return drive(
-        infer_formula_steps(observations, series, config, max_gap_s, backend)
-    )
-
-
-def infer_formula_steps(
-    observations: Sequence[EsvObservation],
-    series: UiSeries,
-    config: Optional[GpConfig] = None,
-    max_gap_s: float = 1.5,
-    backend: str = "gp",
-):
-    """Generator form of :func:`infer_formula`.
-
-    Yields every fitness-math :class:`~repro.core.gp.MaesRequest` of the
-    whole per-ESV inference (closed-form backends yield none) and returns
-    the result, so a batch driver can interleave complete inferences
-    across ESVs whatever engine solves them.  Dispatches to
-    :func:`repro.core.inference.get_backend` for non-GP backends; the
-    import is deferred because :mod:`repro.core.inference` imports this
-    module for the GP path.
+    Dispatches to :func:`repro.core.inference.get_backend` for non-GP
+    backends; the import is deferred because :mod:`repro.core.inference`
+    imports this module for the GP path.
     """
     if backend != "gp":
         from .inference import get_backend
 
-        result = yield from get_backend(backend).infer_steps(
-            observations, series, config, max_gap_s
-        )
-        return result
-    result = yield from gp_infer_steps(observations, series, config, max_gap_s)
-    return result
+        return get_backend(backend).infer(observations, series, config, max_gap_s)
+    return gp_infer(observations, series, config, max_gap_s)
 
 
-def gp_infer_steps(
+def gp_infer(
     observations: Sequence[EsvObservation],
     series: UiSeries,
     config: Optional[GpConfig] = None,
     max_gap_s: float = 1.5,
-):
-    """The genetic-programming inference generator (the pre-backend
-    ``infer_formula_steps`` body, unchanged — byte-identical results).
+) -> Optional[InferredFormula]:
+    """The genetic-programming inference of one ESV.
 
-    Yields all restart attempts, both interpretations and the
+    Runs all restart attempts, both interpretations and the
     trim-and-refit round.  Interpretations and restarts stay strictly
-    sequential *within* the ESV: a later attempt only runs if the earlier
-    one's fitness says so, which any speculative evaluation would break.
+    sequential: a later attempt only runs if the earlier one's fitness
+    says so.
     """
     base_config = config or GpConfig()
     protocol = observations[0].protocol if observations else "uds"
@@ -347,7 +320,7 @@ def gp_infer_steps(
         dataset = build_dataset(observations, series, mode, max_gap_s)
         if len(dataset) < 6:
             continue
-        inferred = yield from _fit_robust_steps(dataset, base_config, interpretation)
+        inferred = _fit_robust(dataset, base_config, interpretation)
         if best is None or inferred.fitness < best.fitness:
             best = inferred
     return best
@@ -359,27 +332,24 @@ RESTART_FITNESS = 0.02
 MAX_RESTARTS = 3
 
 
-def _evolve_with_restarts_steps(config: GpConfig, scaled: "ScaledDataset"):
+def _evolve_with_restarts(config: GpConfig, scaled: "ScaledDataset") -> GpResult:
     from dataclasses import replace as _replace
 
     # One fitness cache spans every restart attempt: the dataset is the
     # same, only the seed changes, and restart populations re-derive the
     # same seeded shapes and small trees — immediate hits.
     cache = FitnessCache() if config.fitness_cache else None
-    # The active tracer is looked up when the generator starts; a batch
-    # driver advances generators under the disabled tracer (interleaved
-    # span stacks cannot nest), the serial driver sees the real one.
     tracer = get_active()
     best = None
     for attempt in range(MAX_RESTARTS):
         attempt_config = _replace(config, seed=config.seed + 7919 * attempt)
         with tracer.span("gp_restart", attempt=attempt) as span:
-            result = yield from GeneticProgrammer(attempt_config, cache=cache).fit_steps(
+            result = GeneticProgrammer(attempt_config, cache=cache).fit(
                 scaled.x_rows, scaled.y_values
             )
             span.set(
                 fitness=round(result.fitness, 6),
-                generations=attempt_config.generations,
+                generations=result.generations_run,
             )
         if best is None or result.fitness < best.fitness:
             best = result
@@ -388,9 +358,9 @@ def _evolve_with_restarts_steps(config: GpConfig, scaled: "ScaledDataset"):
     return best
 
 
-def _fit_robust_steps(
+def _fit_robust(
     dataset: PairedDataset, config: GpConfig, interpretation: str
-):
+) -> InferredFormula:
     """GP fit with one trim-and-refit round.
 
     OCR errors that survive the §3.3 filter (small digit confusions on
@@ -403,7 +373,7 @@ def _fit_robust_steps(
     wins — the multi-run equivalent of the paper's larger 1000x30 budget.
     """
     scaled = prescale(dataset)
-    result = yield from _evolve_with_restarts_steps(config, scaled)
+    result = _evolve_with_restarts(config, scaled)
 
     # One vectorised evaluation; the tree primitives are bit-identical to
     # the scalar path, so the residuals match a per-sample loop exactly.
@@ -420,7 +390,7 @@ def _fit_robust_steps(
             [dataset.x_rows[i] for i in keep], [dataset.y_values[i] for i in keep]
         )
         scaled = prescale(trimmed)
-        result = yield from _evolve_with_restarts_steps(config, scaled)
+        result = _evolve_with_restarts(config, scaled)
 
     formula = _wrap_scaled_tree(result.tree, scaled, interpretation)
     return InferredFormula(

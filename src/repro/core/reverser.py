@@ -34,7 +34,7 @@ from .formula_memo import FormulaMemo, dataset_key
 from .gp import GpConfig
 from .pairing import nearest_pairs
 from .request_analysis import ColumnView, SemanticMatch
-from .response_analysis import InferredFormula, infer_formula, infer_formula_steps
+from .response_analysis import InferredFormula, infer_formula
 from .screenshot import FilterReport, UiSeries, extract_ui_series, filter_ui_series
 
 #: Execution backends for per-ESV formula inference (*where* it runs).
@@ -81,12 +81,9 @@ class ReverserConfig:
     #: first and falls back to GP for the hard tail
     #: (:mod:`repro.core.inference`).
     formula_backend: str = "gp"
-    #: Cross-ESV batched fitness evaluation for the serial backend: when
-    #: True (and more than one formula task is planned) the serial path
-    #: drives every ESV's inference generator through one
-    #: :class:`~repro.core.gp.BatchEvaluator`, merging same-shape fitness
-    #: passes across ESVs.  The ``process`` backend ignores it.  Reports
-    #: stay byte-identical either way.
+    #: Ignored: nothing reads it.  It remains only because the pipeline
+    #: benchmark's worker still passes ``gp_batch=True``; it is deleted
+    #: together with that argument.
     gp_batch: bool = False
     #: Directory of the cross-run formula memo store
     #: (:class:`~repro.core.formula_memo.FormulaMemo`).  Empty string
@@ -400,67 +397,6 @@ def _execute_formula_task(
     return _esv_from_task(task, inferred), memo_hit
 
 
-def run_batched_tasks(
-    tasks: List[_FormulaTask], memo: Optional[FormulaMemo]
-) -> List[_TaskOutcome]:
-    """Execute many formula tasks as one cross-ESV batched pass.
-
-    Memo lookups happen up front (sequentially, so their spans nest
-    normally); every miss becomes an :func:`infer_formula_steps`
-    generator, and one :class:`~repro.core.gp.BatchEvaluator` drives all
-    of them in lock step, merging same-shape fitness evaluations across
-    ESVs.  Results — and therefore reports — are byte-identical to
-    running the tasks one at a time.
-
-    Concurrent inferences have no private wall-clock, and interleaved
-    coroutines cannot nest spans, so the batch is covered by a single
-    ``gp_batch`` span instead of per-task ``gp_formula`` and per-restart
-    spans.
-    """
-    from .gp.batch import BatchEvaluator
-
-    tracer = get_active()
-    outcomes: List[_TaskOutcome] = []
-    generators = []
-    gen_tasks: List[Tuple[_FormulaTask, Optional[str]]] = []
-    with tracer.span("gp_batch", n_tasks=len(tasks)):
-        for task in tasks:
-            key: Optional[str] = None
-            if memo is not None:
-                with tracer.span("memo_lookup", esv=task.identifier) as span:
-                    key = dataset_key(
-                        task.observations,
-                        task.series,
-                        task.config,
-                        backend=task.backend,
-                    )
-                    memo_hit, inferred = memo.get(key)
-                    span.set(hit=memo_hit)
-                if memo_hit:
-                    outcomes.append(
-                        _TaskOutcome(task.slot, _esv_from_task(task, inferred), True)
-                    )
-                    continue
-            generators.append(
-                infer_formula_steps(
-                    task.observations, task.series, task.config, backend=task.backend
-                )
-            )
-            gen_tasks.append((task, key))
-        results = BatchEvaluator().run(generators)
-        for (task, key), inferred in zip(gen_tasks, results):
-            if memo is not None:
-                memo.put(key, inferred)
-            outcomes.append(
-                _TaskOutcome(
-                    task.slot,
-                    _esv_from_task(task, inferred),
-                    False if memo is not None else None,
-                )
-            )
-    return outcomes
-
-
 #: Per-process state for the ``process`` GP backend, installed once per pool
 #: worker by :func:`_gp_worker_init`.  Module-level because a
 #: process pool only ships module-level callables.
@@ -568,7 +504,6 @@ class DPReverser:
         self.gp_workers = self.config.gp_workers
         self.gp_backend = self.config.gp_backend
         self.formula_backend = self.config.formula_backend
-        self.gp_batch = self.config.gp_batch
         self.gp_memo_dir = str(self.config.gp_memo_dir or "")
         #: Formula-memo traffic accumulated across :meth:`infer` calls;
         #: stays all-zero while memoisation is off.  Besides the aggregate
@@ -868,8 +803,6 @@ class DPReverser:
         if self._resolve_backend(len(tasks)) == "process":
             return self._run_tasks_process(tasks)
         memo = FormulaMemo(self.gp_memo_dir) if self.gp_memo_dir else None
-        if self.gp_batch and len(tasks) > 1:
-            return run_batched_tasks(tasks, memo)
         return [self._run_one(task, memo) for task in tasks]
 
     def _run_one(

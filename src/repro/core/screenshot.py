@@ -20,8 +20,8 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..cps.camera import CapturedFrame
-from ..cps.ocr import OcrEngine, OcrFrame, OcrRegion
+from ..cps.camera import CapturedFrame, TextRegion
+from ..cps.ocr import OcrEngine, OcrFrame
 from ..cps.uianalyzer import text_similarity
 
 _VALUE_PATTERN = re.compile(r"^\s*(-?\d+(?:\.\d+)?)\s*([^\d\s].*)?$")
@@ -73,7 +73,7 @@ def parse_value(text: str) -> Tuple[Optional[float], str]:
     return value, unit
 
 
-def pair_value_rows(frame: OcrFrame) -> List[Tuple[OcrRegion, OcrRegion]]:
+def pair_value_rows(frame: OcrFrame) -> List[Tuple[TextRegion, TextRegion]]:
     """Pair each live value region with the nearest label on its row.
 
     Pairing is geometry only: a label shares the value's row when its y
@@ -84,7 +84,7 @@ def pair_value_rows(frame: OcrFrame) -> List[Tuple[OcrRegion, OcrRegion]]:
     return [(regions[i], regions[j]) for i, j in _row_indices(regions)]
 
 
-def _row_indices(regions: Sequence[OcrRegion]) -> List[Tuple[int, int]]:
+def _row_indices(regions: Sequence[TextRegion]) -> List[Tuple[int, int]]:
     """:func:`pair_value_rows` as ``(label index, value index)`` pairs."""
     labels = [(i, r) for i, r in enumerate(regions) if r.kind == "label"]
     rows: List[Tuple[int, int]] = []

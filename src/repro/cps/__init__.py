@@ -1,7 +1,7 @@
 """Cyber-physical data-collection substrate: cameras, OCR, arm, planner."""
 
 from .camera import Camera, CapturedFrame, TextRegion, VideoRecorder
-from .ocr import CONFUSION_PAIRS, OcrEngine, OcrFrame, OcrRegion
+from .ocr import CONFUSION_PAIRS, OcrEngine, OcrFrame
 from .arm import (
     ClickRecord,
     ClickStatement,
@@ -37,7 +37,6 @@ __all__ = [
     "CONFUSION_PAIRS",
     "OcrEngine",
     "OcrFrame",
-    "OcrRegion",
     "ClickRecord",
     "ClickStatement",
     "RoboticClicker",

@@ -18,8 +18,8 @@ precision (97.6 % AUTEL, 85.0 % LAUNCH) maps directly onto the
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import List
 
 from .camera import CapturedFrame, TextRegion
 
@@ -30,30 +30,17 @@ CONFUSION_PAIRS = {
 }
 
 
-@dataclass(frozen=True)
-class OcrRegion:
-    """One recognised text area (possibly mis-read)."""
-
-    text: str
-    x: int
-    y: int
-    width: int
-    height: int
-    kind: str
-    icon: str = ""
-
-    @property
-    def center(self) -> Tuple[int, int]:
-        return (self.x + self.width // 2, self.y + self.height // 2)
-
-
 @dataclass
 class OcrFrame:
-    """OCR output for one captured frame."""
+    """OCR output for one captured frame.
+
+    ``regions`` holds the camera's own frozen :class:`TextRegion` objects,
+    except for a mis-read region, which is a new one with the OCR'd text.
+    """
 
     timestamp: float
     screen_name: str
-    regions: List[OcrRegion]
+    regions: List[TextRegion]
     corrupted: bool  # whether the error model fired on this frame
 
     def texts(self) -> List[str]:
@@ -109,13 +96,12 @@ class OcrEngine:
         """Recognise every text region of ``frame``.
 
         With probability ``error_rate`` the frame is *corrupted*: one of its
-        digit-bearing regions (preferring live values) is mis-read.
+        digit-bearing regions (preferring live values) is mis-read.  The
+        frame itself is never changed: the result shares its regions and
+        replaces only the mis-read one.
         """
         self.frames_read += 1
-        regions = [
-            OcrRegion(r.text, r.x, r.y, r.width, r.height, r.kind, r.icon)
-            for r in frame.regions
-        ]
+        regions = list(frame.regions)
         corrupted = False
         if regions and self.rng.random() < self.error_rate:
             candidates = [i for i, r in enumerate(regions) if r.kind == "value" and _has_digits(r.text)]
@@ -131,10 +117,7 @@ class OcrEngine:
                 else self._corrupt_label(region.text)
             )
             if new_text != region.text:
-                regions[index] = OcrRegion(
-                    new_text, region.x, region.y, region.width, region.height,
-                    region.kind, region.icon,
-                )
+                regions[index] = replace(region, text=new_text)
                 corrupted = True
         if corrupted:
             self.frames_corrupted += 1

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from difflib import SequenceMatcher
 from typing import Dict, List, Optional, Tuple
 
-from .ocr import OcrFrame, OcrRegion
+from .camera import TextRegion
+from .ocr import OcrFrame
 
 TARGET_KEYWORDS = ("Read Data Stream", "Active Test")
 NAV_KEYWORDS = ("Start", "Back", "Next Page")
@@ -45,11 +46,11 @@ def fuzzy_match(text: str, keyword: str, threshold: float = 0.82) -> bool:
 class UiAnalysis:
     """Classification of one screenshot's regions."""
 
-    function_buttons: Dict[str, OcrRegion] = field(default_factory=dict)
-    nav_buttons: Dict[str, OcrRegion] = field(default_factory=dict)
-    selectable_rows: List[OcrRegion] = field(default_factory=list)
-    plain_buttons: List[OcrRegion] = field(default_factory=list)
-    icon_buttons: List[Tuple[OcrRegion, str, float]] = field(default_factory=list)
+    function_buttons: Dict[str, TextRegion] = field(default_factory=dict)
+    nav_buttons: Dict[str, TextRegion] = field(default_factory=dict)
+    selectable_rows: List[TextRegion] = field(default_factory=list)
+    plain_buttons: List[TextRegion] = field(default_factory=list)
+    icon_buttons: List[Tuple[TextRegion, str, float]] = field(default_factory=list)
     title: str = ""
     page: int = 1
     pages: int = 1
@@ -134,11 +135,11 @@ class UIAnalyzer:
     # ---------------------------------------------------------------- helpers
 
     @staticmethod
-    def unchecked_rows(analysis: UiAnalysis) -> List[OcrRegion]:
+    def unchecked_rows(analysis: UiAnalysis) -> List[TextRegion]:
         return [r for r in analysis.selectable_rows if not r.text.startswith("[x]")]
 
     @staticmethod
-    def row_label(region: OcrRegion) -> str:
+    def row_label(region: TextRegion) -> str:
         """Strip the checkbox prefix from a selectable row's text."""
         text = region.text
         for prefix in ("[ ] ", "[x] ", "[ ]", "[x]"):

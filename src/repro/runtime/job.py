@@ -58,11 +58,6 @@ class JobSpec:
     #: backend produces byte-identical payloads, so this is execution
     #: policy like :attr:`gp_workers` — excluded from :attr:`job_id`.
     gp_backend: str = "auto"
-    #: Merge same-shape fitness evaluations across this job's ESVs into
-    #: single batched matrix passes when GP runs serially (see
-    #: :class:`~repro.core.gp.BatchEvaluator`).  Byte-identical results,
-    #: so execution policy — excluded from :attr:`job_id`.
-    gp_batch: bool = False
     #: Directory of the cross-run formula memo store (empty = off).  Memo
     #: hits replay the exact stored result, so the payload is unchanged —
     #: excluded from :attr:`job_id`.
@@ -144,7 +139,6 @@ class JobSpec:
             "live_latency_s": self.live_latency_s,
             "gp_workers": self.gp_workers,
             "gp_backend": self.gp_backend,
-            "gp_batch": self.gp_batch,
             "gp_memo_dir": self.gp_memo_dir,
             "formula_backend": self.formula_backend,
             "noise_spec": self.noise_spec,
@@ -165,7 +159,6 @@ class JobSpec:
             live_latency_s=payload.get("live_latency_s", 0.0),
             gp_workers=payload.get("gp_workers", 1),
             gp_backend=payload.get("gp_backend", "auto"),
-            gp_batch=payload.get("gp_batch", False),
             gp_memo_dir=payload.get("gp_memo_dir", ""),
             formula_backend=payload.get("formula_backend", "gp"),
             noise_spec=payload.get("noise_spec", ""),
@@ -282,7 +275,6 @@ def fleet_job_specs(
     gp_overrides: Tuple[Tuple[str, object], ...] = (),
     gp_workers: int = 1,
     gp_backend: str = "auto",
-    gp_batch: bool = False,
     gp_memo_dir: str = "",
     formula_backend: str = "gp",
     noise_spec: str = "",
@@ -304,7 +296,6 @@ def fleet_job_specs(
             gp_overrides=gp_overrides,
             gp_workers=gp_workers,
             gp_backend=gp_backend,
-            gp_batch=gp_batch,
             gp_memo_dir=gp_memo_dir,
             formula_backend=formula_backend,
             noise_spec=noise_spec,
@@ -353,7 +344,6 @@ def run_job(spec: JobSpec) -> JobResult:
                 ocr_seed=spec.ocr_seed,
                 gp_workers=spec.gp_workers,
                 gp_backend=spec.gp_backend,
-                gp_batch=spec.gp_batch,
                 gp_memo_dir=spec.gp_memo_dir,
                 formula_backend=spec.formula_backend,
                 noise=spec.noise_profile(),

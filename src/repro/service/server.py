@@ -103,9 +103,6 @@ class ServiceConfig:
     #: cannot compete with the event loop for the GIL.  Reports are
     #: byte-identical on every backend.
     gp_backend: str = "auto"
-    #: Merge same-shape GP evaluations across a session's ESVs into single
-    #: batched matrix passes (applies to the serial backend only).
-    gp_batch: bool = True
     #: Shared on-disk formula memo directory ("" disables cross-session
     #: formula reuse).
     gp_memo_dir: str = ""
@@ -248,7 +245,6 @@ class DiagnosticServer:
                 ocr_seed=self.config.ocr_seed,
                 gp_workers=self.config.gp_workers,
                 gp_backend=backend,
-                gp_batch=self.config.gp_batch,
                 gp_memo_dir=self.config.gp_memo_dir,
                 formula_backend=self.config.formula_backend,
                 trace=session.tracer if session.tracer.enabled else None,

@@ -1,5 +1,7 @@
 """Tests for the virtual cameras and the OCR error model."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cps import Camera, OcrEngine, VideoRecorder
@@ -78,6 +80,24 @@ class TestOcrEngine:
             original = {r.text for r in camera.capture(make_screen()).regions}
             changed = [r for r in frame.regions if r.text not in original]
             assert all(r.kind == "value" for r in changed)
+
+    def test_regions_are_the_cameras_own_and_the_frame_is_never_changed(self):
+        camera = Camera(SimClock())
+        clean = camera.capture(make_screen())
+        read = OcrEngine(error_rate=0.0).read_frame(clean)
+        assert len(read.regions) == len(clean.regions)
+        assert all(r is c for r, c in zip(read.regions, clean.regions))
+
+        captured = camera.capture(make_screen())
+        before = list(captured.regions)
+        frame = OcrEngine(error_rate=1.0, seed=11).read_frame(captured)
+        assert frame.corrupted
+        assert len(captured.regions) == len(before)
+        assert all(r is b for r, b in zip(captured.regions, before))
+        (index,) = [i for i, (r, b) in enumerate(zip(frame.regions, before)) if r is not b]
+        misread = frame.regions[index]
+        assert misread.text != before[index].text
+        assert misread == replace(before[index], text=misread.text)
 
     def test_invalid_error_rate_rejected(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from repro.core.gp import (
     GeneticProgrammer,
     GpConfig,
     Node,
+    batched_maes,
     fold_constants,
     pretty,
     random_tree,
@@ -144,3 +145,11 @@ class TestEvolution:
     def test_predict_matches_tree(self):
         result, xs, ys = self.fit(lambda x: x[0] + 2, 1)
         assert result.predict((5.0,)) == pytest.approx(7.0, abs=0.01)
+
+
+class TestBatchedMaes:
+    def test_all_invalid_rows_go_inf(self):
+        rng = np.random.default_rng(11)
+        F = np.full((3, 12), np.nan)
+        y = rng.normal(size=12) * 5.0
+        assert np.isinf(batched_maes(F, y, True)).all()

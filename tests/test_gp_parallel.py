@@ -492,6 +492,12 @@ class TestCliBackendChoices:
             ["reverse", "capture", "--gp-islands", "2"],
             ["fleet-run", "--gp-backend", "island"],
             ["serve", "--gp-backend", "thread"],
+            ["reverse", "capture", "--gp-batch"],
+            ["reverse", "capture", "--no-gp-batch"],
+            ["fleet-run", "--gp-batch"],
+            ["fleet-run", "--no-gp-batch"],
+            ["serve", "--gp-batch"],
+            ["serve", "--no-gp-batch"],
         ],
     )
     def test_removed_backends_rejected(self, argv, capsys):

@@ -107,6 +107,24 @@ class TestInference:
         for raw in raws:
             assert inferred((raw,)) == pytest.approx(0.75 * raw - 48, abs=0.5)
 
+    def test_restart_span_records_generations_run(self):
+        """A run that reaches the fitness threshold stops before the
+        generation budget, and its ``gp_restart`` span says so."""
+        from repro.observability.trace import Tracer, activated
+
+        raws = [20, 60, 100, 140, 180, 220, 40, 80, 120, 160]
+        observations = make_obs("uds:F400", raws)
+        series = make_series("Temp", [0.75 * r - 48 for r in raws])
+        config = GpConfig(seed=1)
+        tracer = Tracer()
+        with activated(tracer):
+            inferred = infer_formula(observations, series, config)
+        restarts = tracer.by_name()["gp_restart"]
+        assert restarts
+        ran = [span.attrs["generations"] for span in restarts]
+        assert all(generations < config.generations for generations in ran)
+        assert inferred.generations in ran
+
     def test_kwp_product_recovered(self):
         pairs = [
             (40, 20), (40, 60), (40, 120), (40, 200), (40, 240),
