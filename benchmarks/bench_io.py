@@ -36,7 +36,7 @@ import json
 import os
 import subprocess
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Union
+from typing import Dict, Iterable, Mapping, Optional, Union
 
 BENCH_SCHEMA_VERSION = 1
 
@@ -131,3 +131,29 @@ def load_artifact_dir(directory: Union[str, Path]) -> Dict[str, dict]:
         artifact = read_bench(path)
         artifacts[artifact["name"]] = artifact
     return artifacts
+
+
+def selects_whole_module(
+    module: Union[str, Path],
+    args: Iterable[str],
+    invocation_dir: Union[str, Path],
+    deselected: Iterable[Union[str, Path]],
+) -> bool:
+    """Whether a pytest run selected every test of the bench ``module``.
+
+    A bench writes its ``results/<name>.txt`` table from the rows its
+    selected tests record, so a run of part of the module (``-k total``,
+    a ``path::test`` node id, ``--deselect``, ``--lf``) must leave the
+    committed table alone.  ``args`` are pytest's command-line arguments,
+    resolved against ``invocation_dir``; ``deselected`` holds the files
+    of the tests pytest deselected.  False when an argument names tests
+    of ``module`` by node id, or when a test of ``module`` was deselected.
+    """
+    module = Path(module).resolve()
+    if any(Path(path).resolve() == module for path in deselected):
+        return False
+    for arg in args:
+        path, node, __ = arg.partition("::")
+        if node and (Path(invocation_dir) / path).resolve() == module:
+            return False
+    return True

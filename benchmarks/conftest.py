@@ -94,13 +94,23 @@ def fleet():
 
 _initialised_reports = set()
 
+#: Files of the tests this session deselected (``-k``, ``-m``,
+#: ``--deselect``, ``--lf``).
+_deselected_files = set()
+
+
+def pytest_deselected(items):
+    _deselected_files.update(item.path for item in items)
+
 
 @pytest.fixture()
 def report_file(request):
     """Append the reproduced table rows to benchmarks/results/<module>.txt.
 
     The file is truncated the first time a module writes to it in a
-    session, so parametrised tests accumulate into one table.
+    session, so parametrised tests accumulate into one table.  A run that
+    selects only some of a module's tests leaves its table untouched, so
+    the committed rows of the tests that did not run survive.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     name = request.module.__name__.replace("test_", "")
@@ -111,6 +121,11 @@ def report_file(request):
         lines.append(text)
 
     yield write
+    config = request.config
+    if not bench_io.selects_whole_module(
+        request.path, config.args, config.invocation_params.dir, _deselected_files
+    ):
+        return
     mode = "a" if path in _initialised_reports else "w"
     _initialised_reports.add(path)
     with path.open(mode) as handle:

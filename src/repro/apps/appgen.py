@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from .ir import (
     App,
@@ -31,7 +31,6 @@ from .ir import (
     CondExpr,
     DISPLAY_SIG,
     DoubleConst,
-    GotoStmt,
     IfStmt,
     IntConst,
     InvokeExpr,

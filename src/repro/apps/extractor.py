@@ -13,7 +13,7 @@ from them, pick tainted statements containing mathematical operators, then
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ir import (
@@ -22,7 +22,6 @@ from .ir import (
     AssignStmt,
     BinopExpr,
     CastExpr,
-    CondExpr,
     DoubleConst,
     IfStmt,
     IntConst,

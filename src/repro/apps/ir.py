@@ -21,7 +21,7 @@ references and invoke expressions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 
 # ----------------------------------------------------------------- values

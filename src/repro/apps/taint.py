@@ -16,21 +16,19 @@ processed in another) defeat it — our corpus reproduces that failure mode.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from .ir import (
     ArrayRef,
     AssignStmt,
     BinopExpr,
     CastExpr,
-    CondExpr,
     Expr,
     IfStmt,
     InvokeExpr,
     Local,
     Method,
     RESPONSE_READ_APIS,
-    Statement,
     Value,
 )
 

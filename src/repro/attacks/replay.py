@@ -13,12 +13,11 @@ experimenter would observe physically (doors unlocking, wipers moving).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..diagnostics.messages import is_negative_response
 from ..vehicle import Vehicle
-from ..vehicle.ecu import SimulatedEcu
 
 
 @dataclass

@@ -9,7 +9,7 @@ resets.  :func:`run_table13` reproduces the experiment per car; the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..core.reverser import ReverseReport
 from ..vehicle import Vehicle

@@ -10,7 +10,7 @@ pipeline, together with a few helpers for rendering frames in the familiar
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MAX_STANDARD_ID = 0x7FF
 MAX_EXTENDED_ID = 0x1FFFFFFF

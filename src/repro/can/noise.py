@@ -27,7 +27,7 @@ input agree byte for byte — the property the determinism tests assert.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .frame import CanFrame

@@ -15,7 +15,7 @@ labelled with the actuator name clicked on the tool's UI at that time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..diagnostics.uds import IoControlParameter

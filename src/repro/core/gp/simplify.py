@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import numpy as np
-
 from .tree import Node
 
 

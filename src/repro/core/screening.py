@@ -16,11 +16,9 @@ pipeline needs no per-vehicle configuration.
 
 from __future__ import annotations
 
-from typing import Iterable, List
-
 import numpy as np
 
-from ..can import CanFrame, CanLog
+from ..can import CanFrame
 from ..transport.arrays import FrameArrays
 from ..transport.isotp import PciType
 from ..transport.vwtp import (
@@ -88,27 +86,8 @@ def detect_transport(frames) -> str:
     return TRANSPORT_ISOTP
 
 
-def screen_isotp(frames: Iterable[CanFrame], pci_offset: int = 0) -> List[CanFrame]:
-    """Keep SF/FF/CF frames; drop flow control and non-ISO-TP noise."""
-    kept: List[CanFrame] = []
-    for frame in frames:
-        nibble = _isotp_pci_nibble(frame.data, pci_offset)
-        if nibble in (PciType.SINGLE, PciType.FIRST, PciType.CONSECUTIVE):
-            kept.append(frame)
-    return kept
-
-
-def screen_vwtp(frames: Iterable[CanFrame]) -> List[CanFrame]:
-    """Keep only TP 2.0 data-transmission frames (§3.2 Step 1)."""
-    return [
-        frame
-        for frame in frames
-        if classify_vwtp_frame(frame) == VwTpFrameKind.DATA
-    ]
-
-
 def frame_passes_screen(frame: CanFrame, transport: str) -> bool:
-    """Per-frame screening predicate (the stateless core of :func:`screen`).
+    """Whether screening keeps ``frame`` on a ``transport`` capture.
 
     Screening never looks across frames, so a live stream can screen each
     frame as it arrives and reach exactly the batch decision.
@@ -126,10 +105,10 @@ def frame_passes_screen(frame: CanFrame, transport: str) -> bool:
 
 
 def screen_mask(arrays, transport: str):
-    """Vectorised :func:`screen`: a keep-mask over a whole capture.
+    """Vectorised :func:`frame_passes_screen`: a keep-mask over a capture.
 
     Takes a :class:`~repro.transport.arrays.FrameArrays` and returns a
-    boolean numpy array marking the frames batch screening would keep,
+    boolean numpy array marking the frames screening would keep,
     or ``None`` when the transport has no vectorised screen (VW TP 2.0
     classification is stateful enough that the event path handles it).
     Bit-for-bit equivalent to mapping :func:`frame_passes_screen`: the
@@ -143,20 +122,3 @@ def screen_mask(arrays, transport: str):
     else:
         return None
     return (arrays.dlcs > offset) & (arrays.nibbles(offset) <= PciType.CONSECUTIVE)
-
-
-def screen(frames: Iterable[CanFrame], transport: str) -> List[CanFrame]:
-    """Dispatch to the right screener for ``transport``."""
-    if transport == TRANSPORT_VWTP:
-        return screen_vwtp(frames)
-    if transport == TRANSPORT_BMW:
-        return screen_isotp(frames, pci_offset=1)
-    if transport == TRANSPORT_ISOTP:
-        return screen_isotp(frames, pci_offset=0)
-    raise ValueError(f"unknown transport {transport!r}")
-
-
-def screen_log(log: CanLog, transport: str = "") -> List[CanFrame]:
-    """Screen a whole capture, auto-detecting the transport when not given."""
-    frames = list(log)
-    return screen(frames, transport or detect_transport(frames))

@@ -14,7 +14,6 @@ two-stage filter removes bad samples:
 
 from __future__ import annotations
 
-import math
 import re
 import statistics
 from dataclasses import dataclass, field

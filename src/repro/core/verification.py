@@ -12,7 +12,7 @@ of Tabs. 5/6/10.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..formulas import Formula, formulas_equivalent
 

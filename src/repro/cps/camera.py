@@ -14,10 +14,10 @@ faithful and Tesseract is not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
-from ..simtime import SimClock, SkewedClock
+from ..simtime import SkewedClock
 from ..tools.ui import Screen, WidgetKind
 
 

@@ -17,15 +17,15 @@ pipeline (plus the click log used to split it into per-action segments).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..can import CanLog
 from ..simtime import SkewedClock
 from ..tools.diagtool import DiagnosticTool
-from .arm import ClickRecord, RoboticClicker, Script, ScriptGenerator
+from .arm import ClickRecord, RoboticClicker, ScriptGenerator
 from .camera import Camera, CapturedFrame, VideoRecorder
-from .ocr import OcrEngine, OcrFrame
+from .ocr import OcrEngine
 from .planner import ClickPlanner
 from .uianalyzer import UIAnalyzer, UiAnalysis
 

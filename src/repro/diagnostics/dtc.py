@@ -17,7 +17,7 @@ The letter prefix comes from the top two bits of the first byte:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from .messages import DiagnosticError
 

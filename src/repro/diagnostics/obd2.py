@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..formulas import (
     AffineFormula,
-    ExpressionFormula,
     Formula,
     TwoVarAffineFormula,
 )

@@ -29,7 +29,7 @@ from .events import EventLog, read_events
 from .job import InjectedFault, JobResult, JobSpec, fleet_job_specs, run_job
 from .metrics import Counter, Histogram, MetricsRegistry
 from .report import RunReport
-from .scheduler import POOL_KINDS, Scheduler, SchedulerConfig, WorkerPool
+from .scheduler import POOL_KINDS, Scheduler, SchedulerConfig
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
@@ -48,5 +48,4 @@ __all__ = [
     "POOL_KINDS",
     "Scheduler",
     "SchedulerConfig",
-    "WorkerPool",
 ]

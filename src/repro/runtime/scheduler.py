@@ -68,69 +68,6 @@ def _invoke_worker_runner(spec: JobSpec) -> JobResult:
     return _WORKER_RUNNER(spec)
 
 
-def _generic_worker_init() -> None:
-    """Warm one pool worker for arbitrary submissions (no fixed runner)."""
-    from .. import core, cps, tools, vehicle  # noqa: F401
-
-
-class _ImmediateFuture(Future):
-    """A future resolved inline — the serial backend's submit result."""
-
-    def __init__(self, fn, args, kwargs) -> None:
-        super().__init__()
-        try:
-            self.set_result(fn(*args, **kwargs))
-        except BaseException as error:  # noqa: BLE001 — carried in the future
-            self.set_exception(error)
-
-
-class WorkerPool:
-    """A persistent, warmed worker pool with a submit-anything lifecycle.
-
-    :class:`Scheduler` owns its executor for the duration of one batch;
-    long-lived services (the streaming diagnostic server in
-    :mod:`repro.service`) need the same warmed backends but submit work one
-    call at a time for as long as the process lives.  ``kind`` is one of
-    :data:`POOL_KINDS`; ``serial`` executes inline (deterministic tests,
-    zero threads), ``thread`` keeps the caller's event loop free while the
-    GIL-bound parts stay in-process, and ``process`` ships picklable
-    callables to workers pre-warmed exactly like the scheduler's
-    (instruction tables primed, heavy modules imported).
-    """
-
-    def __init__(self, kind: str = "thread", workers: int = 1) -> None:
-        if kind not in POOL_KINDS:
-            raise ValueError(f"unknown pool kind {kind!r}; expected one of {POOL_KINDS}")
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers}")
-        self.kind = kind
-        self.workers = workers
-        self._executor = None
-        if kind == "thread":
-            self._executor = ThreadPoolExecutor(max_workers=workers)
-        elif kind == "process":
-            self._executor = ProcessPoolExecutor(
-                max_workers=workers, initializer=_generic_worker_init
-            )
-
-    def submit(self, fn: Callable, *args, **kwargs) -> Future:
-        """Schedule ``fn(*args, **kwargs)``; returns its future."""
-        if self._executor is None:
-            return _ImmediateFuture(fn, args, kwargs)
-        return self._executor.submit(fn, *args, **kwargs)
-
-    def shutdown(self, wait: bool = True) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=wait)
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        self.shutdown()
-        return False
-
-
 @dataclass
 class SchedulerConfig:
     """Execution policy for one fleet run."""

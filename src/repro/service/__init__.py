@@ -15,7 +15,7 @@ Layers:
 - :mod:`~repro.service.session` — :class:`VehicleSession`, the per-tenant
   incremental pipeline state (pure, event-loop-free);
 - :mod:`~repro.service.server` — :class:`DiagnosticServer`, the asyncio
-  front-end with rate limits, bounded buffers, backpressure, worker-pool
+  front-end with rate limits, bounded buffers, backpressure, thread-pool
   offload and ``service.*`` observability;
 - :mod:`~repro.service.client` — the reference streaming client.
 
@@ -28,7 +28,6 @@ Entry points: ``repro serve`` on the command line, or::
 """
 
 from .client import (
-    FrameBatcher,
     ServiceClientError,
     StreamResult,
     stream_capture,
@@ -44,7 +43,6 @@ from .protocol import (
     encode_message,
     frame_batch_to_wire,
     arrays_from_batch,
-    frames_from_batch,
     read_message,
     write_message,
 )
@@ -53,7 +51,6 @@ from .session import SessionError, VehicleSession
 from .shards import ShardSupervisor
 
 __all__ = [
-    "FrameBatcher",
     "ServiceClientError",
     "StreamResult",
     "stream_capture",
@@ -67,7 +64,6 @@ __all__ = [
     "encode_message",
     "frame_batch_to_wire",
     "arrays_from_batch",
-    "frames_from_batch",
     "read_message",
     "write_message",
     "DiagnosticServer",

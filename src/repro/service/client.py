@@ -7,10 +7,10 @@ event loop for scripts and tests that live in synchronous code.
 
 Two ingest-throughput levers live here:
 
-* **transparent batching** — ``batch_size > 0`` coalesces consecutive CAN
-  frames into binary ``frame-batch`` messages (:func:`capture_to_wire`
-  does the coalescing; live bridges use :class:`FrameBatcher`), cutting
-  the per-frame JSON round-trip to one packed ``struct`` record;
+* **transparent batching** — ``batch_size > 0`` packs the CAN frames
+  into binary ``frame-batch`` messages of that many frames
+  (:func:`capture_to_wire` does the packing), cutting the per-frame JSON
+  round-trip to one packed ``struct`` record;
 * **coalesced writes** — the sender queues messages and drains once per
   flush window instead of once per message, so the event loop round-trip
   and TCP push happen per *kilobytes*, not per record.  Drains forced by
@@ -22,16 +22,13 @@ Two ingest-throughput levers live here:
 from __future__ import annotations
 
 import asyncio
-import time
 from typing import Callable, Iterable, List, Optional
 
-from ..can import CanFrame
 from ..cps.collector import Capture
 from ..transport.kline import KLineByte
 from .protocol import (
     ProtocolError,
     capture_to_wire,
-    frame_batch_to_wire,
     read_message,
     write_message,
 )
@@ -61,54 +58,6 @@ class StreamResult:
         self.backpressure_stalls: int = 0
 
 
-class FrameBatcher:
-    """Size- and time-bounded frame coalescing for live bridges.
-
-    A capture replay knows its whole frame log up front and batches via
-    :func:`capture_to_wire`; a live OBD bridge sees frames one at a time
-    and must trade latency for batch size.  Feed frames to :meth:`add` —
-    it returns a ready ``frame-batch`` message when the batch fills
-    (``batch_size``) or goes stale (``flush_interval_s`` since the batch's
-    first frame), and ``None`` while the batch is still accumulating.
-    Call :meth:`flush` at stream end (and on idle timeouts) to emit the
-    remainder.
-    """
-
-    def __init__(
-        self,
-        batch_size: int = 256,
-        flush_interval_s: float = 0.05,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.batch_size = batch_size
-        self.flush_interval_s = flush_interval_s
-        self._clock = clock
-        self._frames: List[CanFrame] = []
-        self._started = 0.0
-
-    def __len__(self) -> int:
-        return len(self._frames)
-
-    def add(self, frame: CanFrame) -> Optional[dict]:
-        if not self._frames:
-            self._started = self._clock()
-        self._frames.append(frame)
-        if len(self._frames) >= self.batch_size or (
-            self.flush_interval_s > 0
-            and self._clock() - self._started >= self.flush_interval_s
-        ):
-            return self.flush()
-        return None
-
-    def flush(self) -> Optional[dict]:
-        if not self._frames:
-            return None
-        frames, self._frames = self._frames, []
-        return frame_batch_to_wire(frames)
-
-
 async def stream_capture_async(
     host: str,
     port: int,
@@ -119,7 +68,6 @@ async def stream_capture_async(
     on_status: Optional[Callable[[dict], None]] = None,
     delay_s: float = 0.0,
     batch_size: int = 0,
-    flush_messages: int = FLUSH_MESSAGES,
 ) -> StreamResult:
     """Stream one capture into a server; return the final report.
 
@@ -189,7 +137,7 @@ async def stream_capture_async(
                         result.backpressure_stalls += 1
                         await writer.drain()
                         unflushed = 0
-                    elif unflushed >= max(1, flush_messages):
+                    elif unflushed >= FLUSH_MESSAGES:
                         await writer.drain()
                         unflushed = 0
                 if consumer.done():
@@ -218,7 +166,6 @@ def stream_capture(
     on_status: Optional[Callable[[dict], None]] = None,
     delay_s: float = 0.0,
     batch_size: int = 0,
-    flush_messages: int = FLUSH_MESSAGES,
 ) -> StreamResult:
     """Synchronous wrapper over :func:`stream_capture_async`."""
     return asyncio.run(
@@ -232,6 +179,5 @@ def stream_capture(
             on_status=on_status,
             delay_s=delay_s,
             batch_size=batch_size,
-            flush_messages=flush_messages,
         )
     )

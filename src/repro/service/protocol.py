@@ -256,9 +256,7 @@ def _parse_binary_body(body: bytes) -> dict:
 # ------------------------------------------------------------ async framing
 
 
-async def read_message(
-    reader: asyncio.StreamReader, max_message_bytes: int = MAX_MESSAGE_BYTES
-) -> Optional[dict]:
+async def read_message(reader: asyncio.StreamReader) -> Optional[dict]:
     """Read one message from a stream; ``None`` on clean EOF."""
     try:
         prefix = await reader.readexactly(_LENGTH.size)
@@ -267,9 +265,9 @@ async def read_message(
             return None
         raise ProtocolError("connection closed mid-prefix") from None
     (length,) = _LENGTH.unpack(prefix)
-    if length > max_message_bytes:
+    if length > MAX_MESSAGE_BYTES:
         raise ProtocolError(
-            f"declared message length {length} exceeds the {max_message_bytes} bound"
+            f"declared message length {length} exceeds the {MAX_MESSAGE_BYTES} bound"
         )
     try:
         body = await reader.readexactly(length)
@@ -369,64 +367,43 @@ def frame_batch_to_wire(frames: Sequence[CanFrame]) -> dict:
     return message
 
 
-def frames_from_batch(message: dict) -> List[CanFrame]:
-    """Decode one ``frame-batch`` message back into its CAN frames."""
-    packed = message.get("_packed")
-    if not isinstance(packed, (bytes, bytearray, memoryview)):
-        raise ProtocolError("frame-batch message carries no packed records")
-    channels = message.get("channels", [])
-    if not isinstance(channels, list) or not all(
-        isinstance(name, str) for name in channels
-    ):
-        raise ProtocolError("frame-batch channel table must be a list of names")
-    channel_table: Tuple[str, ...] = ("can0", *channels)
-    frames: List[CanFrame] = []
-    try:
-        for timestamp, can_id, flags, dlc, data in FRAME_RECORD.iter_unpack(packed):
-            if dlc > MAX_DATA_LENGTH:
-                raise ProtocolError(f"frame record declares DLC {dlc}")
-            if not math.isfinite(timestamp):
-                raise ProtocolError("frame record carries a non-finite timestamp")
-            frames.append(
-                CanFrame(
-                    can_id=can_id,
-                    data=data[:dlc],
-                    timestamp=timestamp,
-                    extended=bool(flags & FLAG_EXTENDED),
-                    channel=channel_table[flags >> _CHANNEL_SHIFT],
-                )
-            )
-    except struct.error as error:
-        raise ProtocolError(f"bad frame-batch records: {error}") from None
-    except IndexError:
-        raise ProtocolError("frame record names a channel outside the table") from None
-    except InvalidFrameError as error:
-        raise ProtocolError(f"bad frame record: {error}") from None
-    return frames
-
-
 class _LazyBatchFrames:
-    """The :class:`CanFrame` list of a batch, materialised on first touch.
+    """The :class:`CanFrame` list of a batch, built on first touch.
 
     The columnar ingest path never needs frame *objects* — only the
     fallback event decoders and the final ``Capture`` rebuild do.  This
-    sequence defers the 5-figure object construction until one of those
-    actually indexes or iterates it.
+    sequence defers the per-frame object construction until one of those
+    actually indexes or iterates it, and then builds the frames from the
+    columns :func:`arrays_from_batch` already decoded and validated.
     """
 
-    __slots__ = ("_message", "_frames")
+    __slots__ = ("_columns", "_frames")
 
-    def __init__(self, message: dict) -> None:
-        self._message = message
+    def __init__(self, can_ids, timestamps, dlcs, payloads, flags, channels) -> None:
+        self._columns = (can_ids, timestamps, dlcs, payloads, flags, channels)
         self._frames: Optional[List[CanFrame]] = None
 
     def _force(self) -> List[CanFrame]:
         if self._frames is None:
-            self._frames = frames_from_batch(self._message)
+            can_ids, timestamps, dlcs, payloads, flags, channels = self._columns
+            table = ("can0", *channels)
+            data = payloads.tobytes()
+            self._frames = [
+                CanFrame(
+                    can_id,
+                    data[row * MAX_DATA_LENGTH : row * MAX_DATA_LENGTH + dlc],
+                    timestamp,
+                    bool(flag & FLAG_EXTENDED),
+                    table[flag >> _CHANNEL_SHIFT],
+                )
+                for row, (can_id, timestamp, dlc, flag) in enumerate(
+                    zip(can_ids.tolist(), timestamps.tolist(), dlcs.tolist(), flags.tolist())
+                )
+            ]
         return self._frames
 
     def __len__(self) -> int:
-        return len(self._message["_packed"]) // FRAME_RECORD.size
+        return len(self._columns[0])
 
     def __getitem__(self, index):
         return self._force()[index]
@@ -452,15 +429,14 @@ assert _RECORD_DTYPE.itemsize == FRAME_RECORD.size
 def arrays_from_batch(message: dict):
     """Decode one ``frame-batch`` straight into a columnar view.
 
-    Validates the same invariants as :func:`frames_from_batch` (record
-    stride, DLC bound, channel-table bounds, identifier range, finite
-    timestamps) — so both decoders reject exactly the same batches — but
-    reinterprets the packed body as a numpy record array instead of
-    looping — no per-frame Python object is built.  The returned
-    :class:`FrameArrays` carries a lazy
-    ``frames`` sequence that materialises real :class:`CanFrame` objects
-    only if a fallback path (noisy stream, capture rebuild) asks for
-    them.
+    The only batch decoder.  It validates what a :class:`CanFrame` built
+    from each record would (record stride, DLC bound, channel-table
+    bounds, identifier range, finite timestamps), but reinterprets the
+    packed body as a numpy record array instead of looping — no
+    per-frame Python object is built.  The returned :class:`FrameArrays`
+    carries a lazy ``frames`` sequence that builds :class:`CanFrame`
+    objects from these columns only if a fallback path (noisy stream,
+    capture rebuild) asks for them.
     """
     packed = message.get("_packed")
     if not isinstance(packed, (bytes, bytearray, memoryview)):
@@ -488,12 +464,14 @@ def arrays_from_batch(message: dict):
     payloads = records["data"].copy()
     columns = np.arange(MAX_DATA_LENGTH, dtype=np.int16)
     payloads[columns[None, :] >= dlcs[:, None]] = 0  # pad bytes are not data
+    can_ids = np.ascontiguousarray(records["id"])
+    timestamps = np.ascontiguousarray(records["t"])
     return FrameArrays(
-        can_ids=np.ascontiguousarray(records["id"]),
-        timestamps=np.ascontiguousarray(records["t"]),
+        can_ids=can_ids,
+        timestamps=timestamps,
         dlcs=dlcs,
         payloads=payloads,
-        frames=_LazyBatchFrames(message),
+        frames=_LazyBatchFrames(can_ids, timestamps, dlcs, payloads, records["flags"], channels),
     )
 
 
@@ -650,11 +628,13 @@ def capture_to_wire(
     ``finish``.  For a K-Line capture pass the sniffed ``kline_bytes``;
     CAN frames and K-Line bytes may not be mixed in one session.
 
-    With ``batch_size > 0`` consecutive CAN frames in that interleaving
-    coalesce into binary ``frame-batch`` messages of at most that many
-    frames; non-frame records (video, clicks) flush the pending run so
-    the server observes the records in the identical order either way.
-    ``batch_size=0`` keeps the v1 per-frame JSON wire format.
+    With ``batch_size > 0`` the CAN frames coalesce into binary
+    ``frame-batch`` messages of ``batch_size`` frames.  Video and click
+    messages go out as they come while the frame run stays open, so only
+    the last batch before the segments may be short.  Frames keep their
+    order among themselves, and so do the other records; a session keeps
+    frames, video and clicks in separate lists, so the report is the same
+    either way.  ``batch_size=0`` keeps the v1 per-frame JSON wire format.
     """
     yield hello_message(capture, tenant=tenant, transport=transport)
     records: List[Tuple[Dict, Optional[CanFrame]]] = []
@@ -667,24 +647,17 @@ def capture_to_wire(
     for click in capture.clicks:
         records.append((click_to_wire(click), None))
     records.sort(key=lambda r: r[0]["t"])
-    if batch_size <= 0:
-        for message, _frame in records:
+    run: List[CanFrame] = []
+    for message, frame in records:
+        if frame is None or batch_size <= 0:
             yield message
-    else:
-        run: List[CanFrame] = []
-        for message, frame in records:
-            if frame is not None:
-                run.append(frame)
-                if len(run) >= batch_size:
-                    yield frame_batch_to_wire(run)
-                    run = []
-            else:
-                if run:
-                    yield frame_batch_to_wire(run)
-                    run = []
-                yield message
-        if run:
+            continue
+        run.append(frame)
+        if len(run) == batch_size:
             yield frame_batch_to_wire(run)
+            run = []
+    if run:
+        yield frame_batch_to_wire(run)
     for segment in capture.segments:
         yield segment_to_wire(segment)
     yield {"type": "finish"}

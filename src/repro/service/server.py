@@ -5,9 +5,13 @@ Architecture:
 * one :class:`asyncio` connection handler per tenant, each owning one
   :class:`~repro.service.session.VehicleSession` — cheap per-record state
   updates run inline on the event loop;
+* every record message goes to
+  :meth:`~repro.service.session.VehicleSession.ingest_message`, which
+  decodes and ingests it; the handler only charges the rate limit and
+  counts;
 * CPU-bound work (interim re-analysis, final GP inference) is offloaded
-  onto a :class:`~repro.runtime.scheduler.WorkerPool` so the loop keeps
-  multiplexing thousands of sessions while formulas are being searched;
+  onto a thread pool so the loop keeps multiplexing thousands of
+  sessions while formulas are being searched;
 * every queue is bounded and every producer can be stalled:
 
   - **ingest** — a per-session token bucket; a client streaming faster
@@ -36,6 +40,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -44,28 +49,15 @@ from ..core.reverser import DPReverser, ReverserConfig
 from ..observability.export import build_snapshot
 from ..observability.trace import NULL_TRACER, Tracer
 from ..runtime.metrics import MetricsRegistry
-from ..runtime.scheduler import WorkerPool
 from .protocol import (
     FRAME_BATCH,
     HELLO_TRANSPORTS,
-    MAX_MESSAGE_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
-    click_from_wire,
-    frame_from_wire,
-    arrays_from_batch,
-    kline_byte_from_wire,
     read_message,
-    segment_from_wire,
-    video_from_wire,
     write_message,
 )
-from .session import (
-    DETECT_WINDOW,
-    MAX_CAPTURE_FRAMES,
-    SessionError,
-    VehicleSession,
-)
+from .session import MAX_CAPTURE_FRAMES, SessionError, VehicleSession
 
 #: Egress bytes queued on one writer before the handler stalls in drain().
 WRITE_HIGH_WATER = 64 * 1024
@@ -85,11 +77,9 @@ class ServiceConfig:
     #: Send an interim ``status`` snapshot every N newly assembled
     #: messages (0 disables interim analysis).
     status_interval: int = 0
-    detect_window: int = DETECT_WINDOW
     max_capture_frames: int = MAX_CAPTURE_FRAMES
-    max_message_bytes: int = MAX_MESSAGE_BYTES
-    #: Workers of the analysis offload pool (``thread`` kind: keeps the
-    #: event loop free; the GP hot path escapes the GIL separately via
+    #: Threads of the analysis offload pool (they keep the event loop
+    #: free; the GP hot path escapes the GIL separately via
     #: ``gp_backend="process"``).
     analysis_workers: int = 2
     #: GP search parameters for final inference (None = paper defaults).
@@ -154,7 +144,7 @@ class DiagnosticServer:
         self.sessions_active = 0
         self._next_session_id = 0
         self._next_lane = 1  # lane 0 is the server's own spans
-        self._pool: Optional[WorkerPool] = None
+        self._pool: Optional[ThreadPoolExecutor] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Dict[int, _Connection] = {}
 
@@ -168,7 +158,7 @@ class DiagnosticServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        self._pool = WorkerPool("thread", max(1, self.config.analysis_workers))
+        self._pool = ThreadPoolExecutor(max_workers=max(1, self.config.analysis_workers))
         self._server = await asyncio.start_server(
             self._handle_connection,
             self.config.host,
@@ -323,7 +313,7 @@ class DiagnosticServer:
     async def _handshake(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> Optional[_Connection]:
-        hello = await read_message(reader, self.config.max_message_bytes)
+        hello = await read_message(reader)
         if hello is None:
             return None
         if hello.get("type") != "hello":
@@ -354,7 +344,6 @@ class DiagnosticServer:
             tenant=str(hello.get("tenant", "anonymous")),
             transport=transport,
             meta=hello.get("meta") or {},
-            detect_window=self.config.detect_window,
             max_capture_frames=self.config.max_capture_frames,
             tracer=Tracer() if self.tracer.enabled else None,
         )
@@ -388,10 +377,7 @@ class DiagnosticServer:
         while True:
             if idle_timeout > 0:
                 try:
-                    message = await asyncio.wait_for(
-                        read_message(reader, self.config.max_message_bytes),
-                        idle_timeout,
-                    )
+                    message = await asyncio.wait_for(read_message(reader), idle_timeout)
                 except asyncio.TimeoutError:
                     # Slowloris defense: an idle session frees its slot
                     # instead of starving other tenants at max_sessions.
@@ -408,64 +394,28 @@ class DiagnosticServer:
                     )
                     return
             else:
-                message = await read_message(reader, self.config.max_message_bytes)
+                message = await read_message(reader)
             if message is None:
                 return  # client went away without finish: drop silently
-            kind = message["type"]
-            if kind == "finish":
+            if message["type"] == "finish":
                 await self._finish(writer, conn)
                 return
-            if kind == FRAME_BATCH:
-                # Columnar decode: the packed records become numpy columns
-                # directly, and clean streams never build frame objects.
-                frames = arrays_from_batch(message)
-                await self._throttle(conn, cost=len(frames))
-                start = time.perf_counter()
-                completed, dropped = session.ingest_frames(frames)
-                ingest_hist.observe(time.perf_counter() - start)
-                if dropped:
-                    self._count("service.frames_dropped", dropped)
-                if len(frames) > dropped:
-                    self._count("service.frames_ingested", len(frames) - dropped)
-                if completed:
-                    self._count("service.messages_assembled", completed)
-                    conn.since_status += completed
+            start = time.perf_counter()
+            frames, completed, dropped = session.ingest_message(message)
+            ingest_hist.observe(time.perf_counter() - start)
+            # A frame batch costs one token per frame, any other record one.
+            await self._throttle(conn, cost=frames if message["type"] == FRAME_BATCH else 1)
+            if dropped:
+                self._count("service.frames_dropped", dropped)
+            if frames > dropped:
+                self._count("service.frames_ingested", frames - dropped)
+            if completed:
+                self._count("service.messages_assembled", completed)
+                conn.since_status += completed
                 interval = self.config.status_interval
                 if interval and conn.since_status >= interval:
                     conn.since_status = 0
                     await self._interim(writer, conn)
-            elif kind in ("frame", "kbyte"):
-                await self._throttle(conn)
-                start = time.perf_counter()
-                if kind == "frame":
-                    completed = session.ingest_frame(frame_from_wire(message))
-                else:
-                    completed = session.ingest_kline_byte(
-                        kline_byte_from_wire(message)
-                    )
-                ingest_hist.observe(time.perf_counter() - start)
-                if completed < 0:
-                    self._count("service.frames_dropped")
-                    continue
-                self._count("service.frames_ingested")
-                if completed:
-                    self._count("service.messages_assembled", completed)
-                    conn.since_status += completed
-                interval = self.config.status_interval
-                if interval and conn.since_status >= interval:
-                    conn.since_status = 0
-                    await self._interim(writer, conn)
-            elif kind == "video":
-                await self._throttle(conn)
-                session.ingest_video(video_from_wire(message))
-            elif kind == "click":
-                await self._throttle(conn)
-                session.ingest_click(click_from_wire(message))
-            elif kind == "segment":
-                await self._throttle(conn)
-                session.ingest_segment(segment_from_wire(message))
-            else:
-                raise ProtocolError(f"unknown message type {kind!r}")
 
     async def _interim(
         self, writer: asyncio.StreamWriter, conn: _Connection

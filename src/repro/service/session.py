@@ -1,9 +1,11 @@
 """Per-tenant session state of the streaming diagnostic service.
 
 A :class:`VehicleSession` is the incremental twin of one batch
-``repro reverse`` run.  It consumes capture records one at a time — CAN
-frames through a :class:`~repro.core.assembly.StreamAssembler`, K-Line
-bytes through a :class:`~repro.transport.kline.KLineEventDecoder` — keeps
+``repro reverse`` run.  It consumes wire records as they arrive
+(:meth:`VehicleSession.ingest_message` decodes and dispatches each one) —
+CAN frames, one or a batch at a time, through a
+:class:`~repro.core.assembly.StreamAssembler`, K-Line bytes through a
+:class:`~repro.transport.kline.KLineEventDecoder` — keeps
 a rolling view of the request/response pairs recovered so far (cheap
 re-runs of field extraction as evidence accumulates), and on ``finish``
 rebuilds the exact :class:`~repro.cps.collector.Capture` a batch run
@@ -13,7 +15,7 @@ paths run the literal same assembly and analysis code over the same
 inputs, the streamed report is byte-identical to the batch one.
 
 The session is transport-agnostic until told otherwise: a ``hello`` with
-``transport="auto"`` buffers the first :attr:`detect_window` frames, runs
+``transport="auto"`` buffers the first :data:`DETECT_WINDOW` frames, runs
 the batch :func:`~repro.core.screening.detect_transport` heuristic over
 them, then locks the transport and replays the buffer through the
 assembler.  Memory is bounded: at most :attr:`max_capture_frames` frames
@@ -26,7 +28,7 @@ than buffered.  Video, click and segment records are bounded together by
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..can import CanFrame, CanLog
 from ..core.assembly import AssembledMessage, StreamAssembler
@@ -42,7 +44,17 @@ from ..transport.base import (
     EVENT_RESYNC,
     DecoderStats,
 )
-from ..transport.kline import KLineByte, KLineEventDecoder
+from ..transport.kline import KLineByte, KLineEventDecoder, to_assembled_messages
+from .protocol import (
+    FRAME_BATCH,
+    ProtocolError,
+    arrays_from_batch,
+    click_from_wire,
+    frame_from_wire,
+    kline_byte_from_wire,
+    segment_from_wire,
+    video_from_wire,
+)
 
 #: Frames buffered before the transport heuristic runs on an ``auto``
 #: session.  VW TP 2.0 channel setup and the BMW addressing pattern both
@@ -83,7 +95,6 @@ class VehicleSession:
         tenant: str = "anonymous",
         transport: str = "auto",
         meta: Optional[dict] = None,
-        detect_window: int = DETECT_WINDOW,
         max_capture_frames: int = MAX_CAPTURE_FRAMES,
         tracer: Optional[Tracer] = None,
     ) -> None:
@@ -95,7 +106,6 @@ class VehicleSession:
         self.tool_name = str(meta.get("tool_name", "live-stream"))
         self.tool_error_rate = float(meta.get("tool_error_rate", 0.0))
         self.camera_offset_s = float(meta.get("camera_offset_s", 0.0))
-        self.detect_window = detect_window
         self.max_capture_frames = max_capture_frames
         #: The session's private tracer; per-session because span stacks
         #: are per-thread and thousands of sessions interleave on one event
@@ -131,21 +141,22 @@ class VehicleSession:
             return len(self._assembler.messages)
         return len(self._messages)
 
-    def _resolve_transport(self, frames: List[CanFrame]) -> None:
+    def _resolve_transport(self, frames: List[CanFrame]) -> int:
         """Lock the transport and replay the detection buffer through it.
 
-        Detection only looks at the first :attr:`detect_window` frames —
+        Detection only looks at the first :data:`DETECT_WINDOW` frames —
         batched arrivals can overshoot the window, and the locked
-        transport must not depend on how the stream was chunked.
+        transport must not depend on how the stream was chunked.  Returns
+        the messages the replay completed.
         """
-        self.transport = detect_transport(frames[: self.detect_window])
+        self.transport = detect_transport(frames[:DETECT_WINDOW])
         self._assembler = StreamAssembler(self.transport)
-        self._feed_chunk(frames)
+        return self._feed_chunk(frames)
 
-    def _feed_assembler(self, frame: CanFrame) -> int:
+    def _feed_chunk(self, frames) -> int:
         before_e = self._assembler.diagnostics.stats.errors
         before_r = self._assembler.diagnostics.stats.resyncs
-        completed = self._assembler.feed(frame)
+        completed = self._assembler.feed_chunk(frames)
         # Per-frame error deltas are only folded into the aggregate stats
         # at finish(); track running totals for interim status here.
         stats = self._assembler.diagnostics.stats
@@ -153,99 +164,97 @@ class VehicleSession:
         self.decode_resyncs += stats.resyncs - before_r
         return len(completed)
 
-    def _feed_chunk(self, frames) -> int:
-        before_e = self._assembler.diagnostics.stats.errors
-        before_r = self._assembler.diagnostics.stats.resyncs
-        completed = self._assembler.feed_chunk(frames)
-        stats = self._assembler.diagnostics.stats
-        self.decode_errors += stats.errors - before_e
-        self.decode_resyncs += stats.resyncs - before_r
-        return len(completed)
+    def ingest_message(self, message: dict) -> Tuple[int, int, int]:
+        """Decode one wire record message and ingest it.
+
+        The one entry for what a client streams between ``hello`` and
+        ``finish``: a ``frame``, ``frame-batch``, ``kbyte``, ``video``,
+        ``click`` or ``segment`` message, decoded by the
+        :mod:`~repro.service.protocol` record decoders.  Returns
+        ``(frames, completed, dropped)``: the CAN frames or K-Line bytes
+        the message carried (0 for video, click and segment records), the
+        messages they completed, and how many of them the retention bound
+        shed.  Raises :class:`~repro.service.protocol.ProtocolError` on a
+        malformed record or an unknown message type, and
+        :class:`SessionError` on a record the session cannot accept.
+        """
+        kind = message["type"]
+        if kind == "frame":
+            return (1, *self.ingest_frames((frame_from_wire(message),)))
+        if kind == FRAME_BATCH:
+            arrays = arrays_from_batch(message)
+            return (len(arrays), *self.ingest_frames(arrays))
+        if kind == "kbyte":
+            completed = self.ingest_kline_byte(kline_byte_from_wire(message))
+            return (1, 0, 1) if completed < 0 else (1, completed, 0)
+        if kind == "video":
+            self.ingest_video(video_from_wire(message))
+        elif kind == "click":
+            self.ingest_click(click_from_wire(message))
+        elif kind == "segment":
+            self.ingest_segment(segment_from_wire(message))
+        else:
+            raise ProtocolError(f"unknown message type {kind!r}")
+        return 0, 0, 0
 
     def ingest_frames(self, frames) -> Tuple[int, int]:
-        """Accept a batch of CAN frames in one chunked decode pass.
+        """Accept a chunk of CAN frames in one decode pass.
 
-        ``frames`` is an iterable of :class:`CanFrame` or a columnar
-        :class:`FrameArrays` (what
+        The one frame-ingest path.  ``frames`` is a sequence of
+        :class:`CanFrame` or a columnar :class:`FrameArrays` (what
         :func:`~repro.service.protocol.arrays_from_batch` decodes the
         binary wire into) — the latter flows through assembly without any
         per-frame object ever being built.  Returns
-        ``(completed, dropped)`` — messages the batch completed and
+        ``(completed, dropped)`` — messages the chunk completed and
         frames shed by the retention bound.  Complete ISO-TP/BMW
         transfers are sliced in bulk by
         :meth:`~repro.core.assembly.StreamAssembler.feed_chunk`; state and
-        output are identical to calling :meth:`ingest_frame` per frame.
+        output are the same however the stream is split into chunks.
         """
         if self.finished:
             raise SessionError("session already finished")
         if self.transport == TRANSPORT_KLINE or self._kline is not None:
             raise SessionError("CAN frame on a K-Line session")
-        arrays = frames if isinstance(frames, FrameArrays) else None
-        if arrays is None:
-            frames = list(frames)
-        # Degenerate chunks (over the retention bound, or still inside the
-        # auto-detect window, which needs real frames for the heuristic)
-        # drop to the materialised list path.
         room = max(self.max_capture_frames - self._log_frames, 0)
-        over_bound = (len(arrays) if arrays is not None else len(frames)) > room
         detecting = self._assembler is None and self.transport == "auto"
-        if arrays is not None and (over_bound or detecting):
-            frames = list(arrays.frames)
-            arrays = None
-        dropped = 0
-        if arrays is None and len(frames) > room:
-            dropped = len(frames) - room
+        if isinstance(frames, FrameArrays) and len(frames) <= room and not detecting:
+            chunk, dropped = frames, 0
+        else:
+            # Over the retention bound, or inside the auto-detect window
+            # (whose buffer holds frames): work on the frame sequence.
+            if isinstance(frames, FrameArrays):
+                frames = frames.frames
+            chunk = frames[:room]
+            dropped = len(frames) - len(chunk)
             self.frames_dropped += dropped
-            frames = frames[:room]
-        count = len(arrays) if arrays is not None else len(frames)
+        count = len(chunk)
         if not count:
             return 0, dropped
         self.frames_received += count
         self._log_frames += count
-        if arrays is not None:
-            self._log.append(arrays)
+        if isinstance(chunk, FrameArrays):
+            self._log.append(chunk)
         else:
-            self._log.extend(frames)
-        before = self.messages_assembled
+            self._log.extend(chunk)
         if self._assembler is None:
             if self.transport == "auto":
-                self._pending.extend(frames)
-                if len(self._pending) < self.detect_window:
+                self._pending.extend(chunk)
+                if len(self._pending) < DETECT_WINDOW:
                     return 0, dropped
                 pending, self._pending = self._pending, []
-                self._resolve_transport(pending)
-                return self.messages_assembled - before, dropped
+                return self._resolve_transport(pending), dropped
             self._assembler = StreamAssembler(self.transport)
-        self._feed_chunk(arrays if arrays is not None else frames)
-        return self.messages_assembled - before, dropped
+        return self._feed_chunk(chunk), dropped
 
     def ingest_frame(self, frame: CanFrame) -> int:
-        """Accept one CAN frame; return how many messages it completed.
+        """Accept one CAN frame: :meth:`ingest_frames` on a one-frame chunk.
 
-        Returns ``-1`` when the frame was dropped by the retention bound
-        (the caller counts those against its ``frames_dropped`` metric).
+        Returns how many messages it completed, or ``-1`` when the
+        retention bound dropped it (the caller counts those against its
+        ``frames_dropped`` metric).
         """
-        if self.finished:
-            raise SessionError("session already finished")
-        if self.transport == TRANSPORT_KLINE or self._kline is not None:
-            raise SessionError("CAN frame on a K-Line session")
-        if self._log_frames >= self.max_capture_frames:
-            self.frames_dropped += 1
-            return -1
-        self.frames_received += 1
-        self._log.append(frame)
-        self._log_frames += 1
-        if self._assembler is None:
-            if self.transport == "auto":
-                self._pending.append(frame)
-                if len(self._pending) < self.detect_window:
-                    return 0
-                pending, self._pending = self._pending, []
-                before = self.messages_assembled
-                self._resolve_transport(pending)
-                return self.messages_assembled - before
-            self._assembler = StreamAssembler(self.transport)
-        return self._feed_assembler(frame)
+        completed, dropped = self.ingest_frames((frame,))
+        return -1 if dropped else completed
 
     def ingest_kline_byte(self, byte: KLineByte) -> int:
         """Accept one sniffed K-Line byte; return messages it completed."""
@@ -268,18 +277,7 @@ class VehicleSession:
         completed = 0
         for event in self._kline.feed(CanFrame(0, bytes([byte.value]), byte.timestamp)):
             if event.kind == EVENT_PAYLOAD:
-                # Mirror transport.kline.to_assembled_messages exactly.
-                message = self._kline.last_message
-                self._messages.append(
-                    AssembledMessage(
-                        payload=message.payload,
-                        can_id=message.source,
-                        t_first=message.t_first,
-                        t_last=message.t_last,
-                        n_frames=1,
-                        ecu_address=message.target,
-                    )
-                )
+                self._messages.extend(to_assembled_messages([self._kline.last_message]))
                 completed += 1
             elif event.kind == EVENT_ERROR:
                 self.decode_errors += 1

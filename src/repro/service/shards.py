@@ -4,11 +4,11 @@
 .DiagnosticServer` processes all listening on the *same* TCP port via
 ``SO_REUSEPORT`` — the kernel load-balances incoming connections across
 the listening sockets, so clients need no balancer and no shard
-awareness.  Each shard owns a full event loop, analysis
-:class:`~repro.runtime.scheduler.WorkerPool` and (when GP runs out of
-process) persistent GP worker pool; the shards share nothing in memory
-and meet only at the on-disk :class:`~repro.core.formula_memo.FormulaMemo`
-directory, which is already multi-process safe.
+awareness.  Each shard owns a full event loop, analysis thread pool
+and (when GP runs out of process) persistent GP worker pool; the shards
+share nothing in memory and meet only at the on-disk
+:class:`~repro.core.formula_memo.FormulaMemo` directory, which is
+already multi-process safe.
 
 The parent process never touches a connection.  It:
 

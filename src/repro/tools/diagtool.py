@@ -16,13 +16,13 @@ open.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..diagnostics import kwp2000, uds
 from ..diagnostics.messages import is_negative_response
 from ..formulas import EnumFormula, Formula
-from ..vehicle import SimulatedEcu, Vehicle
+from ..vehicle import Vehicle
 from ..vehicle.fleet import CAR_SPECS
 from .ui import Screen, ScreenBuilder, Widget, WidgetKind
 

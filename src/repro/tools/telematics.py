@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional
 
 from ..diagnostics import obd2
 from ..vehicle.obd_sim import ObdVehicleSimulator
-from .ui import Screen, ScreenBuilder, Widget, WidgetKind
+from .ui import Screen, ScreenBuilder, Widget
 
 #: PIDs the app displays in imperial units (mirrors the paper's Tab. 5,
 #: where speed/temperature/pressure resolve to the imperial variant).

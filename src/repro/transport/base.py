@@ -30,7 +30,7 @@ over the event stream: one optional payload per frame, raising
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..can import CanFrame

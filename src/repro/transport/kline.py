@@ -19,7 +19,7 @@ This module models:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from ..observability.trace import get_active

@@ -29,7 +29,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from ..can import CanFrame, MAX_DATA_LENGTH
+from ..can import CanFrame
 from .base import DecodeEvent, TransportDecoder, TransportError
 
 BROADCAST_ID_BASE = 0x200

@@ -16,7 +16,7 @@ diagnostic id ranges in both directions.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Iterable, Optional, Set
 
 from ..can import BusNode, CanFrame, SimulatedCanBus
 from ..simtime import SimClock

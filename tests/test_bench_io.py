@@ -91,6 +91,40 @@ class TestBenchIo:
         assert artifacts["beta"]["metrics"]["n"] == 2
 
 
+class TestTableSelection:
+    """A bench table is rewritten only by a run of its whole module."""
+
+    MODULE = REPO / "benchmarks" / "test_table6_uds_kwp.py"
+
+    def whole(self, args, deselected=(), invocation_dir=REPO):
+        return bench_io.selects_whole_module(self.MODULE, args, invocation_dir, deselected)
+
+    def test_module_file_directory_or_default_arguments(self):
+        assert self.whole(["benchmarks/test_table6_uds_kwp.py"])
+        assert self.whole(["benchmarks"])
+        assert self.whole([str(REPO / "tests")])
+        assert self.whole([], invocation_dir=REPO / "benchmarks")
+
+    def test_keyword_deselection_keeps_the_table(self):
+        """CI's ``-k total`` step deselects the per-car tests."""
+        assert not self.whole(["benchmarks/test_table6_uds_kwp.py"], deselected=[self.MODULE])
+
+    def test_deselection_elsewhere_rewrites_it(self):
+        other = REPO / "benchmarks" / "test_table5_obd2.py"
+        assert self.whole(["benchmarks"], deselected=[other])
+
+    def test_node_ids_keep_the_table(self):
+        assert not self.whole(["benchmarks/test_table6_uds_kwp.py::test_total"])
+        assert not self.whole(
+            ["test_table6_uds_kwp.py::TestX::test_y[A]"], invocation_dir=REPO / "benchmarks"
+        )
+
+    def test_node_ids_of_another_module_rewrite_it(self):
+        assert self.whole(
+            ["benchmarks/test_table6_uds_kwp.py", "benchmarks/test_table5_obd2.py::test_x"]
+        )
+
+
 # ------------------------------------------------------------ bench_compare
 
 

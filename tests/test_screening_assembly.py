@@ -5,17 +5,24 @@ from collections import Counter
 
 import pytest
 
-from repro.can import CanFrame
+import numpy as np
+
+from repro.can import CanFrame, FaultCounts, NoiseProfile, apply_noise
 from repro.core import (
     TRANSPORT_BMW,
     TRANSPORT_ISOTP,
     TRANSPORT_VWTP,
     assemble,
     detect_transport,
+    frame_passes_screen,
     multiframe_statistics,
-    screen,
 )
+from repro.core.screening import screen_mask
+from repro.cps import DataCollector
+from repro.tools import make_tool_for_car
 from repro.transport import segment, segment_bmw, segment_vwtp
+from repro.transport.arrays import FrameArrays
+from repro.vehicle import build_car
 
 
 def stamp(frames, start=1.0):
@@ -102,9 +109,10 @@ class TestScreening:
         frames = stamp(segment(bytes(30), 0x7E0)) + [
             CanFrame(0x7E8, b"\x30\x00\x00", timestamp=99.0)
         ]
-        kept = screen(frames, TRANSPORT_ISOTP)
-        assert all(f.data[0] >> 4 != 0x3 for f in kept)
-        assert len(kept) == len(frames) - 1
+        kept = [frame_passes_screen(f, TRANSPORT_ISOTP) for f in frames]
+        assert kept == [True] * (len(frames) - 1) + [False]
+        mask = screen_mask(FrameArrays.from_frames(frames), TRANSPORT_ISOTP)
+        assert mask.tolist() == kept
 
     def test_vwtp_keeps_only_data(self):
         frames = [
@@ -112,12 +120,35 @@ class TestScreening:
             CanFrame(0x740, bytes([0xA0, 0x0F, 0x8A, 0xFF, 0x32, 0xFF])),
             CanFrame(0x740, b"\xb1"),
         ] + segment_vwtp(b"\x21\x01", 0x740)
-        kept = screen(frames, TRANSPORT_VWTP)
-        assert len(kept) == 1
+        kept = [f for f in frames if frame_passes_screen(f, TRANSPORT_VWTP)]
+        assert kept == frames[3:]
+        # VW TP 2.0 has no vectorised screen: the event decoders screen it.
+        assert screen_mask(FrameArrays.from_frames(frames), TRANSPORT_VWTP) is None
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(ValueError):
-            screen([], "carrier-pigeon")
+            frame_passes_screen(CanFrame(0x7E0, b"\x02\x10\x03"), "carrier-pigeon")
+        assert screen_mask(FrameArrays.from_frames([]), "carrier-pigeon") is None
+
+    @pytest.mark.parametrize("car, transport", [("A", TRANSPORT_ISOTP), ("E", TRANSPORT_BMW)])
+    def test_mask_equals_per_frame_predicate_under_noise(self, car, transport):
+        """On a default-noise capture (truncated and bit-flipped frames
+        included) the mask keeps exactly the frames the per-frame predicate
+        keeps.  The fleet's BMW dialogues carry no flow control, so empty,
+        one-byte and flow-control frames at both PCI offsets are appended."""
+        vehicle = build_car(car)
+        capture = DataCollector(make_tool_for_car(car, vehicle), read_duration_s=8.0).collect()
+        frames = apply_noise(list(capture.can_log), NoiseProfile.default(seed=9), FaultCounts())
+        frames += [
+            CanFrame(0x6F1, b""),
+            CanFrame(0x6F1, b"\x12"),
+            CanFrame(0x6F1, b"\x30\x00\x00"),
+            CanFrame(0x6F1, b"\x12\x30\x00\x00"),
+        ]
+        expected = np.array([frame_passes_screen(f, transport) for f in frames])
+        mask = screen_mask(FrameArrays.from_frames(frames), transport)
+        assert np.array_equal(mask, expected)
+        assert 0 < expected.sum() < len(frames)
 
 
 class TestAssembly:

@@ -1,6 +1,7 @@
 """The service wire protocol: framing, round-trips, and bounds."""
 
 import json
+import math
 import random
 import struct
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro.can import MAX_DATA_LENGTH, CanFrame
+from repro.can import MAX_DATA_LENGTH, CanFrame, InvalidFrameError
 from repro.cps.arm import ClickRecord
 from repro.cps.camera import CapturedFrame, TextRegion
 from repro.cps.collector import Capture, Segment
@@ -26,7 +27,6 @@ from repro.service.protocol import (
     frame_batch_to_wire,
     frame_from_wire,
     frame_to_wire,
-    frames_from_batch,
     hello_message,
     kline_byte_from_wire,
     kline_byte_to_wire,
@@ -37,6 +37,41 @@ from repro.service.protocol import (
 )
 from repro.transport.arrays import FrameArrays
 from repro.transport.kline import KLineByte
+
+
+def reference_frames_from_batch(message):
+    """Per-record ``frame-batch`` decoder, the oracle for
+    ``arrays_from_batch``: ``FRAME_RECORD`` unpacking, then a
+    :class:`CanFrame` per record (whose constructor checks the id range),
+    every failure a ``ProtocolError``."""
+    packed = message.get("_packed")
+    if not isinstance(packed, (bytes, bytearray, memoryview)):
+        raise ProtocolError("frame-batch message carries no packed records")
+    channels = message.get("channels", [])
+    if not isinstance(channels, list) or not all(isinstance(name, str) for name in channels):
+        raise ProtocolError("frame-batch channel table must be a list of names")
+    table = ("can0", *channels)
+    frames = []
+    try:
+        for timestamp, can_id, flags, dlc, data in FRAME_RECORD.iter_unpack(packed):
+            if dlc > MAX_DATA_LENGTH:
+                raise ProtocolError(f"frame record declares DLC {dlc}")
+            if not math.isfinite(timestamp):
+                raise ProtocolError("frame record carries a non-finite timestamp")
+            extended = bool(flags & FLAG_EXTENDED)
+            frames.append(CanFrame(can_id, data[:dlc], timestamp, extended, table[flags >> 1]))
+    except struct.error as error:
+        raise ProtocolError(f"bad frame-batch records: {error}") from None
+    except IndexError:
+        raise ProtocolError("frame record names a channel outside the table") from None
+    except InvalidFrameError as error:
+        raise ProtocolError(f"bad frame record: {error}") from None
+    return frames
+
+
+def batch_frames(message):
+    """The frames ``arrays_from_batch`` decodes a batch into."""
+    return list(arrays_from_batch(message).frames)
 
 
 def make_capture(frames=(), video=(), clicks=(), segments=()):
@@ -181,7 +216,7 @@ class TestNonFiniteTimestamps:
         fields = [(0.001 * i, 0x7E8, 0, 2, b"\x01\x41" + bytes(6)) for i in range(3)]
         fields[position] = (bad,) + fields[position][1:]
         message = {"type": FRAME_BATCH, "n": 3, "_packed": records(*fields)}
-        for decode in (frames_from_batch, arrays_from_batch):
+        for decode in (reference_frames_from_batch, arrays_from_batch):
             with pytest.raises(ProtocolError, match="non-finite timestamp"):
                 decode(message)
 
@@ -210,7 +245,7 @@ class TestFrameBatch:
     def test_round_trip_equals_per_frame_codecs(self):
         frames = random_frames(seed=11)
         batch = frame_batch_to_wire(frames)
-        assert frames_from_batch(batch) == frames
+        assert batch_frames(batch) == frames
         # The same frames through the v1 per-frame codec agree exactly.
         assert [frame_from_wire(frame_to_wire(f)) for f in frames] == frames
 
@@ -223,7 +258,7 @@ class TestFrameBatch:
         for start in range(0, len(wire), 97):
             received.extend(decoder.feed(wire[start : start + 97]))
         assert len(received) == 1
-        assert frames_from_batch(received[0]) == frames
+        assert batch_frames(received[0]) == frames
 
     def test_extended_id_and_channel_flags(self):
         frames = [
@@ -232,7 +267,7 @@ class TestFrameBatch:
         ]
         batch = frame_batch_to_wire(frames)
         assert batch["channels"] == ["can7"]
-        assert frames_from_batch(batch) == frames
+        assert batch_frames(batch) == frames
 
     def test_all_can0_batch_omits_channel_table(self):
         batch = frame_batch_to_wire([CanFrame(1, b"\x01", timestamp=0.0)])
@@ -241,9 +276,9 @@ class TestFrameBatch:
     def test_empty_batch(self):
         batch = frame_batch_to_wire([])
         assert batch["n"] == 0
-        assert frames_from_batch(batch) == []
+        assert batch_frames(batch) == []
         decoded = MessageDecoder().feed(encode_message(batch))
-        assert frames_from_batch(decoded[0]) == []
+        assert batch_frames(decoded[0]) == []
 
     def test_oversized_batch_rejected(self):
         frames = [CanFrame(1, b"\x01", timestamp=0.0)] * (MAX_BATCH_FRAMES + 1)
@@ -277,12 +312,12 @@ class TestFrameBatch:
     def test_bad_dlc_in_record_rejected(self):
         packed = FRAME_RECORD.pack(1.0, 1, 0, 9, b"\x00" * 8)  # DLC 9 > 8
         with pytest.raises(ProtocolError, match="DLC"):
-            frames_from_batch({"type": "frame-batch", "n": 1, "_packed": packed})
+            arrays_from_batch({"type": "frame-batch", "n": 1, "_packed": packed})
 
     def test_channel_index_outside_table_rejected(self):
         packed = FRAME_RECORD.pack(1.0, 1, 2 << 1, 1, b"\x01" + b"\x00" * 7)
         with pytest.raises(ProtocolError, match="channel"):
-            frames_from_batch(
+            arrays_from_batch(
                 {"type": "frame-batch", "n": 1, "channels": ["can1"], "_packed": packed}
             )
 
@@ -319,19 +354,24 @@ class TestCaptureToWire:
         capture = make_capture(frames, video, clicks)
         plain = list(capture_to_wire(capture, transport="isotp"))
         batched = list(capture_to_wire(capture, transport="isotp", batch_size=4))
-        expanded = []
-        for message in batched:
-            if message["type"] == "frame-batch":
-                assert 0 < message["n"] <= 4
-                expanded.extend(
-                    frame_to_wire(f) for f in frames_from_batch(message)
-                )
-            else:
-                expanded.append(message)
-        assert expanded == plain
-        # Non-frame records flush a partial batch: the video frame at 1.05
-        # and the click at 1.75 interrupt two frame runs.
-        assert any(m["type"] == "frame-batch" and m["n"] < 4 for m in batched)
+
+        def frames_and_records(messages):
+            frames, records = [], []
+            for message in messages:
+                if message["type"] == FRAME_BATCH:
+                    frames.extend(frame_to_wire(f) for f in batch_frames(message))
+                elif message["type"] == "frame":
+                    frames.append(message)
+                else:
+                    records.append(message)
+            return frames, records
+
+        # Frames keep their order, and so do the other records.
+        assert frames_and_records(batched) == frames_and_records(plain)
+        # The video frame at 1.05 and the click at 1.75 leave the frame run
+        # open: every batch but the last is full.
+        sizes = [m["n"] for m in batched if m["type"] == FRAME_BATCH]
+        assert sizes == [4] * 6 + [1]
 
     def test_batch_size_zero_is_the_v1_wire(self):
         capture = make_capture([CanFrame(1, b"\x01", 0.0)])
@@ -404,7 +444,7 @@ def decode_everything(wire: bytes):
     """The full decode path a server runs on untrusted bytes."""
     for message in MessageDecoder().feed(wire):
         if message["type"] == FRAME_BATCH:
-            assert_columns_match(arrays_from_batch(message), frames_from_batch(message))
+            assert_columns_match(arrays_from_batch(message), reference_frames_from_batch(message))
 
 
 class TestWireFuzz:
@@ -474,7 +514,7 @@ class TestWireFuzz:
         fields[position] = (1.0, 0x7E8, 0, dlc, bytes(8))
         wire = envelope(binary_body({"type": FRAME_BATCH, "n": 3}, records(*fields)))
         (message,) = MessageDecoder().feed(wire)
-        for decode in (frames_from_batch, arrays_from_batch):
+        for decode in (reference_frames_from_batch, arrays_from_batch):
             with pytest.raises(ProtocolError, match="DLC"):
                 decode(message)
 
@@ -488,7 +528,7 @@ class TestWireFuzz:
         packed = records((0.5, 0x10, index << 1, 1, b"\x01" + bytes(7)))
         header = {"type": FRAME_BATCH, "n": 1, "channels": channels}
         (message,) = MessageDecoder().feed(envelope(binary_body(header, packed)))
-        for decode in (frames_from_batch, arrays_from_batch):
+        for decode in (reference_frames_from_batch, arrays_from_batch):
             with pytest.raises(ProtocolError, match="channel"):
                 decode(message)
 
@@ -523,23 +563,25 @@ class TestWireFuzz:
     @example(packed=records((0.0, 0x800, 0, 0, bytes(8))), channels=[])
     @example(packed=records((0.0, 0x20000000, FLAG_EXTENDED, 0, bytes(8))), channels=[])
     def test_both_batch_decoders_accept_the_same_records(self, packed, channels):
-        """Random records: ``arrays_from_batch`` rejects exactly what
-        ``frames_from_batch`` rejects (out-of-range ids included), and
-        agrees with it column for column on the rest."""
+        """Random records: ``arrays_from_batch`` rejects exactly what the
+        per-record oracle rejects (out-of-range ids included), and agrees
+        with it column for column, and frame for frame, on the rest."""
         message = {"type": FRAME_BATCH, "channels": channels, "_packed": packed}
         try:
-            frames = frames_from_batch(message)
+            frames = reference_frames_from_batch(message)
         except ProtocolError:
             with pytest.raises(ProtocolError):
                 arrays_from_batch(message)
             return
-        assert_columns_match(arrays_from_batch(message), frames)
+        arrays = arrays_from_batch(message)
+        assert_columns_match(arrays, frames)
+        assert list(arrays.frames) == frames
 
     @settings(max_examples=60, deadline=None)
     @given(frames=st.lists(can_frames(), max_size=8))
     def test_arrays_agree_with_frames_on_valid_batches(self, frames):
         (message,) = MessageDecoder().feed(encode_message(frame_batch_to_wire(frames)))
-        frames_decoded, arrays = frames_from_batch(message), arrays_from_batch(message)
+        frames_decoded, arrays = reference_frames_from_batch(message), arrays_from_batch(message)
         assert frames_decoded == frames
         assert list(arrays.frames) == frames_decoded
         assert_columns_match(arrays, frames)

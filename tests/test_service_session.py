@@ -39,19 +39,13 @@ from repro.service.protocol import (
     FRAME_BATCH,
     FRAME_RECORD,
     MAX_BATCH_FRAMES,
-    arrays_from_batch,
     capture_to_wire,
-    click_from_wire,
     encode_message,
-    frame_from_wire,
-    frames_from_batch,
-    kline_byte_from_wire,
-    segment_from_wire,
-    video_from_wire,
 )
-from repro.service.session import MAX_CAPTURE_FRAMES
+from repro.service.session import DETECT_WINDOW, MAX_CAPTURE_FRAMES
 from repro.tools import make_tool_for_car
 from repro.tools.kline_logger import KLineDiagnosticSession, build_kline_vehicle
+from repro.transport.arrays import FrameArrays
 from repro.transport.base import DecoderStats, EVENT_PAYLOAD
 from repro.transport.kline import KLineEventDecoder, parse_capture
 from repro.vehicle import build_car
@@ -86,31 +80,19 @@ def batch_reports(captures):
 
 def stream_session(capture, transport="auto", kline_bytes=None, batch_size=0, **kwargs):
     """Feed a capture through a session the way the server would."""
-    session = None
-    for message in capture_to_wire(
+    hello, *records, finish = capture_to_wire(
         capture, transport=transport, kline_bytes=kline_bytes, batch_size=batch_size
-    ):
-        kind = message["type"]
-        if kind == "hello":
-            session = VehicleSession(
-                session_id=0,
-                tenant="test",
-                transport=message["transport"],
-                meta=message["meta"],
-                **kwargs,
-            )
-        elif kind == "frame":
-            session.ingest_frame(frame_from_wire(message))
-        elif kind == "frame-batch":
-            session.ingest_frames(frames_from_batch(message))
-        elif kind == "kbyte":
-            session.ingest_kline_byte(kline_byte_from_wire(message))
-        elif kind == "video":
-            session.ingest_video(video_from_wire(message))
-        elif kind == "click":
-            session.ingest_click(click_from_wire(message))
-        elif kind == "segment":
-            session.ingest_segment(segment_from_wire(message))
+    )
+    assert (hello["type"], finish["type"]) == ("hello", "finish")
+    session = VehicleSession(
+        session_id=0,
+        tenant="test",
+        transport=hello["transport"],
+        meta=hello["meta"],
+        **kwargs,
+    )
+    for message in records:
+        session.ingest_message(message)
     return session
 
 
@@ -273,6 +255,67 @@ class TestStreamedReportByteIdentity:
                 assert session.finalize(make_reverser()).to_json() == batch
 
 
+def session_state(session):
+    """Everything a session's report and status are built from."""
+    messages, diagnostics = session._assembler.finish()
+    return (
+        session.transport,
+        session.status(),
+        session.frames_dropped,
+        list(session.build_capture().can_log),
+        messages,
+        diagnostics.to_dict(),
+    )
+
+
+class TestOneFramePath:
+    """``ingest_frame`` is a one-frame call of ``ingest_frames``: however
+    the stream is chunked, the session ends in the same state."""
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    @pytest.mark.parametrize("transport", sorted(TRANSPORT_CARS))
+    def test_chunks_equal_single_frames_under_noise(self, captures, transport, columnar):
+        frames = apply_noise(
+            list(captures[transport].can_log), NoiseProfile.default(seed=3), FaultCounts()
+        )
+        bound = len(frames) - 37  # the last 37 frames meet the retention bound
+        single = VehicleSession(0, transport="auto", max_capture_frames=bound)
+        completions = [single.ingest_frame(frame) for frame in frames]
+        chunked = VehicleSession(0, transport="auto", max_capture_frames=bound)
+        # 50-frame chunks: the second one crosses the 64-frame detection
+        # window, and one chunk straddles the retention bound.
+        chunk_size = 50
+        assert chunk_size < DETECT_WINDOW < 2 * chunk_size
+        results = []
+        for start in range(0, len(frames), chunk_size):
+            chunk = frames[start : start + chunk_size]
+            results.append(
+                chunked.ingest_frames(FrameArrays.from_frames(chunk) if columnar else chunk)
+            )
+        assert completions[bound:] == [-1] * 37
+        assert single.frames_dropped == sum(dropped for __, dropped in results) == 37
+        assert sum(completed for completed, __ in results) == sum(completions[:bound])
+        assert single.transport == transport
+        assert session_state(chunked) == session_state(single)
+
+    def test_batched_wire_sends_full_batches(self, wire_c):
+        """Video and click records no longer cut a frame run short: every
+        batch but the last is full, and the report equals the per-frame
+        wire's."""
+        streams, __ = wire_c
+        sizes = [m["n"] for m in streams[True] if m["type"] == FRAME_BATCH]
+        assert len(sizes) > 1
+        assert set(sizes[:-1]) == {64} and 0 < sizes[-1] <= 64
+        reports = []
+        for batched in (False, True):
+            hello, *records, finish = streams[batched]
+            session = VehicleSession(0, transport=hello["transport"], meta=hello["meta"])
+            for message in records:
+                session.ingest_message(message)
+            reports.append(session.finalize(make_reverser()).to_json())
+        assert reports[1] == reports[0]
+
+
 class TestKLineEventDecoder:
     def fed_decoder(self):
         vehicle = build_kline_vehicle()
@@ -367,6 +410,13 @@ class TestSessionGuards:
         session.finalize(make_reverser())
         with pytest.raises(SessionError, match="already finished"):
             session.ingest_frames([CanFrame(1, b"\x02\x01\x0c", 0.0)])
+
+    @pytest.mark.parametrize("kind", ["hello", "finish", "frames", None])
+    def test_unknown_message_type_rejected(self, kind):
+        session = VehicleSession(0, transport="isotp")
+        with pytest.raises(ProtocolError, match="unknown message type"):
+            session.ingest_message({"type": kind})
+        assert session.status()["frames"] == 0
 
     def test_status_counts(self, captures):
         session = stream_session(captures["isotp"], transport="isotp")
@@ -499,19 +549,7 @@ def feed_wire(session, message):
     rejection errors pass, anything else propagates."""
     try:
         (message,) = MessageDecoder().feed(encode_message(message))
-        kind = message["type"]
-        if kind == FRAME_BATCH:
-            session.ingest_frames(arrays_from_batch(message))
-        elif kind == "frame":
-            session.ingest_frame(frame_from_wire(message))
-        elif kind == "kbyte":
-            session.ingest_kline_byte(kline_byte_from_wire(message))
-        elif kind == "video":
-            session.ingest_video(video_from_wire(message))
-        elif kind == "click":
-            session.ingest_click(click_from_wire(message))
-        elif kind == "segment":
-            session.ingest_segment(segment_from_wire(message))
+        session.ingest_message(message)
     except (ProtocolError, SessionError):
         pass
 
