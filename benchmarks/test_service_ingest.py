@@ -39,22 +39,38 @@ Messages, diagnostics and decoder state must be identical before
 fleet_decode_speedup=1.5``, which a return to per-frame multi-frame
 decode fails.
 
-``SERVICE_SMOKE=1`` shrinks the synthetic capture and the fleet case's
-car list to CI size.
+A third case runs the service chain in process, the way ``repro serve``
+sees a whole capture, video included: client encode, a
+:class:`~repro.service.protocol.MessageDecoder` fed 64 KiB reads,
+:meth:`~repro.service.session.VehicleSession.ingest_message` per record,
+and ``finalize`` with the linear solver.  Each capture goes through the
+client's default wire (:data:`~repro.service.client.BATCH_SIZE`-frame
+batches) and through the per-frame JSON wire; both reports must equal
+``reverse_engineer``'s before any timing.  It reports
+``serve_chain_batches`` (the deterministic count of ``frame-batch``
+messages) and ``serve_chain_speedup``, the median over alternating rounds
+of the per-frame chain's time over the default chain's; CI pins
+``--floor serve_chain_speedup=1.2``.
+
+``SERVICE_SMOKE=1`` shrinks the synthetic capture and the fleet and
+serve-chain cases' car lists to CI size.
 """
 
 from __future__ import annotations
 
+import gc
 import os
+import statistics
 import time
 
-import pytest
-
 from repro.can import CanFrame
+from repro.core import DPReverser, ReverserConfig
 from repro.core.assembly import StreamAssembler
 from repro.cps import DataCollector
-from repro.service import MessageDecoder, encode_message
+from repro.service import MessageDecoder, capture_to_wire, encode_message
+from repro.service.client import BATCH_SIZE as BATCH_SIZE_DEFAULT
 from repro.service.protocol import (
+    FRAME_BATCH,
     arrays_from_batch,
     frame_batch_to_wire,
     frame_from_wire,
@@ -78,6 +94,13 @@ FLEET_CARS = (
 )
 FLEET_READ_S = 30.0
 
+#: The serve-chain case's cars: one per CAN transport (VW TP 2.0, BMW,
+#: ISO-TP), or all 18; and its alternating rounds.
+CHAIN_CARS = ("C", "E", "I") if SMOKE else tuple(sorted(CAR_SPECS))
+CHAIN_ROUNDS = 3 if SMOKE else 5
+READ_BYTES = 64 * 1024  # what the server asks for per socket read
+CHAIN_CONFIG = ReverserConfig(formula_backend="linear")
+
 BENCH_CONFIG = {
     "smoke": SMOKE,
     "frames": FRAMES,
@@ -85,6 +108,9 @@ BENCH_CONFIG = {
     "chunk_bytes": CHUNK_BYTES,
     "fleet_cars": "".join(FLEET_CARS),
     "fleet_read_s": FLEET_READ_S,
+    "chain_cars": "".join(CHAIN_CARS),
+    "chain_rounds": CHAIN_ROUNDS,
+    "chain_read_bytes": READ_BYTES,
 }
 
 
@@ -309,4 +335,92 @@ class TestFleetDecode:
         report_file(
             f"  per-frame feed {slow_s:.3f} s, {BATCH_SIZE}-frame feed_chunk "
             f"{fast_s:.3f} s, {speedup:.2f}x"
+        )
+
+
+def chain_captures():
+    captures = []
+    for key in CHAIN_CARS:
+        car = build_car(key)
+        captures.append(
+            DataCollector(make_tool_for_car(key, car), read_duration_s=FLEET_READ_S).collect()
+        )
+    return captures
+
+
+def serve_chain(captures, batch_size):
+    """Encode, decode in socket-sized reads, ingest and finalize every
+    capture; returns the report JSONs, the CPU seconds and the batches
+    sent.  CPU time, because one round takes a few tenths of a second,
+    where a shared host's other load would decide a wall-clock ratio."""
+    reports = []
+    batches = 0
+    start = time.process_time()
+    for capture in captures:
+        wire = b"".join(
+            encode_message(m) for m in capture_to_wire(capture, batch_size=batch_size)
+        )
+        decoder = MessageDecoder()
+        for offset in range(0, len(wire), READ_BYTES):
+            for message in decoder.feed(wire[offset : offset + READ_BYTES]):
+                kind = message["type"]
+                if kind == "hello":
+                    session = VehicleSession(
+                        0, transport=message["transport"], meta=message["meta"]
+                    )
+                elif kind == "finish":
+                    reports.append(session.finalize(DPReverser(CHAIN_CONFIG)).to_json())
+                else:
+                    batches += kind == FRAME_BATCH
+                    session.ingest_message(message)
+    return reports, time.process_time() - start, batches
+
+
+class TestServeChain:
+    def test_default_wire_vs_per_frame_json_chain(self, bench_artifact, report_file):
+        captures = chain_captures()
+        expected = [DPReverser(CHAIN_CONFIG).reverse_engineer(c).to_json() for c in captures]
+        per_frame, __, __ = serve_chain(captures, 0)
+        batched, __, batches = serve_chain(captures, BATCH_SIZE_DEFAULT)
+        assert per_frame == expected
+        assert batched == expected
+
+        # The captures stay alive for every round; untracked, they do not
+        # make a full collection inside a timed chain cost in proportion
+        # to the bench's heap, and each chain starts on a collected heap.
+        gc.collect()
+        gc.freeze()
+        ratios = []
+        try:
+            for index in range(CHAIN_ROUNDS):
+                # Alternate which wire goes first, so a slow spell of the
+                # host does not always land on the same side.
+                order = (0, BATCH_SIZE_DEFAULT) if index % 2 == 0 else (BATCH_SIZE_DEFAULT, 0)
+                seconds = {}
+                for size in order:
+                    gc.collect()
+                    seconds[size] = serve_chain(captures, size)[1]
+                ratios.append(seconds[0] / seconds[BATCH_SIZE_DEFAULT])
+        finally:
+            gc.unfreeze()
+        speedup = statistics.median(ratios)
+        frames = sum(len(capture.can_log) for capture in captures)
+        bench_artifact(
+            {
+                "serve_chain_batches": batches,
+                "serve_chain_speedup": round(speedup, 2),
+            },
+            {
+                "serve_chain_batches": "count",
+                "serve_chain_speedup": "x",
+            },
+            config=BENCH_CONFIG,
+        )
+        report_file(
+            f"Serve chain ({len(captures)} cars, {frames} frames, "
+            f"{CHAIN_ROUNDS} rounds{', smoke mode' if SMOKE else ''}):"
+        )
+        report_file(
+            f"  default wire ({batches} batches of <= {BATCH_SIZE_DEFAULT} frames) vs "
+            f"per-frame JSON: {speedup:.2f}x (median per-round ratio)"
         )

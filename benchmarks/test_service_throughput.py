@@ -3,9 +3,12 @@
 The service-layer acceptance bench: one in-process
 :class:`~repro.service.server.DiagnosticServer` multiplexing SESSIONS
 concurrent tenants, every one streaming the same capture frame-by-frame
-and asking for the final report.  A barrier between handshake and
-streaming guarantees every session is open *simultaneously* before the
-first frame flows — ``sessions_peak`` in the artifact is the proof.
+as per-frame JSON messages and asking for the final report.  A barrier
+between handshake and streaming guarantees every session is open
+*simultaneously* before the first frame flows — ``sessions_peak`` in the
+artifact is the proof.  Every case names its wire: the retention-bound
+and rate-limit cases also stream per-frame JSON (``batch_size=0``), and
+the sharded case streams 256-frame binary batches.
 
 Metrics (``BENCH_service_throughput.json``):
 
@@ -66,6 +69,7 @@ async def _run_fleet(server, capture, sessions):
             capture,
             tenant=f"tenant-{index}",
             transport="isotp",
+            batch_size=0,
         )
 
     clients = [asyncio.create_task(one_client(i)) for i in range(sessions)]
@@ -84,7 +88,7 @@ async def _run_connected_fleet(server, capture, sessions):
         reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
         try:
             messages = capture_to_wire(
-                capture, tenant=f"tenant-{index}", transport="isotp"
+                capture, tenant=f"tenant-{index}", transport="isotp", batch_size=0
             )
             writer.write(encode_message(next(messages)))
             await writer.drain()
@@ -289,7 +293,7 @@ class TestServiceThroughput:
         async def run():
             async with DiagnosticServer(config) as server:
                 await stream_capture_async(
-                    "127.0.0.1", server.port, capture, transport="isotp"
+                    "127.0.0.1", server.port, capture, transport="isotp", batch_size=0
                 )
                 return server
 

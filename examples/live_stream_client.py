@@ -3,8 +3,9 @@
 
 Spins up the diagnostic service in-process, then plays the role of a
 cheap OBD dongle that forwards bus traffic as it happens: hello
-handshake, CAN frames one by one in timestamp order, camera frames and
-clicks interleaved, finish.  The server assembles transport messages
+handshake, CAN frames in timestamp order packed 256 to a binary batch
+(the client's default wire), camera frames and clicks interleaved,
+finish.  The server assembles transport messages
 incrementally, re-runs staged analysis as evidence accumulates (the
 interim ``status`` messages printed below), and ships the final report
 — byte-identical to what the batch pipeline produces from the same

@@ -9,28 +9,57 @@ pipeline).
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from .frame import CanFrame, frame_from_candump, frame_to_candump
 
 
 class CanLog:
-    """An append-only, time-ordered sequence of captured CAN frames."""
+    """An append-only, time-ordered sequence of captured CAN frames.
+
+    A log built by :meth:`from_chunks` holds its frames as the sized frame
+    sequences they arrived in — a streamed capture's wire batches, whose
+    frames are built only when asked for.  Its length is the sum of the
+    chunk lengths and builds nothing; iterating yields the chunks' frames
+    in order; indexing, :attr:`frames` and :meth:`append` flatten the
+    chunks into one list first.
+    """
 
     def __init__(self, frames: Optional[Iterable[CanFrame]] = None) -> None:
         self._frames: List[CanFrame] = list(frames) if frames else []
+        #: Frame sequences not yet flattened into ``_frames`` (which stays
+        #: empty while there are any), and the frames they hold.
+        self._chunks: List[Sequence[CanFrame]] = []
+        self._chunked = 0
+
+    @classmethod
+    def from_chunks(cls, chunks: Iterable[Sequence[CanFrame]]) -> "CanLog":
+        """A log of ``chunks``, in order, kept as they are until a caller
+        needs one list of frames."""
+        log = cls()
+        log._chunks = [chunk for chunk in chunks if len(chunk)]
+        log._chunked = sum(len(chunk) for chunk in log._chunks)
+        return log
+
+    def _flat(self) -> List[CanFrame]:
+        if self._chunks:
+            self._frames = [frame for chunk in self._chunks for frame in chunk]
+            self._chunks, self._chunked = [], 0
+        return self._frames
 
     # --------------------------------------------------------------- mutation
 
     def append(self, frame: CanFrame) -> None:
         """Record one frame.  Frames must arrive in non-decreasing time."""
-        if self._frames and frame.timestamp < self._frames[-1].timestamp:
+        frames = self._flat() if self._chunks else self._frames
+        if frames and frame.timestamp < frames[-1].timestamp:
             raise ValueError(
                 f"frame at t={frame.timestamp} arrived after t="
-                f"{self._frames[-1].timestamp}; captures must be ordered"
+                f"{frames[-1].timestamp}; captures must be ordered"
             )
-        self._frames.append(frame)
+        frames.append(frame)
 
     def extend(self, frames: Iterable[CanFrame]) -> None:
         for frame in frames:
@@ -39,32 +68,34 @@ class CanLog:
     # ---------------------------------------------------------------- queries
 
     def __len__(self) -> int:
-        return len(self._frames)
+        return len(self._frames) + self._chunked
 
     def __iter__(self) -> Iterator[CanFrame]:
+        if self._chunks:
+            return chain.from_iterable(self._chunks)
         return iter(self._frames)
 
     def __getitem__(self, index):
-        return self._frames[index]
+        return self._flat()[index]
 
     @property
     def frames(self) -> List[CanFrame]:
         """The captured frames (shared list; treat as read-only)."""
-        return self._frames
+        return self._flat()
 
     def between(self, start: float, end: float) -> "CanLog":
         """Frames with ``start <= timestamp < end`` (a capture split)."""
-        return CanLog(f for f in self._frames if start <= f.timestamp < end)
+        return CanLog(f for f in self if start <= f.timestamp < end)
 
     def with_id(self, can_id: int) -> "CanLog":
         """Frames carrying the given arbitration id."""
-        return CanLog(f for f in self._frames if f.can_id == can_id)
+        return CanLog(f for f in self if f.can_id == can_id)
 
     def ids(self) -> List[int]:
         """Distinct CAN ids in first-seen order."""
         seen: List[int] = []
         known = set()
-        for frame in self._frames:
+        for frame in self:
             if frame.can_id not in known:
                 known.add(frame.can_id)
                 seen.append(frame.can_id)
@@ -74,7 +105,7 @@ class CanLog:
 
     def save(self, path: Union[str, Path]) -> None:
         """Write the log in ``candump -L`` format."""
-        text = "\n".join(frame_to_candump(f) for f in self._frames)
+        text = "\n".join(frame_to_candump(f) for f in self)
         Path(path).write_text(text + ("\n" if text else ""))
 
     @classmethod

@@ -52,8 +52,12 @@ from .screening import (
 MAX_DETAILS = 20
 
 #: Chunks below this many frames take the per-frame event path outright —
-#: the numpy set-up cost exceeds the win.
-MIN_CHUNK_FRAMES = 8
+#: the numpy set-up cost exceeds the win.  Slicing a clean 30 s ISO-TP
+#: capture (car A) in chunks of 8, 48 and 64 frames took 5.5x, 1.3x and
+#: 0.95x the time of per-frame decode (BMW, car E: 2.5x, 0.6x, 0.45x; one
+#: pinned CPU, min of 5).  A server reading per-frame JSON from many
+#: clients at once hands sessions runs of a few frames each.
+MIN_CHUNK_FRAMES = 64
 
 
 @dataclass(frozen=True)

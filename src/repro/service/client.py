@@ -7,10 +7,11 @@ event loop for scripts and tests that live in synchronous code.
 
 Two ingest-throughput levers live here:
 
-* **transparent batching** — ``batch_size > 0`` packs the CAN frames
-  into binary ``frame-batch`` messages of that many frames
+* **batching** — by default the CAN frames go out as binary
+  ``frame-batch`` messages of :data:`BATCH_SIZE` frames
   (:func:`capture_to_wire` does the packing), cutting the per-frame JSON
-  round-trip to one packed ``struct`` record;
+  round-trip to one packed ``struct`` record that the session decodes
+  into columns; ``batch_size=0`` sends the v1 per-frame JSON wire;
 * **coalesced writes** — the sender queues messages and drains once per
   flush window instead of once per message, so the event loop round-trip
   and TCP push happen per *kilobytes*, not per record.  Drains forced by
@@ -32,6 +33,9 @@ from .protocol import (
     read_message,
     write_message,
 )
+
+#: CAN frames per ``frame-batch`` message on the default wire.
+BATCH_SIZE = 256
 
 #: Queued egress bytes that force an immediate drain mid-flush-window.
 WRITE_HIGH_WATER = 64 * 1024
@@ -67,12 +71,13 @@ async def stream_capture_async(
     kline_bytes: Optional[Iterable[KLineByte]] = None,
     on_status: Optional[Callable[[dict], None]] = None,
     delay_s: float = 0.0,
-    batch_size: int = 0,
+    batch_size: int = BATCH_SIZE,
 ) -> StreamResult:
     """Stream one capture into a server; return the final report.
 
-    ``batch_size > 0`` streams CAN frames as binary ``frame-batch``
-    messages of at most that many frames (0 = v1 per-frame JSON).
+    CAN frames go out as binary ``frame-batch`` messages of
+    ``batch_size`` frames (only the last one may be short);
+    ``batch_size=0`` streams them as v1 per-frame JSON messages.
     ``delay_s`` sleeps between records to emulate a live capture's pacing
     (0 = as fast as the server's flow control allows; pacing implies one
     drain per record, so write coalescing only applies at full speed).
@@ -165,7 +170,7 @@ def stream_capture(
     kline_bytes: Optional[Iterable[KLineByte]] = None,
     on_status: Optional[Callable[[dict], None]] = None,
     delay_s: float = 0.0,
-    batch_size: int = 0,
+    batch_size: int = BATCH_SIZE,
 ) -> StreamResult:
     """Synchronous wrapper over :func:`stream_capture_async`."""
     return asyncio.run(

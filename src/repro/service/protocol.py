@@ -51,16 +51,24 @@ server →   ``report``      the final report: ``report`` (dict form),
 server →   ``error``       terminal failure; the server closes after sending
 ========== =============== =================================================
 
-The per-frame JSON ``frame`` message remains fully supported — a v1
-client that has never heard of batches interoperates unchanged; batching
-is a purely additive fast path.
+The reference client (:mod:`repro.service.client`) streams CAN frames as
+256-frame ``frame-batch`` messages by default.  The per-frame JSON
+``frame`` message remains fully supported — a v1 client that has never
+heard of batches interoperates unchanged, and the server hands the
+consecutive ``frame`` messages of one socket read to the session as one
+chunk.  Record decoders build only what the session keeps: a batch
+decodes into columns and builds a :class:`~repro.can.CanFrame` only for a
+row a fallback decoder walks, and equal video regions decode to one
+shared :class:`~repro.cps.camera.TextRegion`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import bisect
 import json
 import math
+import operator
 import struct
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -180,9 +188,29 @@ class MessageDecoder:
         self.max_message_bytes = max_message_bytes
         self._buffer = bytearray()
 
+    @property
+    def buffered(self) -> int:
+        """Bytes held back as the start of an incomplete message."""
+        return len(self._buffer)
+
     def feed(self, data: bytes) -> List[dict]:
+        """The messages ``data`` completes, in order.  A malformed message
+        raises :class:`ProtocolError`, and the messages parsed before it
+        are lost with it (:meth:`feed_until_error` keeps them)."""
+        messages, error = self.feed_until_error(data)
+        if error is not None:
+            raise error
+        return messages
+
+    def feed_until_error(self, data: bytes) -> Tuple[List[dict], Optional[ProtocolError]]:
+        """Like :meth:`feed`, but a malformed message ends the list instead
+        of discarding it: returns the messages before it and its error
+        (``None`` when every message parsed).  The server ingests those
+        messages before it fails the session, so a bad message fails at
+        its own position in a read."""
         self._buffer.extend(data)
         messages: List[dict] = []
+        error: Optional[ProtocolError] = None
         consumed = 0
         total = len(self._buffer)
         view = memoryview(self._buffer)
@@ -200,13 +228,15 @@ class MessageDecoder:
                 body = bytes(view[start : start + length])
                 consumed = start + length
                 messages.append(_parse_body(body))
+        except ProtocolError as caught:
+            error = caught
         finally:
             # Release before compacting: a bytearray with an exported
             # memoryview refuses to resize.
             view.release()
             if consumed:
                 del self._buffer[:consumed]
-        return messages
+        return messages, error
 
 
 #: What ``json.loads`` raises on hostile bytes: ``ValueError`` covers bad
@@ -368,48 +398,61 @@ def frame_batch_to_wire(frames: Sequence[CanFrame]) -> dict:
 
 
 class _LazyBatchFrames:
-    """The :class:`CanFrame` list of a batch, built on first touch.
+    """The :class:`CanFrame` sequence of a batch, built row by row.
 
-    The columnar ingest path never needs frame *objects* — only the
-    fallback event decoders and the final ``Capture`` rebuild do.  This
-    sequence defers the per-frame object construction until one of those
-    actually indexes or iterates it, and then builds the frames from the
-    columns :func:`arrays_from_batch` already decoded and validated.
+    Assembly slices most of a batch straight out of the columns; the event
+    decoders ask only for the rows they walk, and a session's finalize
+    only counts its frame log.  Indexing builds the one frame of that row
+    from the columns :func:`arrays_from_batch` already decoded and
+    validated; iterating (a capture rebuild, a VW TP 2.0 chunk) builds
+    each row in turn.  Nothing is cached, so a batch kept in a session's
+    frame log holds only its columns.
     """
 
-    __slots__ = ("_columns", "_frames")
+    __slots__ = ("_can_ids", "_timestamps", "_dlcs", "_payloads", "_flags", "_channels")
 
     def __init__(self, can_ids, timestamps, dlcs, payloads, flags, channels) -> None:
-        self._columns = (can_ids, timestamps, dlcs, payloads, flags, channels)
-        self._frames: Optional[List[CanFrame]] = None
-
-    def _force(self) -> List[CanFrame]:
-        if self._frames is None:
-            can_ids, timestamps, dlcs, payloads, flags, channels = self._columns
-            table = ("can0", *channels)
-            data = payloads.tobytes()
-            self._frames = [
-                CanFrame(
-                    can_id,
-                    data[row * MAX_DATA_LENGTH : row * MAX_DATA_LENGTH + dlc],
-                    timestamp,
-                    bool(flag & FLAG_EXTENDED),
-                    table[flag >> _CHANNEL_SHIFT],
-                )
-                for row, (can_id, timestamp, dlc, flag) in enumerate(
-                    zip(can_ids.tolist(), timestamps.tolist(), dlcs.tolist(), flags.tolist())
-                )
-            ]
-        return self._frames
+        self._can_ids = can_ids
+        self._timestamps = timestamps
+        self._dlcs = dlcs
+        self._payloads = payloads
+        self._flags = flags
+        self._channels = ("can0", *channels)
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self._can_ids)
 
     def __getitem__(self, index):
-        return self._force()[index]
+        if isinstance(index, slice):
+            return list(self)[index]
+        flag = int(self._flags[index])
+        return CanFrame(
+            int(self._can_ids[index]),
+            self._payloads[index, : self._dlcs[index]].tobytes(),
+            float(self._timestamps[index]),
+            bool(flag & FLAG_EXTENDED),
+            self._channels[flag >> _CHANNEL_SHIFT],
+        )
 
     def __iter__(self) -> Iterator[CanFrame]:
-        return iter(self._force())
+        data = self._payloads.tobytes()
+        channels = self._channels
+        for row, (can_id, timestamp, dlc, flag) in enumerate(
+            zip(
+                self._can_ids.tolist(),
+                self._timestamps.tolist(),
+                self._dlcs.tolist(),
+                self._flags.tolist(),
+            )
+        ):
+            start = row * MAX_DATA_LENGTH
+            yield CanFrame(
+                can_id,
+                data[start : start + dlc],
+                timestamp,
+                bool(flag & FLAG_EXTENDED),
+                channels[flag >> _CHANNEL_SHIFT],
+            )
 
 
 #: The packed record as a numpy structured dtype — field-for-field the
@@ -434,9 +477,9 @@ def arrays_from_batch(message: dict):
     bounds, identifier range, finite timestamps), but reinterprets the
     packed body as a numpy record array instead of looping — no
     per-frame Python object is built.  The returned :class:`FrameArrays`
-    carries a lazy ``frames`` sequence that builds :class:`CanFrame`
-    objects from these columns only if a fallback path (noisy stream,
-    capture rebuild) asks for them.
+    carries a lazy ``frames`` sequence that builds a :class:`CanFrame`
+    from these columns only for a row a fallback path (noisy stream,
+    capture rebuild) asks for.
     """
     packed = message.get("_packed")
     if not isinstance(packed, (bytes, bytearray, memoryview)):
@@ -471,7 +514,9 @@ def arrays_from_batch(message: dict):
         timestamps=timestamps,
         dlcs=dlcs,
         payloads=payloads,
-        frames=_LazyBatchFrames(can_ids, timestamps, dlcs, payloads, records["flags"], channels),
+        frames=_LazyBatchFrames(
+            can_ids, timestamps, dlcs, payloads, np.ascontiguousarray(records["flags"]), channels
+        ),
     )
 
 
@@ -509,23 +554,49 @@ def video_to_wire(frame: CapturedFrame) -> dict:
     }
 
 
-#: JSON types a wire video region's fields must have.  Screenshot analysis
-#: compares and slices them without conversion, so a region with ``"x":
-#: "a"`` or ``"text": 7`` would otherwise fail only at finalize.
+#: JSON types a wire video region's fields must have, in
+#: :class:`TextRegion` field order.  Screenshot analysis compares and
+#: slices them without conversion, so a region with ``"x": "a"`` or
+#: ``"text": 7`` would otherwise fail only at finalize.
 _REGION_TYPES = {
     "text": str,
-    "kind": str,
-    "icon": str,
     "x": int,
     "y": int,
     "width": int,
     "height": int,
+    "kind": str,
+    "icon": str,
 }
+#: A region's field values as :class:`TextRegion`'s positional
+#: arguments, and the exact types they must have.
+_region_values = operator.itemgetter(*_REGION_TYPES)
+_REGION_VALUE_TYPES = tuple(_REGION_TYPES.values())
 
 
-def _region_from_wire(region: object) -> TextRegion:
+def _region_from_wire(region: object, table: Dict[tuple, TextRegion]) -> TextRegion:
+    """One wire video region as a :class:`TextRegion`, shared via ``table``.
+
+    A region that carries exactly the seven fields, each of its exact JSON
+    type, is looked up in ``table`` by its values and built only the first
+    time; :class:`TextRegion` is frozen, so equal regions can be one
+    object.  The types are checked before the lookup: ``True == 1`` and
+    both hash alike, so a table keyed on values alone would hand ``"x":
+    true`` the region decoded for ``"x": 1``.  Any other region is checked
+    field by field and built by keyword, which raises :class:`TypeError`
+    on a non-object, an ill-typed field, a missing field or an extra one.
+    """
     if not isinstance(region, dict):
         raise TypeError("a video region must be an object")
+    if len(region) == len(_REGION_TYPES):
+        try:
+            values = _region_values(region)
+        except KeyError:
+            values = None
+        if values is not None and tuple(map(type, values)) == _REGION_VALUE_TYPES:
+            shared = table.get(values)
+            if shared is None:
+                shared = table[values] = TextRegion(*values)
+            return shared
     for name, value in region.items():
         expected = _REGION_TYPES.get(name)
         # ``type() is`` and not ``isinstance``: JSON true is no coordinate.
@@ -534,12 +605,23 @@ def _region_from_wire(region: object) -> TextRegion:
     return TextRegion(**region)
 
 
-def video_from_wire(message: dict) -> CapturedFrame:
+def video_from_wire(
+    message: dict, regions: Optional[Dict[tuple, TextRegion]] = None
+) -> CapturedFrame:
+    """A ``video`` message as a :class:`CapturedFrame`.
+
+    ``regions`` is the table equal regions are shared through (see
+    :func:`_region_from_wire`): a session passes one table for all its
+    video messages, because a tool's screens repeat most of their regions
+    from frame to frame.  Without one, regions are shared only within the
+    message.
+    """
+    table = {} if regions is None else regions
     try:
         return CapturedFrame(
             timestamp=_timestamp(message["t"]),
             screen_name=str(message["screen"]),
-            regions=[_region_from_wire(region) for region in message.get("regions", [])],
+            regions=[_region_from_wire(region, table) for region in message.get("regions", [])],
         )
     except _BAD_FIELD as error:
         raise ProtocolError(f"bad video message: {error}") from None
@@ -624,9 +706,11 @@ def capture_to_wire(
     """The full message sequence that streams one recorded capture.
 
     Yields ``hello``, then every capture record *in timestamp order across
-    record kinds* (the interleaving a live adapter would produce), then
-    ``finish``.  For a K-Line capture pass the sniffed ``kline_bytes``;
-    CAN frames and K-Line bytes may not be mixed in one session.
+    record kinds* (the interleaving a live adapter would produce; on equal
+    times CAN frames go first, then K-Line bytes, video and clicks), then
+    the segments and ``finish``.  For a K-Line capture pass the sniffed
+    ``kline_bytes``; CAN frames and K-Line bytes may not be mixed in one
+    session.
 
     With ``batch_size > 0`` the CAN frames coalesce into binary
     ``frame-batch`` messages of ``batch_size`` frames.  Video and click
@@ -637,27 +721,31 @@ def capture_to_wire(
     either way.  ``batch_size=0`` keeps the v1 per-frame JSON wire format.
     """
     yield hello_message(capture, tenant=tenant, transport=transport)
-    records: List[Tuple[Dict, Optional[CanFrame]]] = []
-    for frame in capture.can_log:
-        records.append((frame_to_wire(frame), frame))
-    for byte in kline_bytes or ():
-        records.append((kline_byte_to_wire(byte), None))
-    for video in capture.video:
-        records.append((video_to_wire(video), None))
-    for click in capture.clicks:
-        records.append((click_to_wire(click), None))
-    records.sort(key=lambda r: r[0]["t"])
-    run: List[CanFrame] = []
-    for message, frame in records:
-        if frame is None or batch_size <= 0:
-            yield message
-            continue
-        run.append(frame)
-        if len(run) == batch_size:
-            yield frame_batch_to_wire(run)
-            run = []
-    if run:
-        yield frame_batch_to_wire(run)
+    frames = sorted(capture.can_log, key=operator.attrgetter("timestamp"))
+    times = [frame.timestamp for frame in frames]
+    records = [kline_byte_to_wire(byte) for byte in kline_bytes or ()]
+    records += [video_to_wire(video) for video in capture.video]
+    records += [click_to_wire(click) for click in capture.clicks]
+    records.sort(key=operator.itemgetter("t"))
+    step = max(batch_size, 1)
+
+    def frame_messages(start: int, stop: int) -> Iterator[dict]:
+        if batch_size <= 0:
+            return map(frame_to_wire, frames[start:stop])
+        return (
+            frame_batch_to_wire(frames[first : first + step])
+            for first in range(start, stop, step)
+        )
+
+    sent = 0
+    for record in records:
+        # The frames at or before this record, in whole batches.
+        due = bisect.bisect_right(times, record["t"])
+        due -= due % step
+        yield from frame_messages(sent, due)
+        sent = max(sent, due)  # ``due`` only grows while every time is a number
+        yield record
+    yield from frame_messages(sent, len(frames))
     for segment in capture.segments:
         yield segment_to_wire(segment)
     yield {"type": "finish"}

@@ -5,10 +5,14 @@ Architecture:
 * one :class:`asyncio` connection handler per tenant, each owning one
   :class:`~repro.service.session.VehicleSession` — cheap per-record state
   updates run inline on the event loop;
-* every record message goes to
-  :meth:`~repro.service.session.VehicleSession.ingest_message`, which
-  decodes and ingests it; the handler only charges the rate limit and
-  counts;
+* the handler reads the socket in 64 KiB chunks through a
+  :class:`~repro.service.protocol.MessageDecoder`; each run of
+  consecutive JSON ``frame`` messages of one read goes to
+  :meth:`~repro.service.session.VehicleSession.ingest_frame_messages` as
+  one chunk, every other record to
+  :meth:`~repro.service.session.VehicleSession.ingest_message`; the
+  session decodes and ingests, and the handler only charges the rate
+  limit and counts;
 * CPU-bound work (interim re-analysis, final GP inference) is offloaded
   onto a thread pool so the loop keeps multiplexing thousands of
   sessions while formulas are being searched;
@@ -42,7 +46,7 @@ import hashlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..core.gp import GpConfig
 from ..core.reverser import DPReverser, ReverserConfig
@@ -53,6 +57,7 @@ from .protocol import (
     FRAME_BATCH,
     HELLO_TRANSPORTS,
     PROTOCOL_VERSION,
+    MessageDecoder,
     ProtocolError,
     read_message,
     write_message,
@@ -61,6 +66,9 @@ from .session import MAX_CAPTURE_FRAMES, SessionError, VehicleSession
 
 #: Egress bytes queued on one writer before the handler stalls in drain().
 WRITE_HIGH_WATER = 64 * 1024
+
+#: Bytes one socket read of a session asks for.
+READ_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -371,13 +379,23 @@ class DiagnosticServer:
         writer: asyncio.StreamWriter,
         conn: _Connection,
     ) -> None:
-        session = conn.session
-        ingest_hist = self.metrics.histogram("service.ingest_seconds")
+        """Read the socket in chunks and ingest each chunk's messages.
+
+        A malformed message fails the session after the messages before it
+        in the same read have been ingested.  An idle session — no complete
+        message for ``session_idle_timeout`` seconds, however many bytes of
+        one have trickled in — is evicted.
+        """
+        decoder = MessageDecoder()
         idle_timeout = self.config.session_idle_timeout
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + idle_timeout
         while True:
             if idle_timeout > 0:
                 try:
-                    message = await asyncio.wait_for(read_message(reader), idle_timeout)
+                    data = await asyncio.wait_for(
+                        reader.read(READ_BYTES), deadline - loop.time()
+                    )
                 except asyncio.TimeoutError:
                     # Slowloris defense: an idle session frees its slot
                     # instead of starving other tenants at max_sessions.
@@ -394,17 +412,58 @@ class DiagnosticServer:
                     )
                     return
             else:
-                message = await read_message(reader)
-            if message is None:
+                data = await reader.read(READ_BYTES)
+            if not data:
+                if decoder.buffered:
+                    raise ProtocolError("connection closed mid-message")
                 return  # client went away without finish: drop silently
-            if message["type"] == "finish":
+            messages, error = decoder.feed_until_error(data)
+            if messages:
+                if await self._ingest_read(writer, conn, messages):
+                    return
+                deadline = loop.time() + idle_timeout
+            if error is not None:
+                raise error
+
+    async def _ingest_read(
+        self, writer: asyncio.StreamWriter, conn: _Connection, messages: List[dict]
+    ) -> bool:
+        """Ingest the messages of one read, in order; ``True`` once a
+        ``finish`` among them has been answered.
+
+        Each run of consecutive JSON ``frame`` messages is one
+        :meth:`~repro.service.session.VehicleSession.ingest_frame_messages`
+        call, every other record one
+        :meth:`~repro.service.session.VehicleSession.ingest_message` call;
+        ``service.ingest_seconds`` times each call.
+        """
+        session = conn.session
+        ingest_hist = self.metrics.histogram("service.ingest_seconds")
+        position = 0
+        while position < len(messages):
+            message = messages[position]
+            kind = message["type"]
+            if kind == "finish":
                 await self._finish(writer, conn)
-                return
+                return True
             start = time.perf_counter()
-            frames, completed, dropped = session.ingest_message(message)
+            if kind == "frame":
+                end = position + 1
+                while end < len(messages) and messages[end]["type"] == "frame":
+                    end += 1
+                frames, completed, dropped, error = session.ingest_frame_messages(
+                    messages[position:end]
+                )
+                position = end
+            else:
+                frames, completed, dropped = session.ingest_message(message)
+                error = None
+                position += 1
             ingest_hist.observe(time.perf_counter() - start)
-            # A frame batch costs one token per frame, any other record one.
-            await self._throttle(conn, cost=frames if message["type"] == FRAME_BATCH else 1)
+            # Frames cost one token each, any other record one.
+            await self._throttle(
+                conn, cost=frames if kind in ("frame", FRAME_BATCH) else 1
+            )
             if dropped:
                 self._count("service.frames_dropped", dropped)
             if frames > dropped:
@@ -416,6 +475,9 @@ class DiagnosticServer:
                 if interval and conn.since_status >= interval:
                     conn.since_status = 0
                     await self._interim(writer, conn)
+            if error is not None:
+                raise error
+        return False
 
     async def _interim(
         self, writer: asyncio.StreamWriter, conn: _Connection

@@ -19,22 +19,28 @@ The session is transport-agnostic until told otherwise: a ``hello`` with
 the batch :func:`~repro.core.screening.detect_transport` heuristic over
 them, then locks the transport and replays the buffer through the
 assembler.  Memory is bounded: at most :attr:`max_capture_frames` frames
-are retained (the final report needs the full frame log for its
-``n_frames`` accounting); overflow frames are counted and dropped rather
-than buffered.  Video, click and segment records are bounded together by
+are retained (the final report counts the full frame log for its
+``n_frames``); overflow frames are counted and dropped rather than
+buffered.  Wire batches stay columnar from the socket to the report:
+their frames are built only for the rows the event decoders walk, and
+the capture's :class:`~repro.can.CanLog` holds the batches as chunks,
+which finalize counts without building a frame.  Video regions decode
+through a per-session table, so a region a tool's screens repeat is one
+shared object.  Video, click and segment records are bounded together by
 :data:`MAX_SESSION_RECORDS`; the record past it raises
 :class:`SessionError`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..can import CanFrame, CanLog
 from ..core.assembly import AssembledMessage, StreamAssembler
 from ..core.fields import extract_fields
 from ..core.reverser import DPReverser, ReverseReport
 from ..core.screening import detect_transport
+from ..cps.camera import TextRegion
 from ..cps.collector import Capture
 from ..observability.trace import NULL_TRACER, Tracer, activated
 from ..transport.arrays import FrameArrays
@@ -113,11 +119,12 @@ class VehicleSession:
         #: lane per session.
         self.tracer = tracer or NULL_TRACER
 
-        #: Full frame log, for ``Capture.can_log``: arrival-ordered entries,
-        #: each either one :class:`CanFrame` or a whole columnar
-        #: :class:`FrameArrays` chunk (binary wire batches stay columnar —
-        #: their frame objects materialise only at :meth:`build_capture`).
-        self._log: List[object] = []
+        #: Full frame log, for ``Capture.can_log``: the chunks as they
+        #: arrived — a list of frames, or a wire batch's lazy frame
+        #: sequence, whose frames are built only if the capture's log is
+        #: iterated (finalize only counts it).
+        self._log: List[Sequence[CanFrame]] = []
+        self._run: Optional[List[CanFrame]] = None  # the log's open frame list
         self._log_frames = 0  # frames across all log entries
         self._pending: List[CanFrame] = []  # awaiting transport detection
         self._assembler: Optional[StreamAssembler] = None
@@ -125,6 +132,9 @@ class VehicleSession:
         self._kline_bytes = 0
         self._messages: List[AssembledMessage] = []  # K-Line only
         self.video: List = []
+        #: Every video region decoded so far, by its field values: equal
+        #: regions of later video messages share one frozen object.
+        self._regions: Dict[tuple, TextRegion] = {}
         self.clicks: List = []
         self.segments: List = []
         self.frames_received = 0
@@ -188,7 +198,7 @@ class VehicleSession:
             completed = self.ingest_kline_byte(kline_byte_from_wire(message))
             return (1, 0, 1) if completed < 0 else (1, completed, 0)
         if kind == "video":
-            self.ingest_video(video_from_wire(message))
+            self.ingest_video(video_from_wire(message, self._regions))
         elif kind == "click":
             self.ingest_click(click_from_wire(message))
         elif kind == "segment":
@@ -196,6 +206,33 @@ class VehicleSession:
         else:
             raise ProtocolError(f"unknown message type {kind!r}")
         return 0, 0, 0
+
+    def ingest_frame_messages(
+        self, messages: Sequence[dict]
+    ) -> Tuple[int, int, int, Optional[ProtocolError]]:
+        """Decode a run of JSON ``frame`` messages and ingest them as one
+        chunk.
+
+        What the server does with the consecutive ``frame`` messages of one
+        socket read, so that per-frame JSON clients get
+        :meth:`ingest_frames`' chunked decode too.  Returns ``(frames,
+        completed, dropped, error)``: the first three as
+        :meth:`ingest_message` counts them, over the frames ingested;
+        ``error`` is the :class:`~repro.service.protocol.ProtocolError` of
+        the first malformed message, or ``None``.  The frames before a
+        malformed message are ingested, the ones from it on are not, so
+        it fails at its own position as it would one message at a time.
+        """
+        frames: List[CanFrame] = []
+        error: Optional[ProtocolError] = None
+        try:
+            for message in messages:
+                frames.append(frame_from_wire(message))
+        except ProtocolError as caught:
+            error = caught
+        if not frames:
+            return 0, 0, 0, error
+        return (len(frames), *self.ingest_frames(frames), error)
 
     def ingest_frames(self, frames) -> Tuple[int, int]:
         """Accept a chunk of CAN frames in one decode pass.
@@ -233,9 +270,13 @@ class VehicleSession:
         self.frames_received += count
         self._log_frames += count
         if isinstance(chunk, FrameArrays):
-            self._log.append(chunk)
+            self._log.append(chunk.frames)
+            self._run = None
+        elif self._run is None:
+            self._run = list(chunk)
+            self._log.append(self._run)
         else:
-            self._log.extend(chunk)
+            self._run.extend(chunk)
         if self._assembler is None:
             if self.transport == "auto":
                 self._pending.extend(chunk)
@@ -358,23 +399,13 @@ class VehicleSession:
 
     # ----------------------------------------------------------- finalise
 
-    def _frame_log(self) -> List[CanFrame]:
-        """Flatten the log: columnar chunks materialise their frames here,
-        once, off the ingest hot path."""
-        log: List[CanFrame] = []
-        for entry in self._log:
-            if isinstance(entry, FrameArrays):
-                log.extend(entry.frames)
-            else:
-                log.append(entry)
-        return log
-
     def build_capture(self) -> Capture:
         """The capture a batch collection of this stream would have built."""
+        self._run = None  # later frames go to a new list, not this capture's
         return Capture(
             model=self.model,
             tool_name=self.tool_name,
-            can_log=CanLog(self._frame_log()),
+            can_log=CanLog.from_chunks(self._log),
             video=self.video,
             clicks=self.clicks,
             segments=self.segments,
@@ -427,9 +458,11 @@ class VehicleSession:
             "errors": self.decode_errors,
         }
         self._log = []
+        self._run = None
         self._pending = []
         self._messages = []
         self.video = []
+        self._regions = {}
         self.clicks = []
         self.segments = []
         return counters

@@ -17,15 +17,23 @@ import random
 import pytest
 
 from repro.can import CanFrame
-from repro.core import TRANSPORT_BMW, TRANSPORT_ISOTP
-from repro.core.assembly import (
-    MIN_CHUNK_FRAMES,
-    StreamAssembler,
-    assemble_with_diagnostics,
-)
+from repro.core import TRANSPORT_BMW, TRANSPORT_ISOTP, assembly
+from repro.core.assembly import StreamAssembler, assemble_with_diagnostics
 from repro.transport import segment, segment_bmw
 from repro.transport.arrays import FrameArrays
 from repro.transport.base import DEFAULT_HARDENING, HardeningPolicy
+
+
+#: The smallest chunk the slicer takes in this module.  Production
+#: chunks below ``assembly.MIN_CHUNK_FRAMES`` decode per frame because
+#: that is cheaper; the fuzzers here build short captures and must reach
+#: the slicer with them, so they slice from 8 frames.
+MIN_CHUNK_FRAMES = 8
+
+
+@pytest.fixture(autouse=True)
+def slice_short_chunks(monkeypatch):
+    monkeypatch.setattr(assembly, "MIN_CHUNK_FRAMES", MIN_CHUNK_FRAMES)
 
 
 def per_frame_assemble(frames, transport):

@@ -54,3 +54,59 @@ class TestCanLog:
         path = tmp_path / "empty.log"
         CanLog().save(path)
         assert len(CanLog.load(path)) == 0
+
+
+class CountedChunk:
+    """A sized frame sequence that counts the frames taken from it."""
+
+    def __init__(self, frames):
+        self._frames = list(frames)
+        self.taken = 0
+
+    def __len__(self):
+        return len(self._frames)
+
+    def __iter__(self):
+        for item in self._frames:
+            self.taken += 1
+            yield item
+
+    def __getitem__(self, index):
+        self.taken += 1
+        return self._frames[index]
+
+
+class TestChunkedLog:
+    def chunks(self):
+        first = CountedChunk(frame(0x100 + i, bytes([i]), 0.1 * i) for i in range(3))
+        second = CountedChunk(frame(0x200 + i, bytes([i]), 1.0 + 0.1 * i) for i in range(2))
+        return first, second
+
+    def test_length_takes_no_frame(self):
+        first, second = self.chunks()
+        log = CanLog.from_chunks([first, CountedChunk([]), second])
+        assert len(log) == 5
+        assert first.taken == second.taken == 0
+
+    def test_iteration_and_queries_see_the_frames_in_order(self, tmp_path):
+        first, second = self.chunks()
+        expected = list(first._frames) + list(second._frames)
+        log = CanLog.from_chunks([first, second])
+        assert list(log) == expected
+        assert log.ids() == [f.can_id for f in expected]
+        assert list(log.between(0.15, 1.05)) == expected[2:4]
+        path = tmp_path / "chunked.log"
+        log.save(path)
+        assert list(CanLog.load(path)) == expected
+
+    def test_indexing_and_append_flatten_once(self):
+        first, second = self.chunks()
+        log = CanLog.from_chunks([first, second])
+        assert log[3] == second._frames[0]
+        assert log.frames == list(first._frames) + list(second._frames)
+        assert (first.taken, second.taken) == (3, 2)
+        with pytest.raises(ValueError):
+            log.append(frame(0x300, b"", 0.5))
+        log.append(frame(0x300, b"", 2.0))
+        assert len(log) == 6 and log[-1].can_id == 0x300
+        assert (first.taken, second.taken) == (3, 2)

@@ -1,9 +1,11 @@
 """The service wire protocol: framing, round-trips, and bounds."""
 
+import copy
 import json
 import math
 import random
 import struct
+from dataclasses import astuple
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,7 +16,13 @@ from repro.cps.arm import ClickRecord
 from repro.cps.camera import CapturedFrame, TextRegion
 from repro.cps.collector import Capture, Segment
 from repro.can import CanLog
-from repro.service import MessageDecoder, ProtocolError, capture_to_wire, encode_message
+from repro.service import (
+    MessageDecoder,
+    ProtocolError,
+    VehicleSession,
+    capture_to_wire,
+    encode_message,
+)
 from repro.service.protocol import (
     FLAG_EXTENDED,
     FRAME_BATCH,
@@ -67,6 +75,41 @@ def reference_frames_from_batch(message):
     except InvalidFrameError as error:
         raise ProtocolError(f"bad frame record: {error}") from None
     return frames
+
+
+def reference_region_from_wire(region):
+    """Field-by-field video region decoder, the oracle for the interned
+    one: the exact JSON type of each known field, then ``TextRegion`` by
+    keyword (which refuses a missing or an extra field)."""
+    if not isinstance(region, dict):
+        raise TypeError("a video region must be an object")
+    types = {"text": str, "kind": str, "icon": str, "x": int, "y": int, "width": int, "height": int}
+    for name, value in region.items():
+        expected = types.get(name)
+        if expected is not None and type(value) is not expected:
+            raise TypeError(f"region field {name!r} must be {expected.__name__}")
+    return TextRegion(**region)
+
+
+def reference_capture_to_wire(capture, batch_size):
+    """The record order ``capture_to_wire`` keeps: a JSON dict per record,
+    one stable sort by ``t``, frames packed into batches as they come."""
+    records = [(frame_to_wire(frame), frame) for frame in capture.can_log]
+    records += [(video_to_wire(video), None) for video in capture.video]
+    records += [(click_to_wire(click), None) for click in capture.clicks]
+    records.sort(key=lambda record: record[0]["t"])
+    messages, run = [], []
+    for message, frame in records:
+        if frame is None or batch_size <= 0:
+            messages.append(message)
+            continue
+        run.append(frame)
+        if len(run) == batch_size:
+            messages.append(frame_batch_to_wire(run))
+            run = []
+    if run:
+        messages.append(frame_batch_to_wire(run))
+    return messages + [segment_to_wire(segment) for segment in capture.segments]
 
 
 def batch_frames(message):
@@ -373,6 +416,20 @@ class TestCaptureToWire:
         sizes = [m["n"] for m in batched if m["type"] == FRAME_BATCH]
         assert sizes == [4] * 6 + [1]
 
+    @pytest.mark.parametrize("batch_size", [0, 1, 3, 4, 256])
+    def test_message_sequence_matches_one_stable_sort(self, batch_size):
+        """Records sharing a timestamp across kinds, and frames out of
+        order in the log: the merge orders them as one stable sort did."""
+        rng = random.Random(batch_size)
+        times = [rng.choice([0.0, 0.5, 1.0, 1.5, 2.0]) for __ in range(23)]
+        frames = [CanFrame(i, bytes([i]), t) for i, t in enumerate(times)]
+        video = [CapturedFrame(timestamp=t, screen_name="s", regions=[]) for t in (0.5, 1.0, 1.7)]
+        clicks = [ClickRecord(timestamp=t, x=0, y=0, label="go", hit=True) for t in (1.0, 2.0)]
+        segments = [Segment(kind="live", ecu="E", label="l", t_start=0.0, t_end=3.0)]
+        capture = make_capture(frames, video, clicks, segments)
+        hello, *messages, finish = capture_to_wire(capture, batch_size=batch_size)
+        assert messages == reference_capture_to_wire(capture, batch_size)
+
     def test_batch_size_zero_is_the_v1_wire(self):
         capture = make_capture([CanFrame(1, b"\x01", 0.0)])
         kinds = [m["type"] for m in capture_to_wire(capture, transport="isotp")]
@@ -585,6 +642,119 @@ class TestWireFuzz:
         assert frames_decoded == frames
         assert list(arrays.frames) == frames_decoded
         assert_columns_match(arrays, frames)
+
+
+class TestLazyBatchFrames:
+    @settings(max_examples=60, deadline=None)
+    @given(frames=st.lists(can_frames(), max_size=12))
+    def test_each_row_equals_the_forced_sequence_and_the_oracle(self, frames):
+        """Extended ids, channel tables and short DLCs: indexing one row
+        builds the frame that iterating the batch and the per-record
+        oracle build for it."""
+        (message,) = MessageDecoder().feed(encode_message(frame_batch_to_wire(frames)))
+        lazy = arrays_from_batch(message).frames
+        forced = list(lazy)
+        assert forced == reference_frames_from_batch(message) == frames
+        assert len(lazy) == len(frames)
+        assert [lazy[row] for row in range(len(lazy))] == forced
+        assert [lazy[row - len(lazy)] for row in range(len(lazy))] == forced
+        assert lazy[1:-1] == forced[1:-1]
+        with pytest.raises(IndexError):
+            lazy[len(frames)]
+
+
+VIDEO_REGION_FIELDS = ("text", "x", "y", "width", "height", "kind", "icon")
+#: Few distinct regions, so that lists of them repeat regions within a
+#: message and across the messages of a session.
+BASE_REGIONS = [
+    {
+        "text": "Engine Speed",
+        "x": 10,
+        "y": 20,
+        "width": 100,
+        "height": 16,
+        "kind": "label",
+        "icon": "",
+    },
+    {"text": "812", "x": 1, "y": 20, "width": 40, "height": 16, "kind": "value", "icon": ""},
+    {"text": "", "x": 0, "y": 0, "width": 0, "height": 0, "kind": "icon_button", "icon": "gear"},
+]
+#: Values a field may be replaced with: booleans and floats equal to the
+#: base coordinates (``True == 1`` and ``1.0 == 1``, and they hash alike),
+#: ints as strings, ints for strings, and other JSON values.
+COORDINATE_LOOKALIKES = [True, False, 0.0, 1.0, 10.0, 16.0, 20.0, 40.0, 100.0, "0", "1", "10"]
+REGION_VALUES = st.one_of(
+    st.sampled_from(COORDINATE_LOOKALIKES),
+    st.sampled_from(COORDINATE_LOOKALIKES),
+    st.sampled_from([0, 1, 16, 20, "", "812", "label", None, [1], {"x": 1}]),
+    st.floats(allow_nan=False),
+    st.integers(-3, 3).map(str),
+)
+
+
+@st.composite
+def wire_regions(draw):
+    """A base region with one edit — none, a field replaced, a field
+    dropped, an extra key — and its keys in any order; or not an object."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([[], "region", 7, None, ["text", "x"]]))
+    region = dict(draw(st.sampled_from(BASE_REGIONS)))
+    edit = draw(st.sampled_from(["none", "none", "replace", "drop", "extra"]))
+    if edit == "replace":
+        region[draw(st.sampled_from(VIDEO_REGION_FIELDS))] = draw(REGION_VALUES)
+    elif edit == "drop":
+        del region[draw(st.sampled_from(VIDEO_REGION_FIELDS))]
+    elif edit == "extra":
+        region[draw(st.sampled_from(["extra", "color", "X"]))] = draw(REGION_VALUES)
+    order = draw(st.permutations(list(region)))
+    return {name: region[name] for name in order}
+
+
+class TestVideoRegionInterning:
+    @settings(max_examples=200, deadline=None)
+    @given(messages=st.lists(st.lists(wire_regions(), max_size=6), min_size=1, max_size=6))
+    @example(
+        messages=[
+            [dict(BASE_REGIONS[0], x=1)],
+            [dict(BASE_REGIONS[0], x=True)],
+            [dict(BASE_REGIONS[0], x=1.0)],
+            [dict(BASE_REGIONS[0], x="1")],
+            [dict(BASE_REGIONS[0], x=1)],
+        ]
+    )
+    @example(messages=[[{key: BASE_REGIONS[1][key] for key in VIDEO_REGION_FIELDS[:-1]}]])
+    def test_session_decoder_agrees_with_the_oracle(self, messages):
+        """One session decodes every message through its region table: it
+        rejects exactly the messages the field-by-field oracle rejects and
+        returns equal regions, of the same field types, for the rest."""
+        session = VehicleSession(0, transport="isotp")
+        for index, regions in enumerate(messages):
+            message = {"type": "video", "t": float(index), "screen": "s", "regions": regions}
+            try:
+                expected = [reference_region_from_wire(region) for region in regions]
+            except TypeError:
+                with pytest.raises(ProtocolError, match="bad video message"):
+                    session.ingest_message(copy.deepcopy(message))
+                continue
+            session.ingest_message(copy.deepcopy(message))
+            decoded = session.video[-1].regions
+            assert decoded == expected
+            assert [tuple(map(type, astuple(r))) for r in decoded] == [
+                tuple(map(type, astuple(r))) for r in expected
+            ]
+
+    def test_equal_regions_share_one_object_across_messages(self):
+        session = VehicleSession(0, transport="isotp")
+        for t in (0.0, 1.0):
+            regions = [dict(BASE_REGIONS[0]), dict(reversed(list(BASE_REGIONS[0].items())))]
+            session.ingest_message({"type": "video", "t": t, "screen": "s", "regions": regions})
+        first, second = session.video
+        assert first.regions[0] is first.regions[1] is second.regions[0] is second.regions[1]
+
+    def test_one_argument_form_decodes_alone(self):
+        message = {"type": "video", "t": 0.0, "screen": "s", "regions": [dict(BASE_REGIONS[0])] * 2}
+        frame = video_from_wire(message)
+        assert frame.regions == [TextRegion(**BASE_REGIONS[0])] * 2
 
 
 class TestDeepNesting:

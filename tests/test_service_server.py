@@ -1,11 +1,13 @@
 """The asyncio diagnostic server: sockets, multiplexing, backpressure."""
 
 import asyncio
+import contextlib
 import hashlib
 import json
 import struct
 import subprocess
 import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -17,9 +19,12 @@ from repro.service import (
     DiagnosticServer,
     ServiceClientError,
     ServiceConfig,
+    stream_capture,
     stream_capture_async,
 )
+from repro.service import client as client_module
 from repro.service.protocol import (
+    FRAME_BATCH,
     PROTOCOL_VERSION,
     capture_to_wire,
     encode_message,
@@ -56,6 +61,24 @@ def service_counters(server):
     return server.snapshot()["counters"]
 
 
+@contextlib.contextmanager
+def server_thread(config):
+    """A server on its own event loop in a background thread, for clients
+    that run their own loop (the synchronous ``stream_capture``)."""
+    loop = asyncio.new_event_loop()
+    server = DiagnosticServer(config)
+    loop.run_until_complete(server.start())
+    thread = threading.Thread(target=loop.run_forever)
+    thread.start()
+    try:
+        yield server
+    finally:
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join()
+        loop.run_until_complete(server.stop())
+        loop.close()
+
+
 class TestEndToEnd:
     def test_streamed_report_matches_batch_over_sockets(self, capture_a, batch_a):
         async def run():
@@ -63,7 +86,7 @@ class TestEndToEnd:
                 ServiceConfig(gp_config=GP, status_interval=50)
             ) as server:
                 result = await stream_capture_async(
-                    "127.0.0.1", server.port, capture_a, transport="isotp"
+                    "127.0.0.1", server.port, capture_a, transport="isotp", batch_size=0
                 )
                 return server.snapshot(), result
 
@@ -136,6 +159,23 @@ class TestEndToEnd:
         assert counters["service.frames_dropped"] == len(capture_a.can_log) - 100
         assert counters["service.frames_ingested"] == 100
         assert result.report["n_frames"] == 100
+
+    def test_default_client_streams_batches(self, capture_a, batch_a, monkeypatch):
+        """``stream_capture`` with default arguments sends ``frame-batch``
+        messages, and its report is the batch pipeline's."""
+        sent = Counter()
+        write = client_module.write_message
+
+        def recording_write(writer, message):
+            sent[message["type"]] += 1
+            write(writer, message)
+
+        monkeypatch.setattr(client_module, "write_message", recording_write)
+        with server_thread(ServiceConfig(gp_config=GP)) as server:
+            result = stream_capture("127.0.0.1", server.port, capture_a)
+        assert result.report_json == batch_a
+        assert sent[FRAME_BATCH] == -(-len(capture_a.can_log) // client_module.BATCH_SIZE)
+        assert "frame" not in sent
 
     def test_concurrent_mixed_transport_sessions(self, capture_a, batch_a, kline_data):
         kline_capture, kline_bytes, kline_batch = kline_data
@@ -220,7 +260,7 @@ class TestLimitsAndBackpressure:
                 ServiceConfig(gp_config=GP, rate_limit=2000.0)
             ) as server:
                 result = await stream_capture_async(
-                    "127.0.0.1", server.port, capture_a, transport="isotp"
+                    "127.0.0.1", server.port, capture_a, transport="isotp", batch_size=0
                 )
                 return server, result
 
@@ -235,7 +275,7 @@ class TestLimitsAndBackpressure:
                 ServiceConfig(gp_config=GP, max_capture_frames=100)
             ) as server:
                 result = await stream_capture_async(
-                    "127.0.0.1", server.port, capture_a, transport="isotp"
+                    "127.0.0.1", server.port, capture_a, transport="isotp", batch_size=0
                 )
                 return server, result
 
@@ -336,6 +376,117 @@ HELLO = {
     "transport": "isotp",
     "meta": {},
 }
+
+
+class RecordingServer(DiagnosticServer):
+    """Keeps every closed session, for assertions on its final state."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.closed = []
+
+    def _close_session(self, conn):
+        self.closed.append(conn.session)
+        super()._close_session(conn)
+
+
+def frame_messages(count):
+    return [
+        {"type": "frame", "t": 0.001 * i, "id": 0x7E8, "data": "0241"} for i in range(count)
+    ]
+
+
+class TestChunkedReads:
+    """One socket read's consecutive JSON frames are ingested as one run;
+    a malformed message still fails at its own position."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            encode_message({"type": "frame", "t": 0.0, "id": "7e8", "data": "0241"}),
+            encode_message({"type": "frame", "t": 0.0, "id": 0x7E8, "data": "zz"}),
+            struct.pack(">I", 9) + b"not json!",
+        ],
+        ids=["bad-id", "bad-data", "bad-body"],
+    )
+    def test_bad_message_mid_run_fails_at_its_index(self, bad):
+        index = 30
+        frames = [encode_message(m) for m in frame_messages(60)]
+        wire = b"".join(frames[:index]) + bad + b"".join(frames[index:])
+
+        async def run():
+            async with RecordingServer(ServiceConfig(gp_config=GP)) as server:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                writer.write(encode_message(HELLO) + wire + encode_message({"type": "finish"}))
+                await writer.drain()
+                replies = [await read_message(reader) for __ in range(2)]
+                writer.close()
+                await writer.wait_closed()
+                return server, replies
+
+        server, (welcome, reply) = asyncio.run(run())
+        assert welcome["type"] == "welcome"
+        assert reply["type"] == "error"
+        (session,) = server.closed
+        assert session.frames_received == index
+        counters = service_counters(server)
+        assert counters["service.frames_ingested"] == index
+        assert counters["service.protocol_errors"] == 1
+
+    def test_json_frame_runs_report_matches_batch(self, capture_a, batch_a):
+        """Per-frame JSON written in one burst: the server ingests whole
+        runs per read, and the report is still the batch pipeline's."""
+        wire = b"".join(
+            encode_message(m) for m in capture_to_wire(capture_a, transport="isotp")
+        )
+
+        async def run():
+            async with DiagnosticServer(ServiceConfig(gp_config=GP)) as server:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                writer.write(wire)
+                await writer.drain()
+                replies = [await read_message(reader) for __ in range(2)]
+                writer.close()
+                await writer.wait_closed()
+                return server, replies
+
+        server, (welcome, reply) = asyncio.run(run())
+        assert reply["type"] == "report"
+        assert reply["report_json"] == batch_a
+        ingest = server.metrics.histogram("service.ingest_seconds")
+        frames = len(capture_a.can_log)
+        # Fewer ingest calls than frames: reads carried runs of frames.
+        assert 0 < ingest.count < frames
+        assert service_counters(server)["service.frames_ingested"] == frames
+
+    def test_slow_drip_of_one_message_is_evicted(self):
+        """Idle means no complete message, however many of its bytes
+        trickle in."""
+        message = encode_message(frame_messages(1)[0])
+
+        async def run():
+            async with DiagnosticServer(
+                ServiceConfig(gp_config=GP, session_idle_timeout=0.2)
+            ) as server:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                writer.write(encode_message(HELLO))
+                await writer.drain()
+                assert (await read_message(reader))["type"] == "welcome"
+                reply = asyncio.ensure_future(read_message(reader))
+                for byte in message[:-1]:
+                    if reply.done():
+                        break
+                    writer.write(bytes([byte]))
+                    await writer.drain()
+                    await asyncio.sleep(0.05)
+                result = await asyncio.wait_for(reply, timeout=5.0)
+                writer.close()
+                await writer.wait_closed()
+                return server, result
+
+        server, reply = asyncio.run(run())
+        assert reply["type"] == "error" and "idle" in reply["error"]
+        assert service_counters(server)["service.sessions_evicted_idle"] == 1
 
 
 class TestRecordBound:

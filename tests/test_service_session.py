@@ -42,6 +42,7 @@ from repro.service.protocol import (
     capture_to_wire,
     encode_message,
 )
+from repro.service.client import BATCH_SIZE
 from repro.service.session import DETECT_WINDOW, MAX_CAPTURE_FRAMES
 from repro.tools import make_tool_for_car
 from repro.tools.kline_logger import KLineDiagnosticSession, build_kline_vehicle
@@ -314,6 +315,84 @@ class TestOneFramePath:
                 session.ingest_message(message)
             reports.append(session.finalize(make_reverser()).to_json())
         assert reports[1] == reports[0]
+
+
+class TestFrameMessageRuns:
+    def test_runs_of_one_read_equal_single_messages(self, captures):
+        """Frame messages handed over in runs, as the server groups one
+        socket read's messages, leave the session as one message at a
+        time does."""
+        hello, *records, __ = capture_to_wire(captures["bmw"])
+        single = stream_session(captures["bmw"])
+        grouped = VehicleSession(0, transport=hello["transport"], meta=hello["meta"])
+        for start in range(0, len(records), 97):
+            run = []
+            for message in records[start : start + 97] + [None]:
+                if message is not None and message["type"] == "frame":
+                    run.append(message)
+                    continue
+                if run:
+                    assert grouped.ingest_frame_messages(run)[3] is None
+                    run = []
+                if message is not None:
+                    grouped.ingest_message(message)
+        assert session_state(grouped) == session_state(single)
+
+    def test_malformed_message_fails_at_its_position(self, captures):
+        hello, *records, __ = capture_to_wire(captures["isotp"])
+        run = [m for m in records if m["type"] == "frame"][:40]
+        run[25] = dict(run[25], id="7e8")
+        session = VehicleSession(0, transport="isotp")
+        frames, completed, dropped, error = session.ingest_frame_messages(run)
+        assert isinstance(error, ProtocolError) and "bad frame" in str(error)
+        assert frames == session.frames_received == 25
+        assert (completed, dropped) == (session.messages_assembled, 0)
+
+
+#: One car per CAN transport: VW TP 2.0, BMW, ISO-TP.
+COLUMNAR_CARS = ("C", "E", "I")
+
+
+class TestColumnarBatches:
+    """The default wire keeps batches columnar from socket to report."""
+
+    def test_frames_built_only_for_walked_rows(self, monkeypatch):
+        """Over the client's default wire, ingest and finalize build a
+        ``CanFrame`` only for a row the event decoders walk, plus the
+        first batch of an ``auto`` session (its detection buffer); the
+        frame log reaches the report's ``n_frames`` as its batches."""
+        built, fed = [0], [0]
+        post_init, feed = CanFrame.__post_init__, StreamAssembler.feed
+
+        def counting_post_init(frame):
+            built[0] += 1
+            post_init(frame)
+
+        def counting_feed(assembler, frame):
+            fed[0] += 1
+            return feed(assembler, frame)
+
+        allowance = 0
+        for key in COLUMNAR_CARS:
+            car = build_car(key)
+            capture = DataCollector(make_tool_for_car(key, car), read_duration_s=30.0).collect()
+            wire = b"".join(
+                encode_message(m) for m in capture_to_wire(capture, batch_size=BATCH_SIZE)
+            )
+            hello, *records, finish = MessageDecoder().feed(wire)
+            allowance += next(m["n"] for m in records if m["type"] == FRAME_BATCH)
+            batch = make_reverser().reverse_engineer(capture).to_json()
+            session = VehicleSession(0, transport=hello["transport"], meta=hello["meta"])
+            with monkeypatch.context() as patch:
+                patch.setattr(CanFrame, "__post_init__", counting_post_init)
+                patch.setattr(StreamAssembler, "feed", counting_feed)
+                for message in records:
+                    session.ingest_message(message)
+                report = session.finalize(make_reverser())
+            assert report.to_json() == batch
+            assert report.n_frames == len(capture.can_log)
+        assert fed[0] > 0
+        assert built[0] <= fed[0] + allowance, (built[0], fed[0], allowance)
 
 
 class TestKLineEventDecoder:
