@@ -35,7 +35,7 @@ def precision_from_series(fleet, key, use_filtered):
         if inferred is None:
             continue
         total += 1
-        samples = [tuple(o.variables()) for o in observations]
+        samples = observations.variables()
         correct += check_formula(inferred, formula, samples)
     return correct, total
 

@@ -53,7 +53,7 @@ def test_ablation_gp_budget(benchmark, report_file, bench_artifact, fleet):
             start = time.perf_counter()
             for observations, series, truth in cases:
                 inferred = infer_formula(observations, series, config)
-                samples = [tuple(o.variables()) for o in observations]
+                samples = observations.variables()
                 if inferred is not None and check_formula(inferred, truth, samples):
                     correct += 1
             elapsed = time.perf_counter() - start

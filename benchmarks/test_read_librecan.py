@@ -58,7 +58,7 @@ def test_librecan_on_diagnostic_traffic(benchmark, report_file, bench_artifact, 
         # Build per-label reference series (what LibreCAN would poll via
         # OBD-II) from the tool's screen.
         references = {
-            label: [(s.timestamp, s.value) for s in series.numeric_samples]
+            label: list(zip(series.numeric_times.tolist(), series.numeric_values.tolist()))
             for label, series in context.series.items()
             if series.is_numeric
         }

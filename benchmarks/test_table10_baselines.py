@@ -33,12 +33,12 @@ def baseline_scores(fleet, key):
         name, formula, is_enum = truth[match.identifier]
         if is_enum:
             continue
-        mode = "bytes" if observations[0].protocol == "kwp" else "int"
+        mode = "bytes" if observations.protocol == "kwp" else "int"
         dataset = build_dataset(observations, series, mode, adaptive_gap=False)
         if len(dataset) < 6:
             continue
         total += 1
-        samples = [tuple(o.variables()) for o in observations]
+        samples = observations.variables()
         linear = linear_regression(dataset)
         if linear is not None and check_formula(linear, formula, samples):
             linear_correct += 1

@@ -25,7 +25,7 @@ def sample_datasets(fleet, key, limit=5):
         series = context.series.get(match.label)
         if series is None or not series.is_numeric:
             continue
-        mode = "bytes" if observations[0].protocol == "kwp" else "int"
+        mode = "bytes" if observations.protocol == "kwp" else "int"
         dataset = build_dataset(observations, series, mode)
         if len(dataset) >= 6:
             datasets.append((observations, series, dataset))

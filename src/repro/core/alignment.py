@@ -16,30 +16,32 @@ devices.  Two alignment methods are implemented, matching the paper:
 from __future__ import annotations
 
 import statistics
-from typing import Dict, List, Optional, Sequence
+from dataclasses import replace
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..diagnostics import obd2
-from .fields import EsvObservation
+from .fields import ObservationTable
 from .screenshot import UiSeries
 
 
-def obd_ground_truth_values(observation: EsvObservation) -> List[float]:
+def obd_ground_truth_values(identifier: str, data: bytes) -> List[float]:
     """All physical values a standard OBD-II response could display.
 
-    Both the metric and (when defined) the imperial formula are candidates
-    because the pipeline does not know which unit the tool shows.
+    ``identifier`` is the response's ``obd2:<PID>`` key and ``data`` its
+    data bytes.  Both the metric and (when defined) the imperial formula
+    are candidates because the pipeline does not know which unit the tool
+    shows.
     """
-    if observation.protocol != "obd2":
+    protocol, __, pid = identifier.partition(":")
+    if protocol != "obd2":
         raise ValueError("ground truth only exists for OBD-II observations")
-    pid = int(observation.identifier.split(":")[1], 16)
     try:
-        definition = obd2.pid_definition(pid)
+        definition = obd2.pid_definition(int(pid, 16))
     except Exception:
         return []
     values = []
-    data = observation.raw_bytes
     if len(data) < definition.num_bytes:
         return []
     xs = tuple(float(b) for b in data[: definition.num_bytes])
@@ -50,7 +52,7 @@ def obd_ground_truth_values(observation: EsvObservation) -> List[float]:
 
 
 def estimate_offset_via_obd(
-    observations: Sequence[EsvObservation],
+    observations: ObservationTable,
     ui_series: Dict[str, UiSeries],
     value_tolerance: float = 0.02,
     max_offset_s: float = 30.0,
@@ -60,28 +62,26 @@ def estimate_offset_via_obd(
     Returns ``None`` when no anchor matches were found.
     """
     offsets: List[float] = []
-    numeric_samples = [
-        sample
-        for series in ui_series.values()
-        for sample in series.numeric_samples
-    ]
-    times = np.array([s.timestamp for s in numeric_samples], dtype=float)
-    values = np.array([s.value for s in numeric_samples], dtype=float)
-    for observation in observations:
-        if observation.protocol != "obd2":
+    series = list(ui_series.values())
+    times = np.concatenate([np.zeros(0)] + [s.numeric_times for s in series])
+    values = np.concatenate([np.zeros(0)] + [s.numeric_values for s in series])
+    for identifier, column in observations.columns.items():
+        if column.protocol != "obd2":
             continue
-        distance = np.abs(times - observation.timestamp)
-        in_reach = distance <= max_offset_s
-        for truth in obd_ground_truth_values(observation):
-            tolerance = max(0.51, abs(truth) * value_tolerance)
-            candidates = np.flatnonzero(in_reach & (np.abs(values - truth) <= tolerance))
-            if not len(candidates):
-                continue
-            # The first sample at the least distance, in series order.
-            best = candidates[np.argmin(distance[candidates])]
-            offsets.append(float(times[best]) - observation.timestamp)
+        for timestamp, data in zip(column.times.tolist(), column.raw_bytes()):
+            distance = np.abs(times - timestamp)
+            in_reach = distance <= max_offset_s
+            for truth in obd_ground_truth_values(identifier, data):
+                tolerance = max(0.51, abs(truth) * value_tolerance)
+                candidates = np.flatnonzero(in_reach & (np.abs(values - truth) <= tolerance))
+                if not len(candidates):
+                    continue
+                # The first sample at the least distance, in series order.
+                best = candidates[np.argmin(distance[candidates])]
+                offsets.append(float(times[best]) - timestamp)
     if not offsets:
         return None
+    # The median does not depend on the order the anchors were visited in.
     return statistics.median(offsets)
 
 
@@ -89,15 +89,7 @@ def shift_series(
     ui_series: Dict[str, UiSeries], offset: float
 ) -> Dict[str, UiSeries]:
     """Re-express UI timestamps on the sniffer clock (subtract ``offset``)."""
-    from .screenshot import UiSample
-
-    shifted: Dict[str, UiSeries] = {}
-    for label, series in ui_series.items():
-        shifted[label] = UiSeries(
-            label,
-            [
-                UiSample(s.timestamp - offset, s.text, s.value, s.unit)
-                for s in series.samples
-            ],
-        )
-    return shifted
+    return {
+        label: replace(series, times=series.times - offset)
+        for label, series in ui_series.items()
+    }

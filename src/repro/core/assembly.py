@@ -345,8 +345,10 @@ class StreamAssembler:
           including the stream's next valid single frame are walked — by
           the ISO 15765-2 receiver rule that frame empties every context of
           an ISO-TP stream.  A BMW single frame empties only its own peer,
-          so there slicing resumes only when every walked row carried its
-          address; otherwise the stream is walked to the end of the chunk.
+          and only a first frame can leave another peer's context open, so
+          there slicing resumes only when every walked first frame carried
+          its address; otherwise the stream is walked to the end of the
+          chunk.
           A trailing incomplete transfer is walked the same way;
         * a stream that is mid-reassembly at the chunk start walks its
           leading consecutive frames, and resumes slicing after them only
@@ -455,7 +457,8 @@ class StreamAssembler:
                 irregular[start] = True
 
         # Walk from each irregular row through the stream's next valid
-        # single frame (BMW: to the chunk end unless all share its address).
+        # single frame (BMW: to the chunk end unless every walked first frame
+        # shares its address).
         walked = walked_lead
         if irregular.any():
             last_irregular = np.maximum.accumulate(np.where(irregular, positions, -1))
@@ -465,7 +468,12 @@ class StreamAssembler:
             if bmw:
                 upcoming = np.minimum.accumulate(np.where(single, positions, n)[::-1])[::-1]
                 resumes = upcoming < stream_stops[stream_of]
-                stray = segments & resumes & (address != address[np.minimum(upcoming, n - 1)])
+                stray = (
+                    segments
+                    & resumes
+                    & (kind == PciType.FIRST)
+                    & (address != address[np.minimum(upcoming, n - 1)])
+                )
                 stray_count = np.cumsum(stray)
                 segments |= stray_count > stray_count[first] - stray[first]
             walked = walked | segments

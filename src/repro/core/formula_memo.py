@@ -39,10 +39,10 @@ from __future__ import annotations
 import threading
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from ..persistence import canonical_digest, read_json, write_json_atomic
-from .fields import EsvObservation
+from .fields import EsvColumns
 from .gp import GpConfig
 from .inference import LinearFormula
 from .response_analysis import InferredFormula, ScaledTreeFormula
@@ -68,7 +68,7 @@ def gp_config_fingerprint(config: GpConfig) -> dict:
 
 
 def dataset_key(
-    observations: Sequence[EsvObservation],
+    observations: EsvColumns,
     series: UiSeries,
     config: GpConfig,
     max_gap_s: float = 1.5,
@@ -86,10 +86,19 @@ def dataset_key(
             "memo_version": MEMO_FORMAT_VERSION,
             "backend": backend,
             "observations": [
-                [o.protocol, o.formula_type, o.timestamp, o.raw_bytes.hex()]
-                for o in observations
+                [observations.protocol, formula_type, timestamp, raw.hex()]
+                for formula_type, timestamp, raw in zip(
+                    observations.formula_types.tolist(),
+                    observations.times.tolist(),
+                    observations.raw_bytes(),
+                )
             ],
-            "samples": [[s.timestamp, s.value] for s in series.numeric_samples],
+            "samples": [
+                [t, value]
+                for t, value in zip(
+                    series.numeric_times.tolist(), series.numeric_values.tolist()
+                )
+            ],
             "max_gap_s": max_gap_s,
             "gp_config": gp_config_fingerprint(config),
         }

@@ -42,13 +42,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..formulas import Formula
-from .fields import EsvObservation
+from .fields import EsvColumns
 from .gp import GpConfig
 from .response_analysis import (
     InferredFormula,
     PairedDataset,
     build_dataset,
     gp_infer,
+    interpretations,
     table2_factor,
     _median_magnitude,
 )
@@ -386,18 +387,6 @@ def _predictions(formula: Formula, x_rows: Sequence[Sequence[float]]) -> np.ndar
     return np.array(got, dtype=float)
 
 
-def _interpretations(
-    observations: Sequence[EsvObservation],
-) -> List[str]:
-    """The interpretation ladder, identical to the GP path's."""
-    protocol = observations[0].protocol if observations else "uds"
-    if protocol == "kwp":
-        return ["kwp"]
-    if observations and len(observations[0].raw_bytes) > 1:
-        return ["int", "bytes"]
-    return ["int"]
-
-
 # ----------------------------------------------------------------- backends
 
 
@@ -416,7 +405,7 @@ class InferenceBackend(abc.ABC):
     @abc.abstractmethod
     def infer(
         self,
-        observations: Sequence[EsvObservation],
+        observations: EsvColumns,
         series: UiSeries,
         config: Optional[GpConfig] = None,
         max_gap_s: float = 1.5,
@@ -437,7 +426,7 @@ class GpBackend(InferenceBackend):
 
     def infer(
         self,
-        observations: Sequence[EsvObservation],
+        observations: EsvColumns,
         series: UiSeries,
         config: Optional[GpConfig] = None,
         max_gap_s: float = 1.5,
@@ -461,7 +450,7 @@ class LinearBackend(InferenceBackend):
 
     def infer(
         self,
-        observations: Sequence[EsvObservation],
+        observations: EsvColumns,
         series: UiSeries,
         config: Optional[GpConfig] = None,
         max_gap_s: float = 1.5,
@@ -470,7 +459,7 @@ class LinearBackend(InferenceBackend):
 
     def _infer(
         self,
-        observations: Sequence[EsvObservation],
+        observations: EsvColumns,
         series: UiSeries,
         max_gap_s: float = 1.5,
     ) -> Tuple[Optional[InferredFormula], bool]:
@@ -482,7 +471,7 @@ class LinearBackend(InferenceBackend):
         """
         best: Optional[InferredFormula] = None
         usable = False
-        for interpretation in _interpretations(observations):
+        for interpretation in interpretations(observations):
             mode = "bytes" if interpretation in ("bytes", "kwp") else "int"
             dataset = build_dataset(observations, series, mode, max_gap_s)
             if len(dataset) < _MIN_SAMPLES:
@@ -534,7 +523,7 @@ class HybridBackend(InferenceBackend):
 
     def infer(
         self,
-        observations: Sequence[EsvObservation],
+        observations: EsvColumns,
         series: UiSeries,
         config: Optional[GpConfig] = None,
         max_gap_s: float = 1.5,

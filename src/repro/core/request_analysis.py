@@ -27,12 +27,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import EsvObservation
+from .fields import EsvColumns
 from .pairing import nearest_pairs, pearson
 from .screenshot import UiSeries
 
@@ -56,11 +55,13 @@ def _window_bounds(times: List[float], window: Window) -> Tuple[int, int]:
     return bisect_left(times, window[0]), bisect_right(times, window[1])
 
 
-def _flips(values: Sequence[object]) -> Tuple[np.ndarray, List[int]]:
-    """Flags of the values that differ from their predecessor, and their
+def _flips(changed: np.ndarray, n: int) -> Tuple[np.ndarray, List[int]]:
+    """Flags of the ``n`` values that differ from their predecessor, given
+    ``changed[i]``: value ``i + 1`` differs from value ``i``; and their
     running count: ``counts[i]`` flips among the first ``i`` values."""
-    flags = [False][: len(values)] + [a != b for a, b in zip(values[1:], values)]
-    return np.array(flags, dtype=bool), list(accumulate(flags, initial=0))
+    flags = np.zeros(n, dtype=bool)
+    flags[1:] = changed
+    return flags, [0] + np.cumsum(flags).tolist()
 
 
 def _window_flips(
@@ -74,46 +75,42 @@ def _window_flips(
 
 
 class _IdentifierColumns:
-    """One identifier's observations as columns.
+    """One identifier's raw features and flips.
 
     Raw features: ``var<i>`` per variable, ``product`` of the variables
     when there are at least two, and ``int``, the big-endian integer.  A
-    feature present in every observation is a row of ``full``; one missing
-    from some (responses of ragged length) keeps its own timestamps.
+    feature present in every value is a row of ``full``; one missing from
+    some (responses of ragged length) keeps its own timestamps.
     """
 
-    def __init__(self, observations: Sequence[EsvObservation]) -> None:
-        self.times = [o.timestamp for o in observations]
-        self.t = np.array(self.times, dtype=float)
-        raws = [o.raw_bytes for o in observations]
+    def __init__(self, observations: EsvColumns) -> None:
+        self.t = observations.times
+        self.times = self.t.tolist()
         #: Ragged features: (timestamps, time column, value column).
         self.ragged: List[Tuple[List[float], np.ndarray, np.ndarray]] = []
         #: Each feature's slot in the score list (full rows, then ragged),
         #: in feature order.
         self.order: List[int] = []
-        width = len(raws[0]) if raws else 0
-        kwp = bool(raws) and observations[0].protocol == "kwp"
-        if len(set(map(len, raws))) <= 1 and (width >= 2 or not kwp):
+        raw = observations.raw
+        if observations.ragged:
+            self._ragged_features(observations)
+            changed = np.array([a != b for a, b in zip(raw[1:], raw)], dtype=bool)
+        else:
             # Every response has the same length: the variables are the
-            # columns of one byte matrix.
-            matrix = np.zeros((len(raws), 0), dtype=np.uint8)
-            if width:
-                matrix = np.frombuffer(b"".join(raws), dtype=np.uint8).reshape(-1, width)
-            variables = matrix[:, :2] if kwp else matrix
-            rows = [column.astype(float) for column in variables.T]
+            # columns of the byte matrix.
+            rows = [column.astype(float) for column in raw.T]
             if len(rows) >= 2:
                 product = rows[0].copy()
                 for column in rows[1:]:
                     product *= column
                 rows.append(product)
-            rows.append(np.array([float(int.from_bytes(r, "big")) for r in raws]))
+            rows.append(observations.int_features())
             self.order = list(range(len(rows)))
-            self.full = np.array(rows).reshape(len(rows), len(raws))
-        else:
-            self._ragged_features(observations)
-        self.flips = _flips(raws)
+            self.full = np.array(rows).reshape(len(rows), len(raw))
+            changed = (raw[1:] != raw[:-1]).any(axis=1)
+        self.flips = _flips(changed, len(observations))
 
-    def _ragged_features(self, observations: Sequence[EsvObservation]) -> None:
+    def _ragged_features(self, observations: EsvColumns) -> None:
         features: Dict[str, Tuple[List[int], List[float]]] = {}
 
         def add(name: str, index: int, value: float) -> None:
@@ -121,8 +118,8 @@ class _IdentifierColumns:
             positions.append(index)
             values.append(value)
 
-        for index, obs in enumerate(observations):
-            variables = obs.variables()
+        ints = observations.as_ints()
+        for index, variables in enumerate(observations.variables()):
             for position, value in enumerate(variables):
                 add(f"var{position}", index, float(value))
             if len(variables) >= 2:
@@ -130,7 +127,7 @@ class _IdentifierColumns:
                 for value in variables:
                     product *= value
                 add("product", index, product)
-            add("int", index, float(obs.as_int()))
+            add("int", index, float(ints[index]))
         full: List[List[float]] = []
         n_full = sum(len(p) == len(observations) for p, __ in features.values())
         for positions, values in features.values():
@@ -182,17 +179,16 @@ class _IdentifierWindow:
 
 
 class _LabelColumns:
-    """One label's UI samples as columns."""
+    """One label's readings: running numeric counts, numeric columns and
+    text flips."""
 
     def __init__(self, series: UiSeries) -> None:
-        samples = series.samples
-        self.times = [s.timestamp for s in samples]
-        self.t = np.array(self.times, dtype=float)
-        self.numeric_counts = list(accumulate((s.value is not None for s in samples), initial=0))
-        numeric = series.numeric_samples
-        self.numeric_t = np.array([s.timestamp for s in numeric], dtype=float)
-        self.values = np.array([s.value for s in numeric], dtype=float)
-        self.flips = _flips([s.text for s in samples])
+        self.t = series.times
+        self.times = self.t.tolist()
+        self.numeric_counts = [0] + np.cumsum(series.numeric).tolist()
+        self.numeric_t = series.numeric_times
+        self.values = series.numeric_values
+        self.flips = _flips(series.texts[1:] != series.texts[:-1], len(series))
 
     def window(self, window: Window) -> "_LabelWindow":
         return _LabelWindow(self, *_window_bounds(self.times, window))
@@ -236,12 +232,12 @@ class ColumnView:
     """Semantic-matching columns of one analysis, built once and sliced
     per time window.
 
-    ``grouped`` observations and ``ui_series`` samples must each be sorted
-    by time, as field extraction and screenshot analysis emit them.
+    ``grouped`` columns and ``ui_series`` readings must each be sorted by
+    time, as field extraction and screenshot analysis emit them.
     """
 
     def __init__(
-        self, grouped: Dict[str, List[EsvObservation]], ui_series: Dict[str, UiSeries]
+        self, grouped: Dict[str, EsvColumns], ui_series: Dict[str, UiSeries]
     ) -> None:
         self.identifiers = {key: _IdentifierColumns(obs) for key, obs in grouped.items()}
         self.labels = {key: _LabelColumns(series) for key, series in ui_series.items()}
@@ -316,7 +312,7 @@ class ColumnView:
 
 
 def correlation_score(
-    observations: Sequence[EsvObservation], series: UiSeries, max_gap_s: float = 1.5
+    observations: EsvColumns, series: UiSeries, max_gap_s: float = 1.5
 ) -> float:
     """Best |Pearson correlation| between any raw feature and the UI series."""
     label = _LabelColumns(series)
@@ -326,7 +322,7 @@ def correlation_score(
 
 
 def change_time_score(
-    observations: Sequence[EsvObservation], series: UiSeries, tolerance_s: float = 1.5
+    observations: EsvColumns, series: UiSeries, tolerance_s: float = 1.5
 ) -> float:
     """Jaccard-style agreement between raw flips and displayed-text flips."""
     return _change_agreement(
@@ -337,7 +333,7 @@ def change_time_score(
 
 
 def match_semantics(
-    grouped: Dict[str, List[EsvObservation]],
+    grouped: Dict[str, EsvColumns],
     ui_series: Dict[str, UiSeries],
     window: Optional[Tuple[float, float]] = None,
     min_score: float = 0.35,

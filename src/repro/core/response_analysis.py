@@ -26,7 +26,7 @@ import numpy as np
 
 from ..formulas import Formula
 from ..observability.trace import get_active
-from .fields import EsvObservation
+from .fields import EsvColumns
 from .gp import (
     FitnessCache,
     GeneticProgrammer,
@@ -57,7 +57,7 @@ class PairedDataset:
 
 
 def build_dataset(
-    observations: Sequence[EsvObservation],
+    observations: EsvColumns,
     series: UiSeries,
     interpretation: str = "auto",
     max_gap_s: float = 1.5,
@@ -75,29 +75,27 @@ def build_dataset(
     disable it to reproduce the paper's plain nearest-timestamp pairing,
     whose residual mispairing noise is what the §4.4 baselines choke on.
     """
-    samples = series.numeric_samples
-    x_rows: List[Tuple[float, ...]] = []
-    y_values: List[float] = []
-    if not samples:
-        return PairedDataset(x_rows, y_values)
-    times = np.array([s.timestamp for s in samples], dtype=float)
+    times = series.numeric_times
+    if not len(times):
+        return PairedDataset([], [])
     # Pair only when a frame genuinely belongs to the observation: tighter
     # than half the typical frame spacing, so an observation whose frame was
     # filtered out is skipped rather than paired with a neighbouring frame
     # showing a different value.
-    if adaptive_gap and len(samples) >= 3:
+    if adaptive_gap and len(times) >= 3:
         gaps = np.sort(np.diff(times))
         median_gap = float(gaps[len(gaps) // 2])
         max_gap_s = min(max_gap_s, 0.6 * median_gap) if median_gap > 0 else max_gap_s
-    ix, iy = nearest_pairs([o.timestamp for o in observations], times, max_gap_s)
-    for i, j in zip(ix.tolist(), iy.tolist()):
-        obs = observations[i]
-        if obs.protocol == "kwp" or interpretation == "bytes":
-            xs = tuple(float(v) for v in obs.variables())
-        else:
-            xs = (float(obs.as_int()),)
-        x_rows.append(xs)
-        y_values.append(samples[j].value)
+    ix, iy = nearest_pairs(observations.times, times, max_gap_s)
+    y_values: List[float] = series.numeric_values[iy].tolist()
+    x_rows: List[Tuple[float, ...]]
+    if observations.protocol != "kwp" and interpretation != "bytes":
+        x_rows = [(x,) for x in observations.int_features()[ix].tolist()]
+    elif not observations.ragged:
+        x_rows = list(map(tuple, observations.raw[ix].astype(float).tolist()))
+    else:
+        raw = observations.raw
+        x_rows = [tuple(float(v) for v in raw[i]) for i in ix.tolist()]
     # A corrupted capture can yield a minority of observations with a
     # different byte count for the same ESV; keep only the dominant arity
     # so the dataset stays rectangular for scaling and GP.
@@ -265,8 +263,19 @@ def _wrap_scaled_tree(tree, scaled: ScaledDataset, interpretation: str) -> Formu
     return ScaledTreeFormula(fold_constants(tree), scaled.x_factors, scaled.y_factor)
 
 
+def interpretations(observations: EsvColumns) -> List[str]:
+    """The interpretations inference tries for an ESV: KWP's two-variable
+    layout; for UDS values wider than one byte one big-endian integer and
+    one variable per byte; else one integer."""
+    if observations.protocol == "kwp":
+        return ["kwp"]
+    if len(observations) and observations.width() > 1:
+        return ["int", "bytes"]
+    return ["int"]
+
+
 def infer_formula(
-    observations: Sequence[EsvObservation],
+    observations: EsvColumns,
     series: UiSeries,
     config: Optional[GpConfig] = None,
     max_gap_s: float = 1.5,
@@ -292,7 +301,7 @@ def infer_formula(
 
 
 def gp_infer(
-    observations: Sequence[EsvObservation],
+    observations: EsvColumns,
     series: UiSeries,
     config: Optional[GpConfig] = None,
     max_gap_s: float = 1.5,
@@ -305,17 +314,8 @@ def gp_infer(
     says so.
     """
     base_config = config or GpConfig()
-    protocol = observations[0].protocol if observations else "uds"
-    interpretations: List[str]
-    if protocol == "kwp":
-        interpretations = ["kwp"]
-    elif observations and len(observations[0].raw_bytes) > 1:
-        interpretations = ["int", "bytes"]
-    else:
-        interpretations = ["int"]
-
     best: Optional[InferredFormula] = None
-    for interpretation in interpretations:
+    for interpretation in interpretations(observations):
         mode = "bytes" if interpretation in ("bytes", "kwp") else "int"
         dataset = build_dataset(observations, series, mode, max_gap_s)
         if len(dataset) < 6:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..can.noise import FaultCounts, NoiseProfile, apply_noise
 from ..cps.collector import Capture
@@ -29,7 +29,7 @@ from ..observability.trace import NULL_TRACER, Tracer, activated, get_active
 from .alignment import estimate_offset_via_obd, shift_series
 from .assembly import AssembledMessage, DecodeDiagnostics, assemble_with_diagnostics
 from .ecr_analysis import EcrProcedure, attach_semantics, extract_procedures
-from .fields import EsvObservation, ExtractedFields, extract_fields
+from .fields import EsvColumns, ExtractedFields, extract_fields
 from .formula_memo import FormulaMemo, dataset_key
 from .gp import GpConfig
 from .pairing import nearest_pairs
@@ -332,7 +332,7 @@ class _FormulaTask:
     identifier: str
     label: str
     match_score: float
-    observations: List[EsvObservation]
+    observations: EsvColumns
     series: UiSeries
     config: GpConfig
     protocol: str
@@ -367,7 +367,7 @@ def _esv_from_task(
         label=task.label,
         formula=inferred,
         is_enum=False,
-        samples=[tuple(o.variables()) for o in task.observations],
+        samples=task.observations.variables(),
         match_score=task.match_score,
         formula_type=task.formula_type,
     )
@@ -440,7 +440,7 @@ class AnalysisContext:
     transport: str
     messages: List[AssembledMessage]
     fields: ExtractedFields
-    grouped: Dict[str, List[EsvObservation]]
+    grouped: Dict[str, EsvColumns]
     series: Dict[str, UiSeries]  # filtered, alignment-corrected
     series_raw: Dict[str, UiSeries]  # unfiltered (for robustness ablations)
     filter_reports: Dict[str, FilterReport]
@@ -635,7 +635,7 @@ class DPReverser:
 
     def _match(
         self,
-        grouped: Dict[str, List[EsvObservation]],
+        grouped: Dict[str, EsvColumns],
         series: Dict[str, UiSeries],
         capture: Capture,
     ) -> List[SemanticMatch]:
@@ -710,8 +710,8 @@ class DPReverser:
             series = context.series.get(match.label)
             if series is None:
                 continue
-            protocol = observations[0].protocol
-            formula_type = observations[0].formula_type
+            protocol = observations.protocol
+            formula_type = int(observations.formula_types[0])
             if match.method == "change-times" or not series.is_numeric:
                 esvs.append(
                     ReversedEsv(
@@ -721,7 +721,7 @@ class DPReverser:
                         formula=None,
                         is_enum=True,
                         enum_states=_enum_states(observations, series),
-                        samples=[tuple(o.variables()) for o in observations],
+                        samples=observations.variables(),
                         match_score=match.score,
                         formula_type=formula_type,
                     )
@@ -836,18 +836,13 @@ def _stable_seed(identifier: str, base: int) -> int:
     return (zlib.crc32(identifier.encode()) ^ base) & 0x7FFFFFFF
 
 
-def _enum_states(
-    observations: Sequence[EsvObservation], series: UiSeries
-) -> Dict[int, str]:
+def _enum_states(observations: EsvColumns, series: UiSeries) -> Dict[int, str]:
     """Map each raw state value to the text most often shown with it."""
     votes: Dict[int, Dict[str, int]] = {}
-    samples = series.samples
-    ix, iy = nearest_pairs(
-        [o.timestamp for o in observations], [s.timestamp for s in samples], 1.5
-    )
-    for i, j in zip(ix.tolist(), iy.tolist()):
-        texts = votes.setdefault(observations[i].as_int(), {})
-        text = samples[j].text
+    raws = observations.as_ints()
+    ix, iy = nearest_pairs(observations.times, series.times, 1.5)
+    for i, text in zip(ix.tolist(), series.texts[iy].tolist()):
+        texts = votes.setdefault(raws[i], {})
         texts[text] = texts.get(text, 0) + 1
     return {
         raw: max(texts.items(), key=lambda item: item[1])[0]

@@ -390,7 +390,7 @@ class VehicleSession:
         snapshot["esvs"] = [
             {
                 "identifier": identifier,
-                "protocol": observations[0].protocol,
+                "protocol": observations.protocol,
                 "observations": len(observations),
             }
             for identifier, observations in sorted(grouped.items())

@@ -11,33 +11,44 @@ from repro.core.alignment import (
     obd_ground_truth_values,
     shift_series,
 )
-from repro.core.fields import EsvObservation
-from repro.core.screenshot import UiSample, UiSeries
+from repro.core.fields import ObservationTable
+
+from .frontend_reference import (
+    EsvObservation,
+    SampleSeries,
+    UiSample,
+    make_series,
+    observation_columns,
+    series_columns,
+)
 
 
 def obd_observation(pid, data, t):
     return EsvObservation("obd2", f"obd2:{pid:02X}", data, t)
 
 
+def table(observations):
+    return ObservationTable(observation_columns(observations))
+
+
 class TestGroundTruth:
     def test_metric_and_imperial_candidates(self):
-        obs = obd_observation(0x0D, b"\x64", 1.0)  # 100 km/h
-        values = obd_ground_truth_values(obs)
+        values = obd_ground_truth_values("obd2:0D", b"\x64")  # 100 km/h
         assert 100.0 in values
         assert any(abs(v - 62.14) < 0.01 for v in values)
 
     def test_non_obd_rejected(self):
         with pytest.raises(ValueError):
-            obd_ground_truth_values(EsvObservation("uds", "uds:F400", b"\x01", 0.0))
+            obd_ground_truth_values("uds:F400", b"\x01")
 
     def test_unknown_pid_empty(self):
-        assert obd_ground_truth_values(obd_observation(0xEE, b"\x01", 0.0)) == []
+        assert obd_ground_truth_values("obd2:EE", b"\x01") == []
 
 
 class TestOffsetEstimation:
     def make_ui(self, values_at):
-        samples = [UiSample(t, f"{v}", float(v)) for t, v in values_at]
-        return {"Vehicle Speed": UiSeries("Vehicle Speed", samples)}
+        readings = [(t, f"{v}", float(v)) for t, v in values_at]
+        return {"Vehicle Speed": make_series("Vehicle Speed", readings)}
 
     def test_recovers_constant_offset(self):
         observations = [
@@ -46,29 +57,29 @@ class TestOffsetEstimation:
         ]
         # Camera clock runs 2.5 s ahead of the sniffer clock.
         ui = self.make_ui([(3.5, 50), (4.5, 60), (5.5, 70)])
-        offset = estimate_offset_via_obd(observations, ui)
+        offset = estimate_offset_via_obd(table(observations), ui)
         assert offset == pytest.approx(2.5, abs=0.01)
 
     def test_no_anchor_returns_none(self):
         observations = [
             EsvObservation("uds", "uds:F400", b"\x01", 1.0)
         ]
-        assert estimate_offset_via_obd(observations, self.make_ui([(1.0, 99)])) is None
+        assert estimate_offset_via_obd(table(observations), self.make_ui([(1.0, 99)])) is None
 
     def test_no_matching_value_returns_none(self):
         observations = [obd_observation(0x0D, b"\x64", 1.0)]
         ui = self.make_ui([(1.2, 250)])  # 250 matches neither 100 nor 62.1
-        assert estimate_offset_via_obd(observations, ui) is None
+        assert estimate_offset_via_obd(table(observations), ui) is None
 
 
 def reference_offset(observations, ui_series, value_tolerance=0.02, max_offset_s=30.0):
     """The anchor search as a scan over every numeric sample."""
-    samples = [s for series in ui_series.values() for s in series.numeric_samples]
+    samples = [s for series in ui_series.values() for s in series.samples if s.value is not None]
     offsets = []
     for observation in observations:
         if observation.protocol != "obd2":
             continue
-        for truth in obd_ground_truth_values(observation):
+        for truth in obd_ground_truth_values(observation.identifier, observation.raw_bytes):
             tolerance = max(0.51, abs(truth) * value_tolerance)
             candidates = [
                 s
@@ -96,7 +107,7 @@ def anchor_inputs(draw):
     ui = {}
     for label in ("Vehicle Speed", "Coolant"):
         points = draw(st.lists(st.tuples(st.integers(0, 100), st.integers(0, 160)), max_size=12))
-        ui[label] = UiSeries(
+        ui[label] = SampleSeries(
             label, [UiSample(t * 0.5, f"{v}", float(v)) for t, v in sorted(points)]
         )
     return observations, ui
@@ -107,11 +118,14 @@ class TestOffsetAgainstScan:
     @given(inputs=anchor_inputs())
     def test_equals_per_sample_scan(self, inputs):
         observations, ui = inputs
-        assert estimate_offset_via_obd(observations, ui) == reference_offset(observations, ui)
+        columns = {label: series_columns(series) for label, series in ui.items()}
+        offset = estimate_offset_via_obd(table(observations), columns)
+        assert offset == reference_offset(observations, ui)
 
 
 class TestShift:
     def test_shift_series(self):
-        ui = {"X": UiSeries("X", [UiSample(10.0, "1", 1.0)])}
+        ui = {"X": make_series("X", [(10.0, "1", 1.0)])}
         shifted = shift_series(ui, 2.5)
-        assert shifted["X"].samples[0].timestamp == 7.5
+        assert shifted["X"].times.tolist() == [7.5]
+        assert ui["X"].times.tolist() == [10.0]

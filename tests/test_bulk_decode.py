@@ -426,6 +426,25 @@ class TestTransferSlicing:
         assert state == reference_state(frames, TRANSPORT_BMW, DEFAULT_HARDENING)
         assert state[0][1]["stats"]["suspected_starvation"] == 1
 
+    def test_bmw_stray_consecutive_frame_of_another_address_ends_at_single_frame(
+        self, monkeypatch
+    ):
+        """A consecutive frame to peer 0x34, which has no open context, is
+        an orphan: the event decoder drops it and opens nothing.  The walk
+        from it ends at the next single frame to 0x12, like a walk of rows
+        that all carry 0x12, and the transfers after it are sliced."""
+        train = segment_bmw(bytes(range(30)), 0x6F1, 0x12)
+        stray = CanFrame(0x6F1, bytes([0x34, 0x21]) + bytes(6))
+        frames = train + [stray] + segment_bmw(b"\x22\xf1", 0x6F1, 0x12)
+        frames += train + segment_bmw(b"\x01", 0x6F1, 0x56)
+        frames = [frame.with_timestamp(0.001 * i) for i, frame in enumerate(frames)]
+        expected = reference_state(frames, TRANSPORT_BMW, DEFAULT_HARDENING)
+        spy = FeedSpy(monkeypatch)
+        state = chunked_state(frames, TRANSPORT_BMW, DEFAULT_HARDENING, [len(frames)])
+        assert state == expected
+        assert state[0][1]["stats"]["errors"] == 1
+        assert spy.calls == 2  # the stray and the single frame ending its walk
+
     def test_first_frame_announcing_fewer_bytes_leaves_orphans(self, monkeypatch):
         train = segment(bytes(range(40)), 0x7E8)
         train[0] = CanFrame(0x7E8, b"\x10\x14" + train[0].data[2:])  # announces 20 of 40

@@ -18,10 +18,9 @@ class TestUdsExtraction:
         ]
         fields = extract_fields(messages)
         assert len(fields.observations) == 1
-        obs = fields.observations[0]
-        assert obs.identifier == "uds:F40D"
-        assert obs.raw_bytes == b"\x21"
-        assert obs.timestamp == 1.1
+        column = fields.by_identifier()["uds:F40D"]
+        assert column.raw_bytes() == [b"\x21"]
+        assert column.times.tolist() == [1.1]
 
     def test_multi_did_split_by_request(self):
         messages = [
@@ -29,8 +28,8 @@ class TestUdsExtraction:
             message(b"\x62\xf4\x0d\x21\x09\x50\x01\x02", 1.1, can_id=0x7E8),
         ]
         fields = extract_fields(messages)
-        values = {o.identifier: o.raw_bytes for o in fields.observations}
-        assert values == {"uds:F40D": b"\x21", "uds:0950": b"\x01\x02"}
+        values = {key: column.raw_bytes() for key, column in fields.by_identifier().items()}
+        assert values == {"uds:F40D": [b"\x21"], "uds:0950": [b"\x01\x02"]}
 
     def test_read_request_recorded(self):
         fields = extract_fields([message(b"\x22\xf4\x0d", 1.0)])
@@ -38,7 +37,7 @@ class TestUdsExtraction:
 
     def test_response_without_request_ignored(self):
         fields = extract_fields([message(b"\x62\xf4\x0d\x21", 1.0, can_id=0x7E8)])
-        assert fields.observations == []
+        assert len(fields.observations) == 0
 
 
 class TestKwpExtraction:
@@ -48,10 +47,10 @@ class TestKwpExtraction:
             message(b"\x61\x07\x01\xf1\x10\x07\x64\x50", 1.1, can_id=0x7E8),
         ]
         fields = extract_fields(messages)
-        identifiers = [o.identifier for o in fields.observations]
-        assert identifiers == ["kwp:07/0", "kwp:07/1"]
-        assert fields.observations[0].formula_type == 0x01
-        assert fields.observations[0].variables() == (0xF1, 0x10)
+        grouped = fields.by_identifier()
+        assert list(grouped) == ["kwp:07/0", "kwp:07/1"]
+        assert grouped["kwp:07/0"].formula_types.tolist() == [0x01]
+        assert grouped["kwp:07/0"].variables() == [(0xF1, 0x10)]
 
 
 class TestObdExtraction:
@@ -61,8 +60,7 @@ class TestObdExtraction:
             message(b"\x41\x0c\x1a\xf8", 1.1, can_id=0x7E8),
         ]
         fields = extract_fields(messages)
-        assert fields.observations[0].identifier == "obd2:0C"
-        assert fields.observations[0].raw_bytes == b"\x1a\xf8"
+        assert fields.by_identifier()["obd2:0C"].raw_bytes() == [b"\x1a\xf8"]
 
 
 class TestIoControlExtraction:

@@ -41,7 +41,16 @@ def _series_document(series):
     return [
         [
             label,
-            [[repr(s.timestamp), s.text, repr(s.value), s.unit] for s in ui.samples],
+            [
+                [repr(t), text, repr(value if numeric else None), unit]
+                for t, text, numeric, value, unit in zip(
+                    ui.times.tolist(),
+                    ui.texts.tolist(),
+                    ui.numeric.tolist(),
+                    ui.values.tolist(),
+                    ui.units.tolist(),
+                )
+            ],
         ]
         for label, ui in series.items()
     ]

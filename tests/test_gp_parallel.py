@@ -16,6 +16,7 @@ import signal
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import pytest
 
@@ -28,7 +29,6 @@ from repro.core import (
     infer_formula,
 )
 from repro.core import reverser as reverser_module
-from repro.core.fields import EsvObservation
 from repro.core.formula_memo import MEMO_FORMAT_VERSION
 from repro.core.gp import (
     DEFAULT_FUNCTION_NAMES,
@@ -39,21 +39,22 @@ from repro.core.gp import (
     tree_from_tokens,
     tree_to_tokens,
 )
-from repro.core.screenshot import UiSample, UiSeries
 from repro.observability import Tracer
+
+from . import frontend_reference as ref
 
 GP = GpConfig(seed=2, generations=8, population_size=100)
 
 
-def make_task_dataset(raws, values, dt=0.5, identifier="uds:F40D"):
+def make_task_dataset(raws, values, dt=0.5, identifier="uds:F40D", readings=()):
     observations = [
-        EsvObservation("uds", identifier, bytes([raw]), i * dt)
+        ref.EsvObservation("uds", identifier, bytes([raw]), i * dt)
         for i, raw in enumerate(raws)
     ]
-    series = UiSeries(
-        "Speed", [UiSample(i * dt, f"{v}", float(v)) for i, v in enumerate(values)]
+    series = ref.make_series(
+        "Speed", [(i * dt, f"{v}", float(v)) for i, v in enumerate(values)] + list(readings)
     )
-    return observations, series
+    return ref.observation_columns(observations)[identifier], series
 
 
 # --------------------------------------------------------------- serialization
@@ -236,9 +237,7 @@ class TestFormulaMemo:
         # samples must flow through keying and storage without error.
         raws = [2, 4, 6, 8, 10, 12, 14, 16]
         values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
-        observations, series = make_task_dataset(raws, values)
-        noisy = series.samples + [UiSample(99.0, "nan", float("nan"))]
-        return observations, UiSeries(series.label, noisy)
+        return make_task_dataset(raws, values, readings=[(99.0, "nan", float("nan"))])
 
     def infer_config(self, identifier="uds:F40D"):
         from repro.core.reverser import _stable_seed
@@ -299,7 +298,13 @@ class TestFormulaMemo:
         config = self.infer_config()
         key = dataset_key(observations, series, config)
         assert key == dataset_key(observations, series, config)
-        assert key != dataset_key(observations[1:], series, config)
+        fewer = replace(
+            observations,
+            times=observations.times[1:],
+            raw=observations.raw[1:],
+            formula_types=observations.formula_types[1:],
+        )
+        assert key != dataset_key(fewer, series, config)
         assert key != dataset_key(observations, series, self.infer_config("uds:F40E"))
 
 

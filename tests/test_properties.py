@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from repro.core.fields import extract_fields
 from repro.core.assembly import AssembledMessage
 from repro.core.response_analysis import PairedDataset, prescale, table2_factor
-from repro.core.screenshot import UiSample, UiSeries, outlier_filter, range_filter
+from repro.core.screenshot import outlier_mask, range_mask
 from repro.diagnostics import uds
+
+from .frontend_reference import make_series
 
 
 class TestTable2Properties:
@@ -49,19 +51,19 @@ class TestFilterProperties:
     @settings(max_examples=50, deadline=None)
     @given(values=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=60))
     def test_filters_never_invent_samples(self, values):
-        samples = [UiSample(i * 0.5, str(v), v) for i, v in enumerate(values)]
-        kept_range, __ = range_filter(samples)
-        kept_outlier, __ = outlier_filter(kept_range)
-        assert len(kept_outlier) <= len(samples)
-        ids = {id(s) for s in samples}
-        assert all(id(s) in ids for s in kept_outlier)
+        series = make_series("X", [(i * 0.5, str(v), v) for i, v in enumerate(values)])
+        kept_range = series.take(range_mask(series.values, series.numeric))
+        kept = kept_range.take(outlier_mask(kept_range.values, kept_range.numeric))
+        assert len(kept) <= len(series)
+        assert set(kept.times.tolist()) <= set(series.times.tolist())
+        assert all(values[int(t * 2)] == v for t, v in zip(kept.times, kept.values))
 
     @settings(max_examples=50, deadline=None)
     @given(values=st.lists(st.floats(-1e4, 1e4), min_size=5, max_size=60))
     def test_outlier_filter_idempotent(self, values):
-        samples = [UiSample(i * 0.5, str(v), v) for i, v in enumerate(values)]
-        once, __ = outlier_filter(samples)
-        twice, removed_again = outlier_filter(once)
+        series = make_series("X", [(i * 0.5, str(v), v) for i, v in enumerate(values)])
+        once = series.take(outlier_mask(series.values, series.numeric))
+        twice = once.take(outlier_mask(once.values, once.numeric))
         # A second pass may trim newly exposed single spikes but never grows.
         assert len(twice) <= len(once)
 
@@ -72,10 +74,8 @@ class TestFilterProperties:
         hi=st.floats(100, 200),
     )
     def test_range_filter_keeps_in_range(self, values, lo, hi):
-        samples = [UiSample(i * 0.5, str(v), v) for i, v in enumerate(values)]
-        kept, removed = range_filter(samples, (lo, hi))
-        assert removed == 0
-        assert len(kept) == len(samples)
+        series = make_series("X", [(i * 0.5, str(v), v) for i, v in enumerate(values)])
+        assert range_mask(series.values, series.numeric, (lo, hi)).all()
 
 
 class TestFieldExtractionProperties:
@@ -112,9 +112,9 @@ class TestFieldExtractionProperties:
             AssembledMessage(response, 0x7E8, 1.1, 1.1, 1),
         ]
         fields = extract_fields(messages)
-        got = {o.identifier: o.raw_bytes for o in fields.observations}
+        got = {key: column.raw_bytes() for key, column in fields.by_identifier().items()}
         expected = {
-            f"uds:{did:04X}": value for did, value in zip(dids, values)
+            f"uds:{did:04X}": [value] for did, value in zip(dids, values)
         }
         assert got == expected
 
@@ -126,12 +126,10 @@ class TestUiSeriesProperties:
         textual=st.lists(st.sampled_from(["On", "Off", "Auto"]), min_size=0, max_size=20),
     )
     def test_is_numeric_classification(self, numeric, textual):
-        samples = [UiSample(i * 0.5, str(v), float(v)) for i, v in enumerate(numeric)]
-        samples += [
-            UiSample((len(numeric) + i) * 0.5, t, None) for i, t in enumerate(textual)
-        ]
-        series = UiSeries("X", samples)
-        if len(numeric) >= max(3, len(samples) // 2):
+        readings = [(i * 0.5, str(v), float(v)) for i, v in enumerate(numeric)]
+        readings += [((len(numeric) + i) * 0.5, t, None) for i, t in enumerate(textual)]
+        series = make_series("X", readings)
+        if len(numeric) >= max(3, len(readings) // 2):
             assert series.is_numeric
         if not numeric:
             assert not series.is_numeric

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.fields import EsvObservation
 from repro.core.pairing import nearest_pairs, pearson
 from repro.core.request_analysis import (
     SemanticMatch,
@@ -17,10 +16,17 @@ from repro.core.request_analysis import (
     correlation_score,
     match_semantics,
 )
-from repro.core.screenshot import UiSample, UiSeries
+
+from .frontend_reference import (
+    EsvObservation,
+    SampleSeries,
+    UiSample,
+    observation_columns,
+    series_columns,
+)
 
 
-def obs_series(identifier, values, dt=0.5, protocol="uds", formula_type=0):
+def obs_list(identifier, values, dt=0.5, protocol="uds", formula_type=0):
     out = []
     for i, value in enumerate(values):
         if isinstance(value, tuple):
@@ -33,13 +39,28 @@ def obs_series(identifier, values, dt=0.5, protocol="uds", formula_type=0):
     return out
 
 
+def obs_series(identifier, values, dt=0.5, protocol="uds", formula_type=0):
+    """One identifier's values as the program's columns."""
+    observations = obs_list(identifier, values, dt, protocol, formula_type)
+    return observation_columns(observations)[identifier]
+
+
 def ui_series(label, values, dt=0.5, texts=None):
     samples = []
     for i, value in enumerate(values):
         text = texts[i] if texts else f"{value}"
         numeric = None if texts else float(value)
         samples.append(UiSample(i * dt, text, numeric))
-    return UiSeries(label, samples)
+    return series_columns(SampleSeries(label, samples))
+
+
+def columns_of(grouped, ui_series):
+    """Reference inputs (observation lists, sample series) as columns."""
+    observations = [o for group in grouped.values() for o in group]
+    return (
+        observation_columns(observations),
+        {label: series_columns(series) for label, series in ui_series.items()},
+    )
 
 
 class TestCorrelation:
@@ -227,7 +248,7 @@ def reference_match_semantics(grouped, ui_series, window=None, min_score=0.35):
             samples_in = [s for s in series.samples if in_window(s.timestamp)]
             if len(samples_in) < 3:
                 continue
-            windowed = UiSeries(label, samples_in)
+            windowed = SampleSeries(label, samples_in)
             if windowed.is_numeric:
                 score = reference_correlation_score(observations, windowed)
                 method = "correlation"
@@ -285,7 +306,7 @@ def label_series(draw, index):
             samples.append(UiSample(t, f"{value}", value))
         else:
             samples.append(UiSample(t, draw(st.sampled_from(["Open", "Closed", "On"])), None))
-    return label, UiSeries(label, samples)
+    return label, SampleSeries(label, samples)
 
 
 @st.composite
@@ -304,7 +325,7 @@ def matching_inputs(draw):
 def _ties_case():
     # uds:F400 at t = 1.0 .. 3.0 pairs with UI samples straddling every
     # observation at +-0.125 s: each pairing is an exact distance tie.
-    observations = obs_series("uds:F400", [10, 20, 35, 40, 60], dt=0.5)
+    observations = obs_list("uds:F400", [10, 20, 35, 40, 60], dt=0.5)
     observations = [
         EsvObservation(o.protocol, o.identifier, o.raw_bytes, o.timestamp + 1.0)
         for o in observations
@@ -313,17 +334,17 @@ def _ties_case():
     for i, value in enumerate([5, 9, 11, 18, 21, 30, 29, 41, 40, 50]):
         t = 1.0 + (i // 2) * 0.5 + (0.125 if i % 2 else -0.125)
         samples.append(UiSample(t, f"{value}", float(value)))
-    return {"uds:F400": observations}, {"Speed": UiSeries("Speed", samples)}, None
+    return {"uds:F400": observations}, {"Speed": SampleSeries("Speed", samples)}, None
 
 
 def _window_makes_numeric_case():
     # Numeric readings, then enum text: the whole series is not numeric
     # (6 of 14 samples), but the window keeps only the numeric part, so
     # the label must be scored by correlation, not by change times.
-    observations = obs_series("uds:F400", [10, 20, 35, 40, 60, 70])
+    observations = obs_list("uds:F400", [10, 20, 35, 40, 60, 70])
     samples = [UiSample(i * 0.5, f"{v}", float(v)) for i, v in enumerate([5, 9, 18, 21, 30, 34])]
     samples += [UiSample(3.0 + i * 0.5, "Open", None) for i in range(8)]
-    return {"uds:F400": observations}, {"Speed": UiSeries("Speed", samples)}, (0.0, 2.5)
+    return {"uds:F400": observations}, {"Speed": SampleSeries("Speed", samples)}, (0.0, 2.5)
 
 
 class TestMatchingAgainstReference:
@@ -337,8 +358,8 @@ class TestMatchingAgainstReference:
     @example(inputs=_window_makes_numeric_case())
     def test_matches_equal_per_pair_reference(self, inputs):
         grouped, series, window = inputs
-        assert match_semantics(grouped, series, window) == reference_match_semantics(
-            grouped, series, window
+        assert match_semantics(*columns_of(grouped, series), window) == (
+            reference_match_semantics(grouped, series, window)
         )
 
     @settings(max_examples=300, deadline=None)
@@ -346,11 +367,12 @@ class TestMatchingAgainstReference:
     @example(inputs=_ties_case())
     def test_correlation_score_equals_per_pair_reference(self, inputs):
         grouped, series, __ = inputs
-        for observations in grouped.values():
-            for ui in series.values():
-                assert correlation_score(observations, ui) == reference_correlation_score(
-                    observations, ui
-                )
+        columns, labels = columns_of(grouped, series)
+        for identifier, observations in grouped.items():
+            for label, ui in series.items():
+                assert correlation_score(
+                    columns[identifier], labels[label]
+                ) == reference_correlation_score(observations, ui)
 
     @settings(max_examples=200, deadline=None)
     @given(inputs=matching_inputs(), min_score=st.sampled_from([-0.5, 0.0, 0.2, 0.35, 0.5, 1.0]))
@@ -360,7 +382,7 @@ class TestMatchingAgainstReference:
         # are never scored; the matches equal the full scorer's at every
         # threshold, zero and negative ones included.
         grouped, series, window = inputs
-        assert match_semantics(grouped, series, window, min_score) == (
+        assert match_semantics(*columns_of(grouped, series), window, min_score) == (
             reference_match_semantics(grouped, series, window, min_score)
         )
 
@@ -368,12 +390,13 @@ class TestMatchingAgainstReference:
     @given(inputs=matching_inputs())
     def test_change_time_score_never_exceeds_flip_bound(self, inputs):
         grouped, series, __ = inputs
-        for observations in grouped.values():
+        columns, labels = columns_of(grouped, series)
+        for identifier, observations in grouped.items():
             raw = [b for a, b in zip(observations, observations[1:]) if a.raw_bytes != b.raw_bytes]
-            for ui in series.values():
+            for label, ui in series.items():
                 samples = ui.samples
                 text = [b for a, b in zip(samples, samples[1:]) if a.text != b.text]
-                score = change_time_score(observations, ui)
+                score = change_time_score(columns[identifier], labels[label])
                 assert score == reference_change_time_score(observations, ui)
                 bound = min(len(raw), len(text)) / max(len(raw), len(text)) if raw and text else 0.0
                 assert score <= bound

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.fields import EsvObservation
 from repro.core.response_analysis import (
     PairedDataset,
     build_dataset,
@@ -11,12 +10,13 @@ from repro.core.response_analysis import (
     table2_factor,
 )
 from repro.core.gp import GpConfig
-from repro.core.screenshot import UiSample, UiSeries
+
+from . import frontend_reference as ref
 
 
 def make_obs(identifier, raws, dt=0.5, protocol="uds"):
-    return [
-        EsvObservation(
+    observations = [
+        ref.EsvObservation(
             protocol,
             identifier,
             bytes(raw) if isinstance(raw, tuple) else bytes([raw]),
@@ -24,12 +24,11 @@ def make_obs(identifier, raws, dt=0.5, protocol="uds"):
         )
         for i, raw in enumerate(raws)
     ]
+    return ref.observation_columns(observations)[identifier]
 
 
 def make_series(label, values, dt=0.5):
-    return UiSeries(
-        label, [UiSample(i * dt, f"{v}", float(v)) for i, v in enumerate(values)]
-    )
+    return ref.make_series(label, [(i * dt, f"{v}", float(v)) for i, v in enumerate(values)])
 
 
 class TestTable2Factor:

@@ -4,20 +4,20 @@ import pytest
 
 from repro.core import DPReverser
 from repro.core.screenshot import (
-    UiSample,
-    UiSeries,
     extract_ui_series,
     filter_series,
-    outlier_filter,
+    outlier_mask,
     pair_value_rows,
     parse_value,
-    range_filter,
+    range_mask,
 )
 from repro.cps import Camera, DataCollector, OcrEngine, UIAnalyzer
 from repro.simtime import SimClock
 from repro.tools import make_tool_for_car
 from repro.tools.ui import ScreenBuilder, Widget, WidgetKind
 from repro.vehicle import build_car
+
+from .frontend_reference import make_series
 
 
 class TestParseValue:
@@ -84,7 +84,7 @@ class TestValueRows:
         plain = extract_ui_series(live_frames(values))
         with_buttons = extract_ui_series(live_frames(values, buttons=buttons))
         assert with_buttons == plain
-        assert [s.value for s in with_buttons["Engine Speed"].samples] == values
+        assert with_buttons["Engine Speed"].values.tolist() == values
 
 
 class TestWorkCount:
@@ -115,12 +115,12 @@ class TestSeriesExtraction:
         frames = live_frames([800, 810, 820])
         series = extract_ui_series(frames)
         assert "Engine Speed" in series
-        assert [s.value for s in series["Engine Speed"].samples] == [800, 810, 820]
+        assert series["Engine Speed"].values.tolist() == [800, 810, 820]
 
     def test_timestamps_increase(self):
         frames = live_frames([1, 2, 3])
-        samples = extract_ui_series(frames)["Engine Speed"].samples
-        assert samples[0].timestamp < samples[-1].timestamp
+        times = extract_ui_series(frames)["Engine Speed"].times
+        assert times[0] < times[-1]
 
     def test_rare_mangled_label_merged(self):
         good = live_frames([800] * 10, label="Engine Speed")
@@ -128,7 +128,7 @@ class TestSeriesExtraction:
         series = extract_ui_series(good + bad)
         assert "Engine Speed" in series
         assert len(series) == 1
-        assert len(series["Engine Speed"].samples) == 11
+        assert len(series["Engine Speed"]) == 11
 
     def test_distinct_similar_labels_not_merged(self):
         a = live_frames([1] * 10, label="Wheel Speed FL")
@@ -139,72 +139,63 @@ class TestSeriesExtraction:
     def test_placeholder_values_skipped(self):
         frames = live_frames(["---", 800])
         series = extract_ui_series(frames)
-        assert len(series["Engine Speed"].samples) == 1
+        assert len(series["Engine Speed"]) == 1
 
 
 class TestRangeFilter:
     def test_out_of_range_removed(self):
-        samples = [
-            UiSample(0.0, "50", 50.0),
-            UiSample(0.5, "999999", 999999.0),
-        ]
-        kept, removed = range_filter(samples, bounds=(0, 1000))
-        assert removed == 1
-        assert [s.value for s in kept] == [50.0]
+        series = make_series("X", [(0.0, "50", 50.0), (0.5, "999999", 999999.0)])
+        keep = range_mask(series.values, series.numeric, bounds=(0, 1000))
+        assert keep.tolist() == [True, False]
+        assert series.take(keep).values.tolist() == [50.0]
 
     def test_enum_samples_kept(self):
-        samples = [UiSample(0.0, "Open", None)]
-        kept, removed = range_filter(samples, bounds=(0, 1))
-        assert removed == 0 and len(kept) == 1
+        series = make_series("X", [(0.0, "Open", None)])
+        assert range_mask(series.values, series.numeric, bounds=(0, 1)).tolist() == [True]
 
 
 class TestOutlierFilter:
-    def make(self, values):
-        return [UiSample(i * 0.5, str(v), float(v)) for i, v in enumerate(values)]
+    def removed(self, values):
+        series = make_series("X", [(i * 0.5, str(v), float(v)) for i, v in enumerate(values)])
+        keep = outlier_mask(series.values, series.numeric)
+        return [v for v, kept in zip(values, keep.tolist()) if not kept]
 
     def test_isolated_spike_removed(self):
         """OCR x10 error: 94 -> 940 for one frame."""
-        values = [90, 92, 94, 940, 96, 98, 100]
-        kept, removed = outlier_filter(self.make(values))
-        assert removed == 1
-        assert 940 not in [s.value for s in kept]
+        assert self.removed([90, 92, 94, 940, 96, 98, 100]) == [940]
 
     def test_sawtooth_wrap_kept(self):
         """Legit wrap-arounds (odometer-style) must survive (§3.3 despike)."""
         values = [100, 200, 300, 400, 10, 110, 210, 310, 410, 20, 120]
-        kept, removed = outlier_filter(self.make(values))
-        assert removed == 0
+        assert self.removed(values) == []
 
     def test_smooth_series_untouched(self):
-        values = list(range(0, 200, 10))
-        __, removed = outlier_filter(self.make(values))
-        assert removed == 0
+        assert self.removed(list(range(0, 200, 10))) == []
 
     def test_short_series_untouched(self):
-        __, removed = outlier_filter(self.make([1, 1000, 1]))
-        assert removed == 0
+        assert self.removed([1, 1000, 1]) == []
 
     def test_partial_read_spike_removed(self):
         """OCR partial read: 251.3 -> 1.3 for one frame on a slow signal."""
-        values = [250.1, 250.9, 251.3, 1.3, 252.0, 252.4, 253.0]
-        kept, removed = outlier_filter(self.make(values))
-        assert removed == 1
+        assert self.removed([250.1, 250.9, 251.3, 1.3, 252.0, 252.4, 253.0]) == [1.3]
 
 
 class TestFilterSeries:
     def test_report_accounts_for_both_stages(self):
-        samples = [
-            UiSample(0.0, "10", 10.0),
-            UiSample(0.5, "11", 11.0),
-            UiSample(1.0, "12", 12.0),
-            UiSample(1.5, "120", 120.0),  # spike
-            UiSample(2.0, "13", 13.0),
-            UiSample(2.5, "14", 14.0),
-            UiSample(3.0, "1e7", 1e7),  # out of range
-        ]
-        cleaned, report = filter_series(
-            UiSeries("X", samples), bounds=(0, 1000)
+        series = make_series(
+            "X",
+            [
+                (0.0, "10", 10.0),
+                (0.5, "11", 11.0),
+                (1.0, "12", 12.0),
+                (1.5, "120", 120.0),  # spike
+                (2.0, "13", 13.0),
+                (2.5, "14", 14.0),
+                (3.0, "1e7", 1e7),  # out of range
+            ],
         )
+        cleaned, report = filter_series(series, bounds=(0, 1000))
         assert report.removed_range == 1
         assert report.removed_outlier == 1
         assert report.kept == 5
+        assert cleaned.values.tolist() == [10.0, 11.0, 12.0, 13.0, 14.0]
