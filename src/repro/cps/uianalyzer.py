@@ -39,7 +39,19 @@ def text_similarity(a: str, b: str) -> float:
 
 
 def fuzzy_match(text: str, keyword: str, threshold: float = 0.82) -> bool:
-    return text_similarity(text, keyword) >= threshold
+    """``text_similarity(text, keyword) >= threshold``.
+
+    ``real_quick_ratio`` (lengths only) and ``quick_ratio`` (shared
+    characters) bound ``ratio`` from above, so a pair either rules out
+    skips the full longest-match search; most pairs are ruled out by
+    their lengths alone.
+    """
+    matcher = SequenceMatcher(None, text.lower(), keyword.lower())
+    return (
+        matcher.real_quick_ratio() >= threshold
+        and matcher.quick_ratio() >= threshold
+        and matcher.ratio() >= threshold
+    )
 
 
 @dataclass

@@ -1,5 +1,8 @@
 """Tests for the UI analyzer (keyword filtering, icons, selectable rows)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.cps import Camera, OcrEngine, UIAnalyzer, fuzzy_match, text_similarity
 from repro.simtime import SimClock
 from repro.tools.ui import ScreenBuilder, WidgetKind
@@ -31,6 +34,19 @@ class TestTextMatching:
     def test_fuzzy_match_survives_char_drop(self):
         assert fuzzy_match("Read Data Strea", "Read Data Stream")
         assert not fuzzy_match("Clear Trouble Codes", "Read Data Stream")
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        text=st.text(alphabet="aAbcde Tt", max_size=14),
+        keyword=st.text(alphabet="aAbcde Tt", max_size=14),
+        threshold=st.sampled_from([0.0, 0.5, 0.82, 0.88, 0.9, 1.0]),
+    )
+    def test_fuzzy_match_is_the_similarity_threshold(self, text, keyword, threshold):
+        """The quick-ratio bounds only skip work: the verdict is the
+        full similarity's."""
+        assert fuzzy_match(text, keyword, threshold) == (
+            text_similarity(text, keyword) >= threshold
+        )
 
 
 class TestClassification:
