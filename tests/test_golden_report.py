@@ -13,8 +13,8 @@ collected at the default 30 s reads.
 ``FIELDS_GOLDEN`` hashes :func:`~repro.core.fields.extract_fields` output
 in a form that does not depend on how it is stored: per identifier (in
 sorted order) its protocol, each value's KWP formula type, ``repr`` of
-its time and hex of its bytes; then every IO-control event and every read
-request.  ``REPORT_GOLDEN`` hashes :meth:`ReverseReport.to_json`.
+its time and hex of its bytes; then every IO-control event.
+``REPORT_GOLDEN`` hashes :meth:`ReverseReport.to_json`.
 """
 
 import hashlib
@@ -38,11 +38,11 @@ CASES = {
 }
 
 FIELDS_GOLDEN = {
-    "C": "ad5404e9b03089235d4ea38b6afd6e1da89da988194102547dafd60e3859ba75",
-    "E": "30cd8e1379495213607249198499ddef1ee13611abe002ef86ef4f345180e6ad",
-    "I": "437074d15d2e226ae2bbe745eacadc5a4d1d41926d4c74b38edf168b05a759bf",
-    "N": "5c06b7da1f8ac5fc9a8fdaffd5d236ea10811549ece4a98faa8cfc4288eaaae1",
-    "F": "60908a82352f7ee10598c698ff792f51043a09705215abe85bad7de5b7c7982d",
+    "C": "4fb44a9f1ecfeed90d522f73ea7ebacbfe07a3f64d750422791c210e43becf16",
+    "E": "7642c5f5142f13f2d8f6d6b5c64a3e01c74da84cbd98a884c82e2bb66c4caad1",
+    "I": "1503115410edc5c7c8a38f1db1b7dbc461c204f5e27b5fbe9d7f6b763dc9459b",
+    "N": "2b4dda04af5b3b74051d4f6511539221f7372e799283ccac25124399ec5d8e14",
+    "F": "2ceeb5156c4bb4c72779251d442c0af53aefc39ef4cb2a920b6d27aac0993beb",
 }
 
 REPORT_GOLDEN = {
@@ -97,10 +97,6 @@ def fields_digest(fields) -> str:
                 e.positive,
             ]
             for e in fields.io_events
-        ],
-        "read_requests": [
-            [r.protocol, list(r.identifiers), repr(r.timestamp), r.can_id]
-            for r in fields.read_requests
         ],
     }
     return _sha256(document)
