@@ -9,20 +9,14 @@ operand: protected division returns 1 near zero denominators, protected
 sqrt/log operate on magnitudes.
 
 All functions are vectorised over numpy arrays — fitness evaluation runs
-each candidate formula over the whole dataset in one call.  Each function
-additionally carries a ``scalar`` variant used by the per-sample fast path
-(:meth:`repro.core.gp.tree.Node.evaluate_point`): plain-float arithmetic
-for the operations IEEE 754 makes exactly reproducible, and the numpy
-ufunc itself for the transcendentals (whose vectorised loops are the only
-bit-exact reference), so scalar and vectorised evaluation agree bit for
-bit.
+each candidate formula over the whole dataset in one call, and a single
+sample is a one-row dataset.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -47,43 +41,6 @@ def _protected_inv(a: np.ndarray) -> np.ndarray:
     return _protected_div(np.ones_like(a), a)
 
 
-# ------------------------------------------------------------ scalar variants
-#
-# add/sub/mul/div/abs/neg/max/min/square and protected sqrt are exactly
-# rounded under IEEE 754, so plain-float arithmetic is guaranteed to match
-# the float64 ufunc loops bit for bit.  log/sin/cos are *not* correctly
-# rounded in general, so their scalar variants call the same numpy ufunc
-# (a 0-d call runs the identical inner loop the vectorised path runs).
-
-
-def _scalar_div(a: float, b: float) -> float:
-    return a / b if abs(b) > _EPS else 1.0
-
-
-def _scalar_sqrt(a: float) -> float:
-    return math.sqrt(abs(a))
-
-
-def _scalar_log(a: float) -> float:
-    return float(np.log(abs(a))) if abs(a) > _EPS else 0.0
-
-
-def _scalar_inv(a: float) -> float:
-    return 1.0 / a if abs(a) > _EPS else 1.0
-
-
-def _scalar_max(a: float, b: float) -> float:
-    if a != a or b != b:  # np.maximum propagates NaN; Python's max does not
-        return float("nan")
-    return a if a > b else b
-
-
-def _scalar_min(a: float, b: float) -> float:
-    if a != a or b != b:
-        return float("nan")
-    return a if a < b else b
-
-
 @dataclass(frozen=True)
 class GpFunction:
     """One interior-node operator."""
@@ -91,45 +48,31 @@ class GpFunction:
     name: str
     arity: int
     func: Callable[..., np.ndarray]
-    fmt: str  # printf-style template with {0}, {1} slots
-    #: Bit-identical plain-float variant (None for custom functions that
-    #: only define the vectorised form; evaluation falls back to arrays).
-    scalar: Optional[Callable[..., float]] = None
-
-    def __reduce__(self):
-        # Pickle by name: the lambda ``scalar`` variants defeat the default
-        # protocol, and by-name reconstruction makes unpickled trees point
-        # at the interned FUNCTION_SET entries — which the process GP
-        # backend relies on for cross-process tree transport.
-        return (_function_from_name, (self.name,))
+    fmt: str  # str.format template with {0}, {1} slots
 
 
 FUNCTION_SET: Dict[str, GpFunction] = {
     f.name: f
     for f in [
-        GpFunction("add", 2, np.add, "({0} + {1})", lambda a, b: a + b),
-        GpFunction("sub", 2, np.subtract, "({0} - {1})", lambda a, b: a - b),
-        GpFunction("mul", 2, np.multiply, "({0} * {1})", lambda a, b: a * b),
-        GpFunction("div", 2, _protected_div, "({0} / {1})", _scalar_div),
-        GpFunction("sqrt", 1, _protected_sqrt, "sqrt({0})", _scalar_sqrt),
-        GpFunction("log", 1, _protected_log, "log({0})", _scalar_log),
-        GpFunction("abs", 1, np.abs, "abs({0})", abs),
-        GpFunction("neg", 1, np.negative, "(-{0})", lambda a: -a),
-        GpFunction("max", 2, np.maximum, "max({0}, {1})", _scalar_max),
-        GpFunction("min", 2, np.minimum, "min({0}, {1})", _scalar_min),
-        GpFunction("sin", 1, np.sin, "sin({0})", lambda a: float(np.sin(a))),
-        GpFunction("cos", 1, np.cos, "cos({0})", lambda a: float(np.cos(a))),
-        GpFunction("inv", 1, _protected_inv, "(1 / {0})", _scalar_inv),
-        GpFunction("square", 1, np.square, "({0}^2)", lambda a: a * a),
+        GpFunction("add", 2, np.add, "({0} + {1})"),
+        GpFunction("sub", 2, np.subtract, "({0} - {1})"),
+        GpFunction("mul", 2, np.multiply, "({0} * {1})"),
+        GpFunction("div", 2, _protected_div, "({0} / {1})"),
+        GpFunction("sqrt", 1, _protected_sqrt, "sqrt({0})"),
+        GpFunction("log", 1, _protected_log, "log({0})"),
+        GpFunction("abs", 1, np.abs, "abs({0})"),
+        GpFunction("neg", 1, np.negative, "(-{0})"),
+        GpFunction("max", 2, np.maximum, "max({0}, {1})"),
+        GpFunction("min", 2, np.minimum, "min({0}, {1})"),
+        GpFunction("sin", 1, np.sin, "sin({0})"),
+        GpFunction("cos", 1, np.cos, "cos({0})"),
+        GpFunction("inv", 1, _protected_inv, "(1 / {0})"),
+        GpFunction("square", 1, np.square, "({0}^2)"),
     ]
 }
 
 assert len(FUNCTION_SET) == 14, "the paper's prototype supports 14 functions"
 
-
-def _function_from_name(name: str) -> GpFunction:
-    """Unpickle hook for :meth:`GpFunction.__reduce__`."""
-    return FUNCTION_SET[name]
 
 #: Default subset used for evolution.  Trig stays out of the default mix
 #: (vehicle formulas are arithmetic); it remains available via

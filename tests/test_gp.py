@@ -1,23 +1,19 @@
-"""Tests for the genetic-programming engine: trees, evolution, folding."""
+"""Tests for the genetic-programming engine: programs, evolution, folding."""
 
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro.core import ScaledTreeFormula
 from repro.core.gp import (
     DEFAULT_FUNCTION_NAMES,
     FUNCTION_SET,
     GeneticProgrammer,
     GpConfig,
-    Node,
     batched_maes,
-    fold_constants,
-    pretty,
-    random_tree,
 )
+from repro.core.gp.program import call, const, depth, execute, fold, infix, program_grower, var
 
 
 class TestFunctionSet:
@@ -41,58 +37,46 @@ class TestFunctionSet:
 
 class TestTree:
     def test_evaluate_point(self):
-        tree = Node.call("add", Node.call("mul", Node.var(0), Node.const(2.0)), Node.const(1.0))
-        assert tree.evaluate_point([3.0]) == 7.0
+        program = call("add", call("mul", var(0), const(2.0)), const(1.0))
+        assert ScaledTreeFormula(program, (1.0,), 1.0)([3.0]) == 7.0
 
     def test_vectorised_evaluation(self):
-        tree = Node.call("mul", Node.var(0), Node.var(1))
+        program = call("mul", var(0), var(1))
         columns = [np.array([1.0, 2.0]), np.array([10.0, 20.0])]
-        assert list(tree.evaluate(columns)) == [10.0, 40.0]
+        assert list(execute(program, columns, {})) == [10.0, 40.0]
 
     def test_size_and_depth(self):
-        tree = Node.call("add", Node.var(0), Node.call("neg", Node.const(1.0)))
-        assert tree.size() == 4
-        assert tree.depth() == 3
-
-    def test_copy_is_deep(self):
-        tree = Node.call("add", Node.var(0), Node.const(1.0))
-        clone = tree.copy()
-        clone.children[1].constant = 99.0
-        assert tree.children[1].constant == 1.0
-
-    def test_variables_used(self):
-        tree = Node.call("add", Node.var(0), Node.call("mul", Node.var(1), Node.var(1)))
-        assert tree.variables_used() == {0, 1}
+        program = call("add", var(0), call("neg", const(1.0)))
+        assert len(program) == 4
+        assert depth(program) == 3
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
-            Node.call("add", Node.var(0))
+            call("add", var(0))
 
     def test_random_tree_respects_depth(self):
-        rng = random.Random(3)
+        grow = program_grower(random.Random(3), 2, DEFAULT_FUNCTION_NAMES, 10.0)
         for __ in range(50):
-            tree = random_tree(rng, 2, DEFAULT_FUNCTION_NAMES, max_depth=4)
-            assert tree.depth() <= 4
+            assert depth(grow(4)) <= 4
 
     def test_infix_rendering(self):
-        tree = Node.call("div", Node.var(0), Node.const(2.55))
-        assert tree.to_infix() == "(X0 / 2.55)"
+        assert infix(call("div", var(0), const(2.55))) == "(X0 / 2.55)"
 
 
 class TestFolding:
     def test_constant_subtree_folds(self):
-        tree = Node.call("add", Node.const(2.0), Node.const(3.0))
-        assert fold_constants(tree).constant == 5.0
+        assert fold(call("add", const(2.0), const(3.0))) == const(5.0)
 
     def test_identity_rules(self):
-        x = Node.var(0)
-        assert fold_constants(Node.call("mul", x, Node.const(1.0))).var_index == 0
-        assert fold_constants(Node.call("add", Node.const(0.0), x)).var_index == 0
-        assert fold_constants(Node.call("mul", x, Node.const(0.0))).constant == 0.0
+        x = var(0)
+        assert fold(call("mul", x, const(1.0))) == x
+        assert fold(call("add", const(0.0), x)) == x
+        assert fold(call("mul", x, const(0.0))) == const(0.0)
 
     def test_pretty(self):
-        tree = Node.call("mul", Node.const(0.2), Node.call("mul", Node.var(0), Node.var(1)))
-        assert pretty(tree) == "Y = (0.2 * (X0 * X1))"
+        program = call("mul", const(0.2), call("mul", var(0), var(1)))
+        formula = ScaledTreeFormula(fold(program), (1.0, 1.0), 1.0)
+        assert formula.describe() == "Y = ((0.2 * (X0 * X1)))"
 
 
 class TestEvolution:

@@ -1,11 +1,12 @@
-"""Tests for the GP performance engine: flat-program evaluation, fitness
+"""Tests for the GP performance engine: program execution, fitness
 caching, and the parallel per-ESV inference path.
 
-The engine's contract is *exact* equivalence: flat programs, caching and
+The engine's contract is *exact* equivalence: programs, caching and
 parallelism are pure performance features, so every test here asserts
-bit-identical results against the recursive tree evaluator / serial path —
-not approximate agreement.  The evolution loop itself is checked against
-the plain tree reference in ``test_gp_reference.py``.
+bit-identical results against the plain tree oracle (``gp_reference``) or
+the serial path — not approximate agreement.  The evolution loop itself is
+checked against the oracle in ``test_gp_reference.py``, and the program
+functions against the oracle's trees in ``test_gp_program.py``.
 """
 
 import random
@@ -15,15 +16,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gp import (
-    DEFAULT_FUNCTION_NAMES,
-    FitnessCache,
-    GeneticProgrammer,
-    GpConfig,
-    Node,
-    random_tree,
+from repro.core import ScaledTreeFormula
+from repro.core.gp import DEFAULT_FUNCTION_NAMES, FitnessCache, GeneticProgrammer, GpConfig
+from repro.core.gp.program import (
+    CALLS,
+    CONST,
+    VAR,
+    call,
+    const,
+    depth,
+    execute,
+    infix,
+    program_grower,
+    var,
 )
-from repro.core.gp.program import CALLS, CONST, VAR, depth, execute, from_tree, to_tree
+
+from .gp_reference import canonical, from_program, to_program
+
+
+def _random_programs(rng: random.Random, n_variables: int, max_depth: int):
+    """Programs as the engine grows them."""
+    grow = program_grower(rng, n_variables, DEFAULT_FUNCTION_NAMES, 10.0)
+    while True:
+        yield grow(max_depth)
 
 
 def _random_columns(rng: random.Random, n_variables: int, n: int, special: bool):
@@ -42,15 +57,14 @@ class TestCompiledEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), special=st.booleans())
     def test_compiled_matches_recursive_bit_for_bit(self, seed, special):
-        """Property: executing the flat program ≡ Node.evaluate on random
-        trees, including datasets containing NaN/±inf/±0.0 (the protected
-        primitives see the same operands, so even the NaN payload bits
-        agree — compared via tobytes)."""
+        """Property: executing a grown program ≡ the oracle tree's recursive
+        evaluation, including datasets containing NaN/±inf/±0.0 (the
+        protected primitives see the same operands, so even the NaN
+        payload bits agree — compared via tobytes)."""
         rng = random.Random(seed)
-        tree = random_tree(rng, 3, DEFAULT_FUNCTION_NAMES, max_depth=5)
+        program = next(_random_programs(rng, 3, 5))
         columns = _random_columns(rng, 3, 17, special)
-        program = from_tree(tree)
-        reference = tree.evaluate(columns)
+        reference = from_program(program).evaluate(columns)
         with np.errstate(all="ignore"):
             flat = execute(program, columns, {})
         assert np.asarray(flat).tobytes() == np.asarray(reference).tobytes()
@@ -58,61 +72,63 @@ class TestCompiledEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_evaluate_point_matches_vectorised(self, seed):
-        """The scalar fast path agrees with the array path per row."""
+        """A formula called on one sample agrees bit for bit with the same
+        row of its evaluation over all rows."""
         rng = random.Random(seed)
-        tree = random_tree(rng, 2, DEFAULT_FUNCTION_NAMES, max_depth=4)
-        columns = _random_columns(rng, 2, 9, special=False)
-        vectorised = tree.evaluate(columns)
-        if np.isscalar(vectorised) or np.ndim(vectorised) == 0:
-            vectorised = np.full_like(columns[0], float(vectorised))
-        for row in range(9):
-            xs = [float(column[row]) for column in columns]
-            assert tree.evaluate_point(xs) == vectorised[row]
+        program = next(_random_programs(rng, 2, 4))
+        formula = ScaledTreeFormula(program, (0.1, 1.0), 10.0)
+        rows = [(rng.randrange(256), rng.randrange(256)) for __ in range(9)]
+        vectorised = formula.evaluate_rows(rows)
+        for row, xs in enumerate(rows):
+            assert np.float64(formula(xs)).tobytes() == vectorised[row].tobytes()
 
     def test_program_metadata_matches_tree(self):
-        """Pre-order programs round-trip exactly and match the tree's
-        size, depth and node order."""
+        """Programs round-trip exactly through the oracle's trees and match
+        the tree's size, depth, node order and rendering."""
         rng = random.Random(7)
+        programs = _random_programs(rng, 3, 5)
         for __ in range(200):
-            tree = random_tree(rng, 3, DEFAULT_FUNCTION_NAMES, max_depth=5)
-            program = from_tree(tree)
+            program = next(programs)
+            tree = from_program(program)
             assert len(program) == tree.size()
             assert depth(program) == tree.depth()
             terminals = [token[0] in (VAR, CONST) for token in program]
             assert terminals == [node.is_terminal for node in tree.nodes()]
-            assert to_tree(program).to_infix() == tree.to_infix()
-        signed_zero = Node.call("add", Node.var(0), Node.const(-0.0))
-        assert to_tree(from_tree(signed_zero)).children[1].constant.hex() == "-0x0.0p+0"
+            assert infix(program) == tree.to_infix()
+            assert to_program(tree) == program
+        signed_zero = call("add", var(0), const(-0.0))
+        assert canonical(to_program(from_program(signed_zero))) == canonical(signed_zero)
+        assert to_program(from_program(signed_zero))[2][1].hex() == "-0x0.0p+0"
 
 
 class TestTreeKey:
     def test_key_stable_across_copies(self):
-        tree = Node.call("add", Node.call("mul", Node.var(0), Node.const(2.5)), Node.var(1))
-        assert from_tree(tree) == from_tree(tree.copy())
+        def build():
+            return call("add", call("mul", var(0), const(2.5)), var(1))
+
+        assert build() == build() and hash(build()) == hash(build())
 
     def test_key_distinguishes_structure(self):
-        a = Node.call("add", Node.var(0), Node.var(1))
-        b = Node.call("add", Node.var(1), Node.var(0))
-        c = Node.call("sub", Node.var(0), Node.var(1))
-        d = Node.call("add", Node.var(0), Node.const(1.0))
-        e = Node.call("add", Node.var(0), Node.const(0.0))
-        f = Node.call("add", Node.var(0), Node.var(0))  # X0 is not the constant 0
-        keys = {from_tree(t) for t in (a, b, c, d, e, f)}
-        assert len(keys) == 6
+        a = call("add", var(0), var(1))
+        b = call("add", var(1), var(0))
+        c = call("sub", var(0), var(1))
+        d = call("add", var(0), const(1.0))
+        e = call("add", var(0), const(0.0))
+        f = call("add", var(0), var(0))  # X0 is not the constant 0
+        assert len({a, b, c, d, e, f}) == 6
 
     def test_key_injective_on_random_trees(self):
         """Distinct infix renderings imply distinct keys (spot check)."""
-        rng = random.Random(13)
+        programs = _random_programs(random.Random(13), 2, 4)
         by_key = {}
         for __ in range(1500):
-            tree = random_tree(rng, 2, DEFAULT_FUNCTION_NAMES, max_depth=4)
-            key = from_tree(tree)
-            rendered = tree.to_infix()
-            assert by_key.setdefault(key, rendered) == rendered
+            program = next(programs)
+            rendered = infix(program)
+            assert by_key.setdefault(program, rendered) == rendered
 
     def test_interned_instructions_are_shared(self):
-        a = from_tree(Node.call("add", Node.var(0), Node.const(3.25)))
-        b = from_tree(Node.call("add", Node.var(0), Node.const(3.25)))
+        a = call("add", var(0), const(3.25))
+        b = call("add", var(0), const(3.25))
         assert a == b
         assert a[0] is b[0] is CALLS["add"]
 
@@ -148,19 +164,9 @@ class TestFitEquivalence:
         xs, ys = self.dataset()
         return GeneticProgrammer(GpConfig(seed=9, **overrides)).fit(xs, ys)
 
-    def test_each_feature_is_independently_neutral(self):
-        """The fitness cache changes evaluation counts, never results."""
-        reference = self.fit(fitness_cache=False)
-        result = self.fit()
-        assert result.expression == reference.expression
-        assert result.fitness == reference.fitness
-        assert result.generations_run == reference.generations_run
-
     def test_cache_stats_reported(self):
         result = self.fit()
-        assert result.cache_stats is not None
         assert result.cache_stats["hits"] > 0
-        assert self.fit(fitness_cache=False).cache_stats is None
 
     def test_shared_cache_across_engines(self):
         xs, ys = self.dataset()
