@@ -157,23 +157,12 @@ class IoControlEvent:
     positive: bool
 
 
-@dataclass(frozen=True)
-class ReadRequestEvent:
-    """One read request (for request-semantics analysis)."""
-
-    protocol: str
-    identifiers: Tuple[int, ...]  # DIDs, or a single local id / PID
-    timestamp: float
-    can_id: int
-
-
 @dataclass
 class ExtractedFields:
     """Everything field extraction produced from one capture."""
 
     observations: ObservationTable = field(default_factory=ObservationTable)
     io_events: List[IoControlEvent] = field(default_factory=list)
-    read_requests: List[ReadRequestEvent] = field(default_factory=list)
 
     def by_identifier(self) -> Dict[str, EsvColumns]:
         return self.observations.columns
@@ -210,28 +199,12 @@ def extract_fields(messages: Sequence[AssembledMessage]) -> ExtractedFields:
                     request = request_dids[payload]
                 except KeyError:
                     request = request_dids[payload] = _request_dids(payload)
-                if request is None:
-                    continue
-                dids = request
-                out.read_requests.append(
-                    ReadRequestEvent("uds", dids, message.t_last, message.can_id)
-                )
-            elif sid == _KWP_READ:
-                try:
-                    local_id = kwp2000.decode_read_request(payload)
-                except DiagnosticError:
-                    continue
-                out.read_requests.append(
-                    ReadRequestEvent("kwp", (local_id,), message.t_last, message.can_id)
-                )
+                if request is not None:
+                    dids = request
             elif sid in _IO_CONTROL:
                 event = _decode_io_request(sid, payload, message.t_last)
                 if event is not None:
                     pending_io[(event.service, event.identifier)] = event
-            elif sid == 0x01 and len(payload) == 2:  # OBD-II mode 01
-                out.read_requests.append(
-                    ReadRequestEvent("obd2", (payload[1],), message.t_last, message.can_id)
-                )
             continue
 
         # ---- responses -------------------------------------------------

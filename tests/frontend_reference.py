@@ -33,7 +33,6 @@ import numpy as np
 from repro.core.fields import (
     EsvColumns,
     IoControlEvent,
-    ReadRequestEvent,
     _decode_io_request,
     _match_pending_io,
 )
@@ -69,7 +68,6 @@ class EsvObservation:
 class ReferenceFields:
     observations: List[EsvObservation] = field(default_factory=list)
     io_events: List[IoControlEvent] = field(default_factory=list)
-    read_requests: List[ReadRequestEvent] = field(default_factory=list)
 
 
 def extract_fields(messages) -> ReferenceFields:
@@ -89,25 +87,10 @@ def extract_fields(messages) -> ReferenceFields:
                 except Exception:
                     continue
                 last_uds_read = request.dids
-                out.read_requests.append(
-                    ReadRequestEvent("uds", request.dids, message.t_last, message.can_id)
-                )
-            elif sid == 0x21:
-                try:
-                    local_id = kwp2000.decode_read_request(payload)
-                except Exception:
-                    continue
-                out.read_requests.append(
-                    ReadRequestEvent("kwp", (local_id,), message.t_last, message.can_id)
-                )
             elif sid in (0x2F, 0x30):
                 event = _decode_io_request(sid, payload, message.t_last)
                 if event is not None:
                     pending_io[(event.service, event.identifier)] = event
-            elif sid == 0x01 and len(payload) == 2:
-                out.read_requests.append(
-                    ReadRequestEvent("obd2", (payload[1],), message.t_last, message.can_id)
-                )
             continue
         if sid == NEGATIVE_RESPONSE_SID:
             if len(payload) >= 3 and payload[2] == 0x78:

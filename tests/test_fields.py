@@ -32,8 +32,13 @@ class TestUdsExtraction:
         assert values == {"uds:F40D": [b"\x21"], "uds:0950": [b"\x01\x02"]}
 
     def test_read_request_recorded(self):
-        fields = extract_fields([message(b"\x22\xf4\x0d", 1.0)])
-        assert fields.read_requests[0].identifiers == (0xF40D,)
+        """A response is split by the read request before it."""
+        messages = [
+            message(b"\x22\xf4\x0d", 1.0),
+            message(b"\x62\xf4\x0d\x21\x22", 1.1, can_id=0x7E8),
+        ]
+        column = extract_fields(messages).by_identifier()["uds:F40D"]
+        assert column.raw_bytes() == [b"\x21\x22"]
 
     def test_response_without_request_ignored(self):
         fields = extract_fields([message(b"\x62\xf4\x0d\x21", 1.0, can_id=0x7E8)])

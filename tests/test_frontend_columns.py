@@ -118,7 +118,6 @@ def assert_fields_equal(messages):
     assert list(got.by_identifier()) == list(expected)
     assert len(got.observations) == len(want.observations)
     assert got.io_events == want.io_events
-    assert got.read_requests == want.read_requests
 
 
 class TestFieldsAgainstReference:
