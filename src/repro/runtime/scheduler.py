@@ -15,8 +15,8 @@ Three interchangeable execution backends:
     so per-job timeouts are only enforced by the pool backends.
 
 Retry policy lives in the parent, not the workers: a failed attempt is
-re-submitted after an exponential backoff (``backoff_base_s *
-backoff_factor**(attempt-1)``), bounded by ``max_retries``.  Every
+re-submitted after an exponential backoff (``BACKOFF_BASE_S *
+BACKOFF_FACTOR**(attempt-1)``), bounded by ``max_retries``.  Every
 decision is emitted to the :class:`~repro.runtime.events.EventLog` and
 counted in the :class:`~repro.runtime.metrics.MetricsRegistry`; completed
 results are written to the :class:`~repro.runtime.checkpoint.CheckpointStore`
@@ -68,6 +68,12 @@ def _invoke_worker_runner(spec: JobSpec) -> JobResult:
     return _WORKER_RUNNER(spec)
 
 
+#: The delay before the retry that follows failed attempt ``n`` is
+#: ``BACKOFF_BASE_S * BACKOFF_FACTOR ** (n - 1)`` seconds.
+BACKOFF_BASE_S = 0.5
+BACKOFF_FACTOR = 2.0
+
+
 @dataclass
 class SchedulerConfig:
     """Execution policy for one fleet run."""
@@ -76,8 +82,6 @@ class SchedulerConfig:
     pool: str = "serial"
     max_retries: int = 2  # extra attempts after the first
     timeout_s: Optional[float] = None  # per-attempt wall budget (pool modes)
-    backoff_base_s: float = 0.5
-    backoff_factor: float = 2.0
     #: Keep the executor alive across :meth:`Scheduler.run` calls instead
     #: of building and tearing down a pool per batch.  Repeated sweeps
     #: (benchmark sizings, the streaming service's periodic re-runs) then
@@ -96,10 +100,6 @@ class SchedulerConfig:
             raise ValueError(f"need at least one worker, got {self.workers}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries cannot be negative: {self.max_retries}")
-
-    def backoff_s(self, attempt: int) -> float:
-        """Delay before the retry that follows failed attempt ``attempt``."""
-        return self.backoff_base_s * self.backoff_factor ** (attempt - 1)
 
 
 class Scheduler:
@@ -358,7 +358,7 @@ class Scheduler:
             )
         if not will_retry:
             return False
-        delay = self.config.backoff_s(attempt)
+        delay = BACKOFF_BASE_S * BACKOFF_FACTOR ** (attempt - 1)
         self.metrics.counter("jobs_retried").inc()
         self.events.emit(
             "job_retry", job_id=spec.job_id, attempt=attempt + 1, delay_s=round(delay, 6)

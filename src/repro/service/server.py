@@ -108,7 +108,6 @@ class ServiceConfig:
     #: ``"hybrid"`` — what solver recovers each formula, where
     #: :attr:`gp_backend` decides where GP evaluations run).
     formula_backend: str = "gp"
-    ocr_seed: int = 23
     #: Record per-session spans into the server tracer (one lane each).
     trace: bool = False
     #: Bind with ``SO_REUSEPORT`` so several processes can listen on the
@@ -240,7 +239,6 @@ class DiagnosticServer:
         return DPReverser(
             ReverserConfig(
                 gp_config=self.config.gp_config,
-                ocr_seed=self.config.ocr_seed,
                 gp_workers=self.config.gp_workers,
                 gp_backend=backend,
                 gp_memo_dir=self.config.gp_memo_dir,
