@@ -17,18 +17,6 @@ from typing import Dict, Optional, Sequence, Tuple
 from ..formulas import Formula, formulas_equivalent
 
 
-@dataclass
-class VerificationResult:
-    """Outcome of checking one inferred formula against its ground truth."""
-
-    identifier: str
-    label: str
-    correct: bool
-    inferred_description: str
-    truth_description: str
-    n_samples: int
-
-
 def check_formula(
     candidate,
     truth: Formula,

@@ -2,14 +2,11 @@
 
 from .messages import (
     DiagnosticError,
-    EcrRecord,
-    EsvRecord,
     NEGATIVE_RESPONSE_SID,
     Nrc,
     POSITIVE_RESPONSE_OFFSET,
     Protocol,
     is_negative_response,
-    is_positive_response_to,
     negative_response,
 )
 from . import dtc, kwp2000, obd2, uds
@@ -19,14 +16,11 @@ from .obd2 import STANDARD_PIDS, TABLE5_PIDS, PidDefinition
 
 __all__ = [
     "DiagnosticError",
-    "EcrRecord",
-    "EsvRecord",
     "NEGATIVE_RESPONSE_SID",
     "Nrc",
     "POSITIVE_RESPONSE_OFFSET",
     "Protocol",
     "is_negative_response",
-    "is_positive_response_to",
     "negative_response",
     "dtc",
     "kwp2000",

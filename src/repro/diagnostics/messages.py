@@ -1,14 +1,12 @@
 """Shared diagnostic-message vocabulary.
 
-Constants and small value objects used by the UDS, KWP 2000 and OBD-II
+Constants and small helpers used by the UDS, KWP 2000 and OBD-II
 codecs as well as by the reverse-engineering pipeline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Tuple
 
 
 class DiagnosticError(Exception):
@@ -46,42 +44,6 @@ def is_negative_response(payload: bytes) -> bool:
     return len(payload) >= 3 and payload[0] == NEGATIVE_RESPONSE_SID
 
 
-def is_positive_response_to(payload: bytes, service_id: int) -> bool:
-    """True when ``payload`` positively answers a request with ``service_id``."""
-    return bool(payload) and payload[0] == service_id + POSITIVE_RESPONSE_OFFSET
-
-
 def negative_response(service_id: int, nrc: Nrc) -> bytes:
     """Build the 3-byte negative response ``7F <sid> <nrc>``."""
     return bytes([NEGATIVE_RESPONSE_SID, service_id, nrc])
-
-
-@dataclass(frozen=True)
-class EsvRecord:
-    """One ECU-signal-value record extracted from a response message.
-
-    ``raw`` holds the raw integer variables — ``(X,)`` for UDS (one value of
-    one or more bytes) and ``(X0, X1)`` for KWP 2000 3-byte records.
-    ``identifier`` is the DID (UDS) or ``(local_id, position)`` (KWP).
-    """
-
-    identifier: int
-    raw: Tuple[int, ...]
-    timestamp: float = 0.0
-    formula_type: int = 0  # KWP formula-type byte; 0 for UDS
-
-
-@dataclass(frozen=True)
-class EcrRecord:
-    """One ECU-control-record extracted from an IO-control request.
-
-    ``did`` is the data identifier (UDS) or local identifier (KWP),
-    ``io_parameter`` the first ECR byte (freeze / adjust / return control),
-    ``control_state`` the remaining state bytes.
-    """
-
-    did: int
-    io_parameter: int
-    control_state: bytes
-    service_id: int
-    timestamp: float = 0.0

@@ -214,14 +214,6 @@ class HardeningPolicy:
 DEFAULT_HARDENING = HardeningPolicy()
 
 
-class TransportEncoder(abc.ABC):
-    """Segment one diagnostic payload into CAN frames."""
-
-    @abc.abstractmethod
-    def encode(self, payload: bytes) -> List[CanFrame]:
-        """Return the CAN frames that carry ``payload`` (sender side)."""
-
-
 class TransportDecoder(abc.ABC):
     """Reassemble diagnostic payloads from a frame stream (receiver side).
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..can import CanFrame, MAX_DATA_LENGTH
 from .base import (
@@ -38,7 +38,6 @@ from .base import (
     DecodeEvent,
     HardeningPolicy,
     TransportDecoder,
-    TransportEncoder,
     TransportError,
 )
 
@@ -389,17 +388,6 @@ class IsoTpReassembler(TransportDecoder):
         ]
 
 
-class IsoTpSegmenter(TransportEncoder):
-    """Encoder wrapper around :func:`segment` bound to one CAN id."""
-
-    def __init__(self, can_id: int, padding: Optional[int] = 0x00) -> None:
-        self.can_id = can_id
-        self.padding = padding
-
-    def encode(self, payload: bytes) -> List[CanFrame]:
-        return segment(payload, self.can_id, self.padding)
-
-
 class IsoTpEndpoint:
     """A bus-attached ISO-TP endpoint with the full flow-control handshake.
 
@@ -564,23 +552,3 @@ class IsoTpEndpoint:
         finally:
             self._sending = False
         return sent
-
-
-def classify_frames(frames) -> Dict[str, int]:
-    """Count single / first / consecutive / flow-control frames in a capture.
-
-    Used by the Table 9 bench to report the single- vs multi-frame mix.
-    """
-    counts = {"single": 0, "first": 0, "consecutive": 0, "flow_control": 0}
-    names = {
-        PciType.SINGLE: "single",
-        PciType.FIRST: "first",
-        PciType.CONSECUTIVE: "consecutive",
-        PciType.FLOW_CONTROL: "flow_control",
-    }
-    for frame in frames:
-        try:
-            counts[names[pci_type(frame.data)]] += 1
-        except TransportError:
-            continue
-    return counts

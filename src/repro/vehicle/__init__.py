@@ -38,7 +38,6 @@ from .fleet import (
     CAR_SPECS,
     CarSpec,
     build_car,
-    build_fleet,
     expected_ecr_counts,
     expected_esv_counts,
     ground_truth_formulas,
@@ -78,7 +77,6 @@ __all__ = [
     "CAR_SPECS",
     "CarSpec",
     "build_car",
-    "build_fleet",
     "expected_ecr_counts",
     "expected_esv_counts",
     "ground_truth_formulas",

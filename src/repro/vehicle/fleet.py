@@ -496,11 +496,6 @@ def ground_truth_formulas(vehicle: Vehicle) -> Dict[str, Formula]:
     return truth
 
 
-def build_fleet(clock: Optional[SimClock] = None) -> Dict[str, Vehicle]:
-    """Instantiate all 18 vehicles (sharing ``clock`` when provided)."""
-    return {key: build_car(key, clock) for key in CAR_SPECS}
-
-
 def expected_esv_counts() -> Dict[str, Tuple[int, int]]:
     """Tab. 6 per-car (formula, enum) ESV counts, for benches and tests."""
     return {

@@ -16,7 +16,6 @@ from repro.transport import (
     IsoTpReassembler,
     PciType,
     TransportError,
-    classify_frames,
     pci_type,
     segment,
 )
@@ -203,15 +202,6 @@ class TestEndpoint:
     def test_receive_empty_returns_none(self):
         __, __, client = self.make_pair()
         assert client.receive() is None
-
-
-class TestClassifyFrames:
-    def test_counts(self):
-        frames = segment(bytes(30), 0x7E0) + [CanFrame(0x7E8, b"\x30\x00\x00")]
-        counts = classify_frames(frames)
-        assert counts["first"] == 1
-        assert counts["consecutive"] == len(frames) - 2
-        assert counts["flow_control"] == 1
 
 
 @settings(max_examples=60, deadline=None)
