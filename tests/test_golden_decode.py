@@ -9,6 +9,13 @@ collected at the default 30 s reads, decoded with
 :meth:`~repro.core.assembly.DecodeDiagnostics.to_dict` is hashed.  A
 decoder change that alters clean-capture output in any field — payload,
 timing, frame count, address or accounting — moves the digest.
+
+``NOISY_GOLDEN`` pins the same three cars under fleet-noisy's treatment:
+the ``default`` noise profile, seeded per car from noise seed 0.  A clean
+capture's messages are about 95% sliced straight out of the frame
+columns; the dropped, duplicated and corrupted frames push these onto the
+event decoders, so walked rows, resyncs and their ``details`` are pinned
+absolutely too, not only relative to per-frame decode.
 """
 
 import hashlib
@@ -16,9 +23,11 @@ import json
 
 import pytest
 
+from repro.can import apply_noise
 from repro.core.assembly import assemble_with_diagnostics
 from repro.core.screening import detect_transport
 from repro.cps import DataCollector
+from repro.runtime.job import JobSpec
 from repro.tools import make_tool_for_car
 from repro.vehicle import build_car
 
@@ -55,5 +64,23 @@ def test_clean_decode_matches_golden_digest(key):
     car = build_car(key)
     capture = DataCollector(make_tool_for_car(key, car), read_duration_s=30.0).collect()
     frames = list(capture.can_log)
+    assert detect_transport(frames) == transport
+    assert decode_digest(frames) == digest
+
+
+NOISY_GOLDEN = {
+    "C": ("vwtp", "818fe55e2c6704cd318a4760f72ab93640f4e3e65d15cb6a30b03325918c8f9b"),
+    "E": ("bmw", "e9c2d83254f540ebbc543b100aad47e6096a893d0fc2296df691207dc8e46719"),
+    "N": ("isotp", "bbd629116733c28b89d11ff60a881fc38df9a95bdec9b42001cd7355d2a275c3"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(NOISY_GOLDEN))
+def test_noisy_decode_matches_golden_digest(key):
+    transport, digest = NOISY_GOLDEN[key]
+    car = build_car(key)
+    capture = DataCollector(make_tool_for_car(key, car), read_duration_s=30.0).collect()
+    noise = JobSpec(key, noise_spec="default", noise_seed=0).noise_profile()
+    frames = apply_noise(list(capture.can_log), noise)
     assert detect_transport(frames) == transport
     assert decode_digest(frames) == digest
