@@ -143,10 +143,9 @@ def run_exhaustion():
         frames.extend(stamp(segment(victim_payload(i), VICTIM_ID), start=float(i)))
     attacked = ReassemblyExhaustion(seed=3, spoofed_ids=64, interval=1).apply(frames)
     assembler = StreamAssembler("isotp", hardening=EXHAUSTION_POLICY)
-    completed = []
     for frame in attacked:
-        completed.extend(assembler.feed(frame))
-    payloads = {m.payload for m in completed}
+        assembler.feed(frame)
+    payloads = {m.payload for m in assembler.messages}
     recovery = sum(1 for i in range(transfers) if victim_payload(i) in payloads) / transfers
     buffered = sum(decoder.buffered_bytes for decoder in assembler._streams.values())
     return recovery, buffered

@@ -88,12 +88,12 @@ def test_table9_reassembly_necessity(benchmark, report_file, bench_artifact, fle
         messages = assemble(frames)
         with_assembly = len(extract_fields(messages).observations)
         # Naive view: treat every frame's data field as a complete payload.
-        from repro.core.assembly import AssembledMessage
+        from repro.core.assembly import AssembledMessage, MessageTable
 
-        naive = [
+        naive = MessageTable.from_messages(
             AssembledMessage(f.data, f.can_id, f.timestamp, f.timestamp, 1)
             for f in frames
-        ]
+        )
         without_assembly = len(extract_fields(naive).observations)
         return with_assembly, without_assembly
 

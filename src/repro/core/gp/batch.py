@@ -9,7 +9,7 @@ row's fitness is bit-equal to a one-row call on that row alone.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -33,9 +33,9 @@ def batched_maes(
     refit of the scaling and then from the mean, so OCR outliers that
     survived the §3.3 filter cannot reward clip-shaped trees.  Element-wise
     steps run in a fixed order, order-sensitive reductions (means, sorts)
-    use numpy's per-row kernels, and the two least-squares dot products go
-    through one 1-D BLAS call per row — so each row's fitness is bit-equal
-    to a one-row call on that row alone.  ``y`` is the (N,) target every
+    use numpy's per-row kernels, and the two least-squares dot products are
+    one BLAS ``ddot`` per row — so each row's fitness is bit-equal to a
+    one-row call on that row alone.  ``y`` is the (N,) target every
     row is scored against.
     """
     n = F.shape[1]
@@ -93,41 +93,25 @@ def batched_linear_fit(
     y_mean,
     rows_mask: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-wise ``a*f+b`` least squares, dot products via 1-D BLAS.
+    """Row-wise ``a*f+b`` least squares.
 
     ``y_centred`` is shared (1-D) for the full-dataset fit and per-row
-    (2-D) for the inlier refit; ``y_mean`` likewise scalar or vector.  A
-    row where the variance vanishes gets ``a=0, b=y_mean`` — exactly the
-    constant-tree branch of the scalar path, since ``|0*f + y_mean - y|``
-    equals ``|y_mean - y|``.
+    (2-D) for the inlier refit; ``y_mean`` likewise scalar or vector.  The
+    two dot products are :func:`numpy.vecdot` calls, which run the same
+    BLAS ``ddot`` per row as :func:`numpy.dot` on that row alone, so every
+    row is bit-equal to it.  Rows outside ``rows_mask`` are already doomed
+    to an infinite fitness and get NaN.  A row where the variance vanishes
+    gets ``a=0, b=y_mean`` — exactly the constant-tree branch of the
+    scalar path, since ``|0*f + y_mean - y|`` equals ``|y_mean - y|``.
     """
     f_mean = f_fit.mean(axis=1)
     centred = f_fit - f_mean[:, None]
-    shared = y_centred.ndim == 1
-    dot = np.dot
-    nan = np.nan
-    variance_rows: List[float] = []
-    a_num_rows: List[float] = []
-    append_var = variance_rows.append
-    append_num = a_num_rows.append
-    if shared:
-        for row, ok in zip(centred, rows_mask.tolist()):
-            if ok:
-                append_var(dot(row, row))
-                append_num(dot(row, y_centred))
-            else:  # row already doomed to inf; skip the BLAS calls
-                append_var(nan)
-                append_num(nan)
-    else:
-        for row, y_row, ok in zip(centred, y_centred, rows_mask.tolist()):
-            if ok:
-                append_var(dot(row, row))
-                append_num(dot(row, y_row))
-            else:
-                append_var(nan)
-                append_num(nan)
-    variance = np.array(variance_rows)
-    a_num = np.array(a_num_rows)
+    with np.errstate(all="ignore"):
+        variance = np.vecdot(centred, centred)
+        a_num = np.vecdot(centred, y_centred)
+    doomed = ~rows_mask
+    variance[doomed] = np.nan
+    a_num[doomed] = np.nan
     const = variance < 1e-12  # NaN compares False: stays on the a-path
     a = np.where(const, 0.0, a_num / np.where(const, 1.0, variance))
     b = y_mean - a * f_mean

@@ -103,15 +103,20 @@ def depth(program: Program) -> int:
     return depths[-1]
 
 
+#: The ``const_arrays`` key of the constant -0.0, which as a float key
+#: would find 0.0's array (``-0.0 == 0.0``).
+_NEGATIVE_ZERO = "-0.0"
+
+
 def execute(
-    program: Program, columns: Sequence[np.ndarray], const_arrays: Dict[float, np.ndarray]
+    program: Program, columns: Sequence[np.ndarray], const_arrays: Dict[object, np.ndarray]
 ) -> np.ndarray:
     """Evaluate ``program`` over the dataset's column arrays.
 
     ``const_arrays`` (owned by the caller, valid for one dataset length)
     reuses materialised constant arrays across calls, one per constant
-    value (``0.0`` and ``-0.0`` share one); nothing downstream mutates
-    them.  The caller holds ``np.errstate(all="ignore")``.
+    value and each signed zero its own; nothing downstream mutates them.
+    The caller holds ``np.errstate(all="ignore")``.
     """
     stack: List[np.ndarray] = []
     push = stack.append
@@ -124,9 +129,10 @@ def execute(
         elif kind == VAR:
             push(columns[payload])
         else:
-            array = const_arrays.get(payload)
+            key = payload if payload or math.copysign(1.0, payload) > 0 else _NEGATIVE_ZERO
+            array = const_arrays.get(key)
             if array is None:
-                array = const_arrays[payload] = np.full_like(columns[0], payload, dtype=float)
+                array = const_arrays[key] = np.full_like(columns[0], payload, dtype=float)
             push(array)
     return stack[-1]
 
@@ -156,8 +162,8 @@ def fold(program: Program) -> Program:
         a = pop()
         b = pop() if kind == CALL2 else None
         if a[0][0] == CONST and (b is None or b[0][0] == CONST):
-            # The primitive itself, not execute: execute's constant arrays
-            # make 0.0 and -0.0 one operand, and a folded constant is printed.
+            # The primitive itself on one-element operands: the folded
+            # constant is printed, not scored.
             operands = [np.full(1, operand[0][1]) for operand in (a, b) if operand is not None]
             with np.errstate(all="ignore"):
                 value = float(token[1](*operands)[0])

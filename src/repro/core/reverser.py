@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..can.noise import FaultCounts, NoiseProfile, apply_noise
 from ..cps.collector import Capture
 from ..cps.ocr import OcrEngine
 from ..observability.trace import NULL_TRACER, Tracer, activated, get_active
 from .alignment import estimate_offset_via_obd, shift_series
-from .assembly import AssembledMessage, DecodeDiagnostics, assemble_with_diagnostics
+from .assembly import AssembledMessage, DecodeDiagnostics, MessageTable, assemble_with_diagnostics
 from .ecr_analysis import EcrProcedure, attach_semantics, extract_procedures
 from .fields import EsvColumns, ExtractedFields, extract_fields
 from .formula_memo import FormulaMemo, dataset_key
@@ -438,7 +438,7 @@ class AnalysisContext:
 
     capture: Capture
     transport: str
-    messages: List[AssembledMessage]
+    messages: MessageTable
     fields: ExtractedFields
     grouped: Dict[str, EsvColumns]
     series: Dict[str, UiSeries]  # filtered, alignment-corrected
@@ -530,14 +530,17 @@ class DPReverser:
     def analyze(
         self,
         capture: Capture,
-        messages: Optional[List[AssembledMessage]] = None,
+        messages: Optional[Iterable[AssembledMessage]] = None,
         transport: str = "",
     ) -> AnalysisContext:
         """Run every stage up to (not including) formula inference.
 
         ``messages`` may be supplied pre-assembled for captures that did
         not travel over CAN — e.g. K-Line byte logs de-framed by
-        :func:`repro.transport.kline.parse_capture`.
+        :func:`repro.transport.kline.parse_capture` and converted by
+        :func:`~repro.transport.kline.to_assembled_messages`.  They go into
+        a :class:`~repro.core.assembly.MessageTable` through
+        :meth:`~repro.core.assembly.MessageTable.from_messages`.
         """
         with activated(self.tracer):
             return self._analyze(capture, messages, transport)
@@ -545,7 +548,7 @@ class DPReverser:
     def _analyze(
         self,
         capture: Capture,
-        messages: Optional[List[AssembledMessage]],
+        messages: Optional[Iterable[AssembledMessage]],
         transport: str,
     ) -> AnalysisContext:
         diagnostics: Optional[DecodeDiagnostics] = None
@@ -561,7 +564,7 @@ class DPReverser:
             transport = diagnostics.transport
         else:
             transport = transport or "kline"
-            messages = sorted(messages, key=lambda m: m.t_last)
+            messages = MessageTable.from_messages(messages).sorted_by_t_last()
         return self._analyze_assembled(
             capture, messages, transport, diagnostics, noise_counts
         )
@@ -569,7 +572,7 @@ class DPReverser:
     def analyze_assembled(
         self,
         capture: Capture,
-        messages: List[AssembledMessage],
+        messages: MessageTable,
         transport: str,
         diagnostics: Optional[DecodeDiagnostics] = None,
         noise_counts: Optional[FaultCounts] = None,
@@ -582,8 +585,9 @@ class DPReverser:
         finished ``(messages, diagnostics)`` pair here, re-joining the
         exact batch code path from field extraction onward — which is what
         makes a streamed report byte-identical to :meth:`reverse_engineer`
-        on the same capture.  ``messages`` must be sorted by ``t_last``,
-        the order assembly emits.
+        on the same capture.  ``messages`` is the
+        :class:`~repro.core.assembly.MessageTable` assembly returns, sorted
+        by ``t_last``.
         """
         with activated(self.tracer):
             return self._analyze_assembled(
@@ -593,7 +597,7 @@ class DPReverser:
     def _analyze_assembled(
         self,
         capture: Capture,
-        messages: List[AssembledMessage],
+        messages: MessageTable,
         transport: str,
         diagnostics: Optional[DecodeDiagnostics],
         noise_counts: Optional[FaultCounts],

@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..can import CanFrame, CanLog
-from ..core.assembly import AssembledMessage, StreamAssembler
+from ..core.assembly import AssembledMessage, MessageTable, StreamAssembler
 from ..core.fields import extract_fields
 from ..core.reverser import DPReverser, ReverseReport
 from ..core.screening import detect_transport
@@ -148,7 +148,7 @@ class VehicleSession:
     @property
     def messages_assembled(self) -> int:
         if self._assembler is not None:
-            return len(self._assembler.messages)
+            return self._assembler.message_count
         return len(self._messages)
 
     def _resolve_transport(self, frames: List[CanFrame]) -> int:
@@ -172,7 +172,7 @@ class VehicleSession:
         stats = self._assembler.diagnostics.stats
         self.decode_errors += stats.errors - before_e
         self.decode_resyncs += stats.resyncs - before_r
-        return len(completed)
+        return completed
 
     def ingest_message(self, message: dict) -> Tuple[int, int, int]:
         """Decode one wire record message and ingest it.
@@ -379,12 +379,10 @@ class VehicleSession:
         with activated(self.tracer):
             with self.tracer.span("service.interim", session=self.session_id):
                 if self._assembler is not None:
-                    messages = sorted(
-                        self._assembler.messages, key=lambda m: m.t_last
-                    )
+                    messages = self._assembler.messages
                 else:
-                    messages = sorted(self._messages, key=lambda m: m.t_last)
-                fields = extract_fields(messages)
+                    messages = MessageTable.from_messages(self._messages)
+                fields = extract_fields(messages.sorted_by_t_last())
                 grouped = fields.by_identifier()
         snapshot = self.status()
         snapshot["esvs"] = [

@@ -9,6 +9,9 @@ payload matrix) so that transport detection, screening and the slicing of
 complete single- and multi-frame ISO-TP/BMW transfers
 (:meth:`~repro.core.assembly.StreamAssembler.feed_chunk`) become array
 operations over the entire capture instead of per-frame Python calls.
+Sliced transfers leave as columns of a
+:class:`~repro.core.assembly.MessageTable`: frames in, message rows out,
+with no object per frame or per message on the way.
 
 The original :class:`~repro.can.CanFrame` objects are kept alongside the
 columns: the frames around a chunk boundary or a fault go to the event
@@ -18,6 +21,7 @@ decoders, which need the real frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, List
 
 import numpy as np
@@ -49,14 +53,13 @@ class FrameArrays:
         """
         frames = list(frames)
         n = len(frames)
-        can_ids = np.fromiter((f.can_id for f in frames), dtype=np.uint32, count=n)
-        timestamps = np.fromiter(
-            (f.timestamp for f in frames), dtype=np.float64, count=n
-        )
-        dlcs = np.fromiter((len(f.data) for f in frames), dtype=np.int16, count=n)
+        can_ids = np.fromiter(map(attrgetter("can_id"), frames), dtype=np.uint32, count=n)
+        timestamps = np.fromiter(map(attrgetter("timestamp"), frames), dtype=np.float64, count=n)
+        data = list(map(attrgetter("data"), frames))
+        dlcs = np.fromiter(map(len, data), dtype=np.int16, count=n)
         payloads = np.zeros((n, MAX_DATA_LENGTH), dtype=np.uint8)
         if n:
-            flat = np.frombuffer(b"".join(f.data for f in frames), dtype=np.uint8)
+            flat = np.frombuffer(b"".join(data), dtype=np.uint8)
             columns = np.arange(MAX_DATA_LENGTH, dtype=np.int16)
             payloads[columns[None, :] < dlcs[:, None]] = flat
         return cls(can_ids, timestamps, dlcs, payloads, frames)

@@ -408,7 +408,9 @@ def parse_capture(
 
 
 def to_assembled_messages(messages: List[KLineMessage]):
-    """Convert K-Line messages into the pipeline's AssembledMessage form."""
+    """Convert K-Line messages into :class:`~repro.core.assembly.AssembledMessage`
+    rows, which :meth:`~repro.core.assembly.MessageTable.from_messages`
+    turns into the table field extraction reads."""
     from ..core.assembly import AssembledMessage
 
     return [

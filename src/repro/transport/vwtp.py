@@ -31,6 +31,7 @@ from typing import List, Optional, Tuple
 
 from ..can import CanFrame
 from .base import DecodeEvent, TransportDecoder, TransportError
+from .isotp import PLAUSIBLE_DROP_FRAMES
 
 BROADCAST_ID_BASE = 0x200
 SETUP_REQUEST_OPCODE = 0xC0
@@ -200,8 +201,6 @@ class VwTpReassembler(TransportDecoder):
         return DecodeEvent.resync(detail)
 
     def feed(self, frame: CanFrame) -> List[DecodeEvent]:
-        from .isotp import PLAUSIBLE_DROP_FRAMES
-
         self.stats.frames += 1
         kind = classify_vwtp_frame(frame)
         if kind != VwTpFrameKind.DATA:

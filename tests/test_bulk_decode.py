@@ -141,7 +141,7 @@ class TestFuzzEquivalence:
 class TestDispatch:
     def test_empty_capture(self):
         messages, diagnostics = assemble_with_diagnostics([], TRANSPORT_ISOTP)
-        assert messages == [] and diagnostics.messages == 0
+        assert len(messages) == 0 and diagnostics.messages == 0
 
     def test_tracing_runs_the_same_path(self, monkeypatch):
         from repro.core import assembly
@@ -480,3 +480,56 @@ class TestTransferSlicing:
         state = chunked_state(frames, TRANSPORT_ISOTP, DEFAULT_HARDENING, [len(frames)])
         assert state == expected and spy.calls == 0
         assert state[0][1]["streams"]["0x7e8"]["fc_violations"] == 1
+
+
+class TestMessageTable:
+    """Assembly returns columns; message objects are views built on demand."""
+
+    @pytest.mark.parametrize("key, noisy", [("I", False), ("C", False), ("E", True)])
+    def test_no_message_objects_from_assembly_to_fields(self, monkeypatch, key, noisy):
+        from repro.can import apply_noise
+        from repro.core.assembly import AssembledMessage
+        from repro.core.fields import extract_fields
+        from repro.cps import DataCollector
+        from repro.runtime.job import JobSpec
+        from repro.tools import make_tool_for_car
+        from repro.vehicle import build_car
+
+        capture = DataCollector(make_tool_for_car(key, build_car(key))).collect()
+        frames = list(capture.can_log)
+        if noisy:
+            noise = JobSpec(key, noise_spec="default", noise_seed=0).noise_profile()
+            frames = apply_noise(frames, noise)
+        built = []
+        original = AssembledMessage.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(AssembledMessage, "__init__", counted)
+        messages, diagnostics = assemble_with_diagnostics(frames)
+        fields = extract_fields(messages)
+        assert built == []
+        assert diagnostics.clean is not noisy
+        assert len(messages) > 100 and len(fields.observations) > 100
+        assert messages[0].payload == next(iter(messages)).payload
+        assert len(built) == 2  # the two views just read
+
+    def test_views_round_trip_through_from_messages(self):
+        from repro.core.assembly import AssembledMessage, MessageTable
+
+        messages = [
+            AssembledMessage(b"\x22\xf4\x0d", 0x7E0, 1.5, 1.5, 1),
+            AssembledMessage(b"", 0x7E8, 0.5, 1.0, 2, ecu_address=0),
+            AssembledMessage(b"\x62\xf4\x0d\x21", 0x612, 1.2, 1.5, 3, ecu_address=0xF1),
+        ]
+        table = MessageTable.from_messages(messages)
+        assert list(table) == messages
+        assert [table[i] for i in range(-3, 3)] == messages + messages
+        assert MessageTable.from_messages(table) == table
+        assert table.payloads() == [m.payload for m in messages]
+        # One stable sort on t_last: rows completed at one time keep their order.
+        assert list(table.sorted_by_t_last()) == [messages[1], messages[0], messages[2]]
+        assert table != MessageTable.from_messages(messages[::-1])
+        assert len(MessageTable.from_messages([])) == 0

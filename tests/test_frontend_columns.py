@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.alignment import shift_series
-from repro.core.assembly import AssembledMessage, assemble_with_diagnostics
+from repro.core.assembly import AssembledMessage, MessageTable, assemble_with_diagnostics
 from repro.core.fields import extract_fields
 from repro.core.formula_memo import MEMO_FORMAT_VERSION, dataset_key, gp_config_fingerprint
 from repro.core.gp import GpConfig
@@ -111,7 +111,7 @@ def _messages(*payloads):
 
 
 def assert_fields_equal(messages):
-    got = extract_fields(messages)
+    got = extract_fields(MessageTable.from_messages(messages))
     want = ref.extract_fields(messages)
     expected = ref.observation_columns(want.observations)
     assert got.by_identifier() == expected

@@ -4,6 +4,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core import ScaledTreeFormula
 from repro.core.gp import (
@@ -13,6 +16,7 @@ from repro.core.gp import (
     GpConfig,
     batched_maes,
 )
+from repro.core.gp.batch import batched_linear_fit
 from repro.core.gp.program import call, const, depth, execute, fold, infix, program_grower, var
 
 
@@ -137,3 +141,54 @@ class TestBatchedMaes:
         F = np.full((3, 12), np.nan)
         y = rng.normal(size=12) * 5.0
         assert np.isinf(batched_maes(F, y, True)).all()
+
+
+FIT_VALUES = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, 1e-300, 1e300, np.inf, -np.inf, np.nan]),
+)
+
+
+@st.composite
+def linear_fit_inputs(draw):
+    """A prediction matrix with NaN/inf rows, a shared or per-row target,
+    and a row mask that may keep non-finite rows."""
+    rows = draw(st.integers(1, 6))
+    columns = draw(st.integers(1, 24))
+    F = draw(hnp.arrays(np.float64, (rows, columns), elements=FIT_VALUES))
+    per_row = draw(st.booleans())
+    y = draw(hnp.arrays(np.float64, (rows, columns) if per_row else columns, elements=FIT_VALUES))
+    with np.errstate(all="ignore"):
+        y_mean = y.mean(axis=-1)
+        y_centred = y - (y_mean[:, None] if per_row else y_mean)
+    if draw(st.booleans()):
+        mask = np.isfinite(F).all(axis=1)
+    else:
+        mask = draw(hnp.arrays(np.bool_, rows))
+    return F, y_centred, y_mean, mask
+
+
+def per_row_linear_fit(f_fit, y_centred, y_mean, rows_mask):
+    """The reference: two :func:`numpy.dot` calls per kept row."""
+    f_mean = f_fit.mean(axis=1)
+    centred = f_fit - f_mean[:, None]
+    variance = np.full(len(f_fit), np.nan)
+    a_num = np.full(len(f_fit), np.nan)
+    for row in np.flatnonzero(rows_mask).tolist():
+        target = y_centred if y_centred.ndim == 1 else y_centred[row]
+        variance[row] = np.dot(centred[row], centred[row])
+        a_num[row] = np.dot(centred[row], target)
+    const = variance < 1e-12
+    a = np.where(const, 0.0, a_num / np.where(const, 1.0, variance))
+    return a, y_mean - a * f_mean
+
+
+class TestBatchedLinearFit:
+    @settings(max_examples=300, deadline=None)
+    @given(linear_fit_inputs())
+    def test_every_row_bit_equal_to_per_row_dot(self, inputs):
+        with np.errstate(all="ignore"):
+            got = batched_linear_fit(*inputs)
+            want = per_row_linear_fit(*inputs)
+        for mine, theirs in zip(got, want):
+            assert mine.tobytes() == np.asarray(theirs, dtype=np.float64).tobytes()

@@ -5,8 +5,8 @@ properties hold it to the tree semantics the oracle keeps, on random
 trees over all fourteen primitives, with constants drawn to hit the
 folding rules and the IEEE specials:
 
-* :func:`execute` returns the tree evaluation's bytes, NaN payloads and
-  ±inf included (on programs without a -0.0 constant; see below);
+* :func:`execute` returns the tree evaluation's bytes, NaN payloads,
+  ±inf and the sign of a zero included;
 * the infix string and the constant-folded program equal the oracle's;
 * the memo tokens round-trip every constant exactly through JSON text
   (``-0.0``, NaN and ±inf included), and malformed tokens raise
@@ -66,14 +66,6 @@ def _trees(values):
 
 
 trees = _trees(constants)
-#: ``execute`` materialises one array per constant value, and 0.0 and -0.0
-#: are one value: a program holding both evaluates them alike.  They differ
-#: only in the sign of a zero result, which no absolute error can tell
-#: apart, so fitness is unaffected; this property draws no -0.0 constant
-#: (the columns hold both zeros).
-trees_without_negative_zero = _trees(
-    constants.filter(lambda x: x != 0 or math.copysign(1.0, x) > 0)
-)
 
 
 def _columns(seed: int, n: int = 17):
@@ -89,7 +81,9 @@ def _columns(seed: int, n: int = 17):
 
 
 @settings(max_examples=200, deadline=None)
-@given(tree=trees_without_negative_zero, seed=st.integers(0, 10_000))
+@given(tree=trees, seed=st.integers(0, 10_000))
+# Both signed zeros in one program: each reads its own constant array.
+@example(tree=Node.call("add", Node.const(-0.0), Node.const(0.0)), seed=0)
 def test_execute_matches_tree_evaluation_bit_for_bit(tree, seed):
     columns = _columns(seed)
     want = tree.evaluate(columns)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.fields import extract_fields
-from repro.core.assembly import AssembledMessage
+from repro.core.assembly import AssembledMessage, MessageTable
 from repro.core.response_analysis import PairedDataset, prescale, table2_factor
 from repro.core.screenshot import outlier_mask, range_mask
 from repro.diagnostics import uds
@@ -107,10 +107,12 @@ class TestFieldExtractionProperties:
 
         request = uds.encode_read_data_by_identifier(dids)
         response = bytes([0x62]) + blob
-        messages = [
-            AssembledMessage(request, 0x7E0, 1.0, 1.0, 1),
-            AssembledMessage(response, 0x7E8, 1.1, 1.1, 1),
-        ]
+        messages = MessageTable.from_messages(
+            [
+                AssembledMessage(request, 0x7E0, 1.0, 1.0, 1),
+                AssembledMessage(response, 0x7E8, 1.1, 1.1, 1),
+            ]
+        )
         fields = extract_fields(messages)
         got = {key: column.raw_bytes() for key, column in fields.by_identifier().items()}
         expected = {

@@ -128,14 +128,13 @@ class TestReassemblyExhaustion:
 
     def test_hardened_stays_within_budget_and_recovers(self):
         assembler = StreamAssembler("isotp", hardening=self.POLICY)
-        completed = []
         for frame in self.attacked_capture():
-            completed.extend(assembler.feed(frame))
+            assembler.feed(frame)
             # The running total the global budget is enforced on never
             # drifts from what the decoders actually hold.
             assert assembler._buffered == self.buffered_total(assembler)
         assert self.buffered_total(assembler) <= self.POLICY.global_budget
-        assert VICTIM_PAYLOAD in [m.payload for m in completed]
+        assert VICTIM_PAYLOAD in [m.payload for m in assembler.messages]
         assert assembler.anomaly_counts()["stale_stream_evictions"] >= 1
 
 
