@@ -21,12 +21,17 @@ so a correlation does not depend on the Python version (the builtin
 ``sum()`` of floats became compensated in 3.12) nor on a numpy summation
 order.  The elementwise steps are single IEEE operations, bit-identical
 in numpy and in plain Python.
+
+:func:`strongest_correlations` gives each label the best |:func:`pearson`|
+of any feature, exact only where it decides: one matrix product
+approximates every pair, and the fsum reductions run only for the pairs
+that can be a label's best at or above the matching floor.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -98,7 +103,132 @@ def pearson(
 
 def _deviations(rows: np.ndarray) -> Tuple[np.ndarray, List[float]]:
     """Each row's deviations from its mean, and their sum of squares."""
+    deviations = _centred(rows)
+    return deviations, [math.fsum(row) for row in (deviations * deviations).tolist()]
+
+
+def _centred(rows: np.ndarray) -> np.ndarray:
+    """Each row's deviations from its fsum mean."""
     n = rows.shape[1]
     means = [math.fsum(row) / n for row in rows.tolist()]
-    deviations = rows - np.array(means).reshape(-1, 1)
-    return deviations, [math.fsum(row) for row in (deviations * deviations).tolist()]
+    return rows - np.array(means).reshape(-1, 1)
+
+
+def strongest_correlations(
+    parts: Sequence[Tuple[np.ndarray, np.ndarray]], floor: float
+) -> List[float]:
+    """Each label's largest |Pearson correlation| with any feature.
+
+    ``parts`` are ``(features, labels)`` pairs of 2-D arrays, one series
+    per row, paired along the columns; every part holds the same labels in
+    the same order, and features that need a pairing of their own come in
+    a part of their own.  Entry ``j`` equals ``max(0.0, |pearson(f, j)|
+    for every feature f)`` by ``==`` wherever that reaches ``floor``, and
+    is below ``floor`` otherwise.
+
+    One matrix product over a part's deviation rows approximates every
+    pair's |r| to within :func:`_margin` of the fsum score.  The fsum
+    covariance and variances then run only for the pairs whose
+    approximation is within the margin of ``floor`` and within twice the
+    margin of the label's best approximation: the exact best pair is
+    always among them.  A variance near :func:`pearson`'s 1e-12 cut is
+    decided exactly, and a part whose deviations are not finite or are
+    large enough to overflow a product is scored by :func:`pearson`.
+    """
+    best = [0.0] * len(parts[0][1])
+    pending: List[Tuple[float, _PartScorer, int, int]] = []
+    margin = 0.0
+    for x, y in parts:
+        if y.shape[1] < 4:
+            continue  # pearson scores every pair 0.0
+        scorer = _PartScorer(x, y)
+        if scorer.approx is None:
+            for row in pearson(x, y):
+                best = [max(b, abs(score)) for b, score in zip(best, row)]
+            continue
+        margin = max(margin, scorer.margin)
+        pending.extend((a, scorer, i, j) for i, j, a in scorer.approx)
+    top = [-math.inf] * len(best)
+    for a, __, __, j in pending:
+        top[j] = max(top[j], a)
+    for a, scorer, i, j in pending:
+        if a >= floor - margin and a >= top[j] - 2.0 * margin:
+            best[j] = max(best[j], abs(scorer.exact(i, j)))
+    return best
+
+
+def _margin(n: int) -> float:
+    """A bound on |approximate |r| - fsum |r|| for ``n`` pairs.
+
+    A length-n dot product in any order errs by at most about
+    ``n * 2**-53 * sum(|dx * dy|)``, and Cauchy-Schwarz bounds that sum by
+    ``sqrt(sum(dx**2) * sum(dy**2))``.  So the approximate covariance over
+    the root of the variances errs by about ``n * 2**-53`` in |r|, each
+    approximate variance by about ``n * 2**-53`` of itself (a sum of
+    non-negative terms), and the fsum score carries a few roundings of
+    its own: ``(2n + 11) * 2**-53`` in all.  This is twice that.
+    """
+    return 4.0 * (n + 6) * 2.0**-53
+
+
+#: Sums of squared deviations above this may overflow a product; such
+#: parts are scored by :func:`pearson` itself.
+_LARGEST_VARIANCE = 1e150
+
+
+class _PartScorer:
+    """One part's approximate |r| for every pair that can score above 0.0,
+    and the exact score of any such pair on demand.
+
+    ``approx`` lists ``(feature, label, |r|)``, leaving out the pairs with
+    a variance at or below :func:`pearson`'s 1e-12 cut, which score
+    exactly 0.0; it is None when a variance is not finite or above
+    :data:`_LARGEST_VARIANCE`.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+        self.margin = _margin(y.shape[1])
+        self.dx, self.dy = _centred(x), _centred(y)
+        self.approx = None
+        self._exact_x: Dict[int, float] = {}
+        self._exact_y: Dict[int, float] = {}
+        var_x = self._variances(self.dx, self._exact_x)
+        var_y = self._variances(self.dy, self._exact_y)
+        if var_x is None or var_y is None:
+            return
+        products = (self.dx @ self.dy.T).tolist()
+        self.approx = [
+            (i, j, abs(c) / math.sqrt(vx * vy))
+            for i, (row, vx) in enumerate(zip(products, var_x))
+            if vx
+            for j, (c, vy) in enumerate(zip(row, var_y))
+            if vy
+        ]
+
+    def _variances(self, deviations: np.ndarray, exact: Dict[int, float]):
+        """Approximate sums of squares, 0.0 for a row whose fsum value is
+        at or below the cut; None outside the safe range.  A row near the
+        cut gets its fsum value."""
+        variances = np.einsum("ij,ij->i", deviations, deviations).tolist()
+        cut = 1e-12 * (1.0 + self.margin)
+        for i, value in enumerate(variances):
+            if not value <= _LARGEST_VARIANCE:  # NaN too
+                return None
+            if value <= cut:
+                exact[i] = value = _sum_of_squares(deviations[i])
+                variances[i] = value if value > 1e-12 else 0.0
+        return variances
+
+    def exact(self, i: int, j: int) -> float:
+        """:func:`pearson` of feature ``i`` with label ``j``."""
+        var_x = self._exact_x.get(i)
+        if var_x is None:
+            var_x = self._exact_x[i] = _sum_of_squares(self.dx[i])
+        var_y = self._exact_y.get(j)
+        if var_y is None:
+            var_y = self._exact_y[j] = _sum_of_squares(self.dy[j])
+        return math.fsum((self.dx[i] * self.dy[j]).tolist()) / math.sqrt(var_x * var_y)
+
+
+def _sum_of_squares(row: np.ndarray) -> float:
+    return math.fsum((row * row).tolist())

@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .fields import EsvColumns
-from .pairing import nearest_pairs, pearson
+from .pairing import nearest_pairs, strongest_correlations
 from .screenshot import UiSeries
 
 Window = Optional[Tuple[float, float]]
@@ -80,7 +80,9 @@ class _IdentifierColumns:
     Raw features: ``var<i>`` per variable, ``product`` of the variables
     when there are at least two, and ``int``, the big-endian integer.  A
     feature present in every value is a row of ``full``; one missing from
-    some (responses of ragged length) keeps its own timestamps.
+    some (responses of ragged length) keeps its own timestamps.  A score
+    is the best over the features, so ``full`` keeps one of equal rows
+    (``var0`` and ``int`` of one-byte values).
     """
 
     def __init__(self, observations: EsvColumns) -> None:
@@ -88,9 +90,6 @@ class _IdentifierColumns:
         self.times = self.t.tolist()
         #: Ragged features: (timestamps, time column, value column).
         self.ragged: List[Tuple[List[float], np.ndarray, np.ndarray]] = []
-        #: Each feature's slot in the score list (full rows, then ragged),
-        #: in feature order.
-        self.order: List[int] = []
         raw = observations.raw
         if observations.ragged:
             self._ragged_features(observations)
@@ -105,8 +104,7 @@ class _IdentifierColumns:
                     product *= column
                 rows.append(product)
             rows.append(observations.int_features())
-            self.order = list(range(len(rows)))
-            self.full = np.array(rows).reshape(len(rows), len(raw))
+            self.full = _distinct_rows(rows, len(raw))
             changed = (raw[1:] != raw[:-1]).any(axis=1)
         self.flips = _flips(changed, len(observations))
 
@@ -129,19 +127,26 @@ class _IdentifierColumns:
                 add("product", index, product)
             add("int", index, float(ints[index]))
         full: List[List[float]] = []
-        n_full = sum(len(p) == len(observations) for p, __ in features.values())
         for positions, values in features.values():
             if len(positions) == len(observations):
-                self.order.append(len(full))
                 full.append(values)
             else:
-                self.order.append(n_full + len(self.ragged))
                 times = [self.times[i] for i in positions]
                 self.ragged.append((times, np.array(times), np.array(values)))
-        self.full = np.array(full, dtype=float).reshape(len(full), len(observations))
+        self.full = _distinct_rows(full, len(observations))
 
     def window(self, window: Window) -> "_IdentifierWindow":
         return _IdentifierWindow(self, *_window_bounds(self.times, window), window)
+
+
+def _distinct_rows(rows: Sequence[Sequence[float]], n: int) -> np.ndarray:
+    """The rows as an ``(m, n)`` float matrix, each distinct row once."""
+    distinct: List[np.ndarray] = []
+    for row in rows:
+        row = np.asarray(row, dtype=float)
+        if not any(np.array_equal(row, kept) for kept in distinct):
+            distinct.append(row)
+    return np.array(distinct).reshape(len(distinct), n)
 
 
 class _IdentifierWindow:
@@ -157,25 +162,23 @@ class _IdentifierWindow:
         for times, t, values in columns.ragged:
             lo, hi = _window_bounds(times, window)
             self.ragged.append((t[lo:hi], values[lo:hi]))
-        self.order = columns.order
         self.n_flips, self.flip_times = _window_flips(columns.t, columns.flips, start, stop)
 
     def correlations(
-        self, ty: np.ndarray, values: np.ndarray, max_gap_s: float
+        self, ty: np.ndarray, values: np.ndarray, max_gap_s: float, floor: float
     ) -> List[float]:
         """Best |Pearson correlation| of any raw feature with each row of
-        ``values``, label series sampled at the times ``ty``.  Pairing
+        ``values``, label series sampled at the times ``ty``: exact where
+        it reaches ``floor``, below ``floor`` otherwise
+        (:func:`~repro.core.pairing.strongest_correlations`).  Pairing
         reads timestamps only, so all full features and all those labels
         share one."""
         ix, iy = nearest_pairs(self.t, ty, max_gap_s)
-        scores = pearson(self.full[:, ix], values[:, iy])
+        parts = [(self.full[:, ix], values[:, iy])]
         for t, feature in self.ragged:
             ix, iy = nearest_pairs(t, ty, max_gap_s)
-            scores.append(pearson(feature[ix], values[:, iy]))
-        best = [0.0] * len(values)
-        for slot in self.order:
-            best = [max(b, abs(score)) for b, score in zip(best, scores[slot])]
-        return best
+            parts.append((feature[ix].reshape(1, -1), values[:, iy]))
+        return strongest_correlations(parts, floor)
 
 
 class _LabelColumns:
@@ -285,7 +288,8 @@ class ColumnView:
             if observed.size < 3:
                 continue
             for t, names, values in numeric:
-                for label, score in zip(names, observed.correlations(t, values, 1.5)):
+                scores = observed.correlations(t, values, 1.5, min_score)
+                for label, score in zip(names, scores):
                     if score >= min_score:
                         candidates.append((score, identifier, label, "correlation"))
             for label, view in enums:
@@ -317,7 +321,7 @@ def correlation_score(
     """Best |Pearson correlation| between any raw feature and the UI series."""
     label = _LabelColumns(series)
     return _IdentifierColumns(observations).window(None).correlations(
-        label.numeric_t, label.values.reshape(1, -1), max_gap_s
+        label.numeric_t, label.values.reshape(1, -1), max_gap_s, 0.0
     )[0]
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.pairing import nearest_pairs, pearson
+from repro.core.pairing import nearest_pairs, pearson, strongest_correlations
 from repro.core.request_analysis import (
     SemanticMatch,
     change_time_score,
@@ -487,3 +487,141 @@ class TestPearson:
         assert pearson([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0  # below four
         assert pearson([5.0] * 6, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]) == 0.0  # constant
         assert pearson(np.zeros((2, 3)), [1.0, 2.0, 3.0]) == [0.0, 0.0]
+
+
+# ------------------------------------------------- strongest correlations
+
+
+def reference_strongest(parts):
+    """Each label's best |Pearson| over every feature of every part, each
+    pair reduced with plain fsum."""
+    best = [0.0] * len(parts[0][1])
+    for features, labels in parts:
+        for feature in features.tolist():
+            for j, label in enumerate(labels.tolist()):
+                best[j] = max(best[j], abs(reference_pearson(list(zip(feature, label)))))
+    return best
+
+
+def _sum_of_squared_deviations(row):
+    mean = math.fsum(row) / len(row)
+    return math.fsum((x - mean) * (x - mean) for x in row)
+
+
+def near_cut(base, above):
+    """``base`` scaled so that its fsum sum of squared deviations is the
+    least above pearson's 1e-12 cut (``above``) or the greatest at or
+    below it."""
+    low, high = 0.0, 1.0
+    while _sum_of_squared_deviations([high * b for b in base]) <= 1e-12:
+        high *= 2.0
+    while True:
+        middle = (low + high) / 2.0
+        if middle in (low, high):
+            break
+        if _sum_of_squared_deviations([middle * b for b in base]) > 1e-12:
+            high = middle
+        else:
+            low = middle
+    scale = high if above else low
+    return [scale * b for b in base]
+
+
+@st.composite
+def score_rows(draw, n, earlier):
+    """One series of ``n`` values: small integers, floats, a huge mean
+    with a tiny spread, a constant, a copy or an affine image of an
+    earlier row, a sum of squared deviations straddling 1e-12, or values
+    past the safe range."""
+    kind = draw(
+        st.sampled_from(
+            ["ints", "floats", "offset", "constant", "copy", "affine", "cut", "extreme"]
+        )
+    )
+    if kind in ("copy", "affine") and earlier:
+        row = draw(st.sampled_from(earlier))
+        if kind == "copy":
+            return list(row)
+        slope = draw(st.sampled_from([-3.0, 0.5, 1.0, 7.25]))
+        noise = draw(st.sampled_from([0.0, 0.01, 1.0, 50.0]))
+        jitter = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        return [slope * x + 20.0 + noise * e for x, e in zip(row, jitter)]
+    if kind == "offset":
+        base = draw(st.sampled_from([1e8, -1e12, 1e15, 2.0**52]))
+        step = draw(st.sampled_from([1e-3, 1e-6, 0.5]))
+        ticks = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+        return [base + step * t for t in ticks]
+    if kind == "constant":
+        return [draw(st.floats(-1e6, 1e6))] * n
+    if kind == "cut" and n >= 4:
+        half = draw(st.lists(st.floats(-1.0, 1.0), min_size=n // 2, max_size=n // 2))
+        if any(half):
+            base = half + [-v for v in half] + [0.0] * (n % 2)
+            return near_cut(base, draw(st.booleans()))
+    if kind == "extreme":
+        special = st.sampled_from([1e200, -1e200, 1e160, math.inf, math.nan])
+        return draw(st.lists(st.one_of(special, st.floats(-10.0, 10.0)), min_size=n, max_size=n))
+    if kind == "floats":
+        return draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    return [float(v) for v in draw(st.lists(st.integers(0, 255), min_size=n, max_size=n))]
+
+
+@st.composite
+def correlation_parts(draw):
+    """One to three parts, each with its own pair count (below four
+    included), sharing a label count; labels may be images of features."""
+    n_labels = draw(st.integers(1, 3))
+    parts = []
+    for __ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 12))
+        features = []
+        for __ in range(draw(st.integers(0, 4))):
+            features.append(draw(score_rows(n, features)))
+        labels = [draw(score_rows(n, features)) for __ in range(n_labels)]
+        parts.append(
+            (np.array(features).reshape(len(features), n), np.array(labels).reshape(n_labels, n))
+        )
+    return parts
+
+
+def _cut_case():
+    # The fsum sum of squares of this row is exactly 1e-12, so it scores
+    # 0.0; a numpy sum of the same squares reads 1.0000000000000002e-12.
+    row = [
+        5.918780420443392e-07, -3.073942084199781e-07, -2.349237833332644e-07,
+        -5.918780420443392e-07, 3.073942084199781e-07, 2.349237833332644e-07,
+    ]
+    label = [3.0 * x + 1.0 for x in row]
+    return [(np.array([row]), np.array([label]))]
+
+
+class TestStrongestCorrelations:
+    """Exact only where it decides: a label's best score equals the plain
+    fsum reference by ``==`` when that reaches the floor, and stays below
+    the floor when it does not."""
+
+    # Values past the safe range overflow inside pearson, as they always did.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=400, deadline=None)
+    @given(
+        parts=correlation_parts(),
+        floor=st.sampled_from([-0.5, 0.0, 0.2, 0.35, 0.5, 0.9, 0.999, 1.0]),
+    )
+    @example(parts=_cut_case(), floor=0.35)
+    def test_equals_fsum_reference_where_it_decides(self, parts, floor):
+        try:
+            want = reference_strongest(parts)
+        except (ValueError, OverflowError):
+            with pytest.raises((ValueError, OverflowError)):
+                strongest_correlations(parts, floor)
+            return
+        got = strongest_correlations(parts, floor)
+        for score, exact in zip(got, want):
+            if exact >= floor:
+                assert score == exact
+            else:
+                assert score < floor
+
+    def test_cut_case_scores_zero(self):
+        assert reference_strongest(_cut_case()) == [0.0]
+        assert strongest_correlations(_cut_case(), 0.35) == [0.0]
