@@ -44,7 +44,7 @@ def run_quadrant(xs, ys, use_table2, use_linear_scaling):
     config = GpConfig(seed=3, linear_scaling=use_linear_scaling)
     if use_table2:
         scaled = prescale(PairedDataset(list(xs), list(ys)))
-        result = GeneticProgrammer(config).fit(scaled.x_rows, scaled.y_values)
+        result = GeneticProgrammer(config).fit(scaled.x, scaled.y)
         sx, sy = scaled.x_factors, scaled.y_factor
         predict = lambda x: result.predict(tuple(v * f for v, f in zip(x, sx))) / sy
     else:

@@ -53,10 +53,7 @@ def _fit(
 ) -> Optional[InferredFormula]:
     if len(dataset) < 4:
         return None
-    x = np.asarray(dataset.x_rows, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    y = np.asarray(dataset.y_values, dtype=float)
+    x, y = dataset.x, dataset.y
     design, names = design_fn(x)
     if len(dataset) < design.shape[1]:
         return None

@@ -327,7 +327,7 @@ class GeneticProgrammer:
 
     def fit(self, x_rows: Sequence[Sequence[float]], y_values: Sequence[float]) -> GpResult:
         """Evolve a formula for the dataset ``(x_rows, y_values)``."""
-        if not x_rows:
+        if not len(x_rows):
             raise ValueError("empty dataset")
         config = self.config
         rng = random.Random(config.seed)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import abc
 import math
 import re
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -110,9 +110,10 @@ def _term_value(term: str, xs: Sequence[float]) -> float:
 
 
 def _columns(x_rows: Sequence[Sequence[float]]) -> List[np.ndarray]:
-    """Sample rows as one float column per variable."""
+    """Sample rows (a sequence, or an ``(n, v)`` matrix) as one float
+    column per variable."""
     width = len(x_rows[0]) if len(x_rows) else 0
-    return list(np.array(x_rows, dtype=float).reshape(len(x_rows), width).T)
+    return list(np.asarray(x_rows, dtype=float).reshape(len(x_rows), width).T)
 
 
 def _operand_column(text: str, columns: Sequence[np.ndarray], n: int) -> np.ndarray:
@@ -292,14 +293,30 @@ def _candidate_terms(n_variables: int) -> List[Tuple[str, ...]]:
     return [variables, variables + ("1",)]
 
 
-def _design_matrix(
-    terms: Tuple[str, ...], x_rows: Sequence[Tuple[float, ...]]
-) -> Optional[np.ndarray]:
-    columns = _columns(x_rows)
-    matrix = np.column_stack([_term_column(term, columns, len(x_rows)) for term in terms])
-    if not np.isfinite(matrix).all():
-        return None
-    return matrix
+class _TermColumns:
+    """One interpretation's dictionary term columns, each built once and
+    shared by every candidate that uses it."""
+
+    def __init__(self, x: np.ndarray) -> None:
+        self.arity = x.shape[1]
+        self._n = len(x)
+        self._variables = list(x.T)
+        #: term -> column, or None when an entry is not finite.
+        self._built: Dict[str, Optional[np.ndarray]] = {}
+
+    def design(self, terms: Tuple[str, ...]) -> Optional[np.ndarray]:
+        """The ``(n, len(terms))`` design matrix, or None when an entry is
+        not finite."""
+        columns = []
+        for term in terms:
+            if term not in self._built:
+                column = _term_column(term, self._variables, self._n)
+                self._built[term] = column if np.isfinite(column).all() else None
+            column = self._built[term]
+            if column is None:
+                return None
+            columns.append(column)
+        return np.column_stack(columns)
 
 
 def _solve(
@@ -318,27 +335,43 @@ def _solve(
     return coeffs, residuals
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D array, from one sort: the middle
+    value, or the mean of the two middle values, and NaN when any value
+    is NaN (a sort puts NaN last)."""
+    ordered = np.sort(values)
+    middle = len(ordered) // 2
+    if ordered[-1] != ordered[-1]:
+        return math.nan
+    if len(ordered) % 2:
+        return float(ordered[middle])
+    return float((ordered[middle - 1] + ordered[middle]) / 2.0)
+
+
 def _round_coefficients(
     coeffs: np.ndarray, matrix: np.ndarray, y: np.ndarray, target_mae: float
-) -> np.ndarray:
+) -> Tuple[np.ndarray, float]:
     """Snap coefficients to the fewest significant digits that keep the
     fit: lstsq returns ``0.10000000000000003`` where the manufacturer
-    wrote ``0.1``, and the report should print the latter."""
+    wrote ``0.1``, and the report should print the latter.  Returns the
+    coefficients and their MAE (``target_mae``, the unrounded fit's, when
+    no rounding keeps it).  Several digit counts often round to the same
+    vector; each distinct one is evaluated once."""
+    tried = set()
     for digits in range(2, 13):
-        rounded = np.array(
-            [
-                float(f"{c:.{digits}g}") if c != 0.0 else 0.0
-                for c in coeffs
-            ]
-        )
-        mae = float(np.mean(np.abs(matrix @ rounded - y)))
+        rounded = tuple(float(f"{c:.{digits}g}") if c != 0.0 else 0.0 for c in coeffs.tolist())
+        if rounded in tried:
+            continue
+        tried.add(rounded)
+        vector = np.array(rounded)
+        mae = float(np.mean(np.abs(matrix @ vector - y)))
         if mae <= target_mae * 1.0001 + 1e-12:
-            return rounded
-    return coeffs
+            return vector, mae
+    return coeffs, target_mae
 
 
 def _fit_candidate(
-    terms: Tuple[str, ...], dataset: PairedDataset, y_factor: float
+    terms: Tuple[str, ...], columns: _TermColumns, y: np.ndarray, y_factor: float
 ) -> Optional[Tuple[LinearFormula, float]]:
     """Fit one dictionary candidate; ``(formula, scaled_mae)`` or None.
 
@@ -351,29 +384,26 @@ def _fit_candidate(
     drops samples beyond the threshold and refits; in practice two or
     three rounds converge.
     """
-    matrix = _design_matrix(terms, dataset.x_rows)
+    matrix = columns.design(terms)
     if matrix is None:
         return None
-    y = np.asarray(dataset.y_values, dtype=float)
     solved = _solve(matrix, y)
     if solved is None:
         return None
     coeffs, residuals = solved
     for __ in range(5):
-        mad = float(np.median(residuals))
-        threshold = max(6.0 * 1.4826 * mad, 1e-6)
+        threshold = max(6.0 * 1.4826 * _median(residuals), 1e-6)
         keep = residuals <= threshold
-        if int(keep.sum()) < _MIN_SAMPLES or int(keep.sum()) == len(y):
+        kept = int(np.count_nonzero(keep))
+        if kept < _MIN_SAMPLES or kept == len(y):
             break
         refit = _solve(matrix[keep], y[keep])
         if refit is None:
             break
         matrix, y = matrix[keep], y[keep]
         coeffs, residuals = refit
-    mae = float(residuals.mean())
-    coeffs = _round_coefficients(coeffs, matrix, y, mae)
-    mae = float(np.mean(np.abs(matrix @ coeffs - y)))
-    formula = LinearFormula(terms, coeffs, arity=dataset.n_variables)
+    coeffs, mae = _round_coefficients(coeffs, matrix, y, float(residuals.mean()))
+    formula = LinearFormula(terms, coeffs, arity=columns.arity)
     return formula, mae * y_factor
 
 
@@ -391,9 +421,9 @@ def sample_agreement(
     """
     if not len(dataset):
         return 0.0
-    wants = np.array(dataset.y_values, dtype=float)
-    spread = max(dataset.y_values) - min(dataset.y_values)
-    got = formula.evaluate_rows(dataset.x_rows)
+    wants = dataset.y
+    spread = float(wants.max() - wants.min())
+    got = formula.evaluate_rows(dataset.x)
     tolerance = np.maximum(np.maximum(0.5, 0.05 * np.abs(wants)), 0.03 * spread)
     with np.errstate(invalid="ignore"):
         agreeing = np.isfinite(got) & (np.abs(got - wants) <= tolerance)
@@ -490,11 +520,10 @@ class LinearBackend(InferenceBackend):
             if len(dataset) < _MIN_SAMPLES:
                 continue
             usable = True
-            y_factor = table2_factor(
-                _median_magnitude(dataset.y_values), allow_enlarge=True
-            )
+            y_factor = table2_factor(_median_magnitude(dataset.y), allow_enlarge=True)
+            columns = _TermColumns(dataset.x)
             for terms in _candidate_terms(dataset.n_variables):
-                fitted = _fit_candidate(terms, dataset, y_factor)
+                fitted = _fit_candidate(terms, columns, dataset.y, y_factor)
                 if fitted is None:
                     continue
                 formula, scaled_mae = fitted

@@ -35,17 +35,28 @@ from .screenshot import UiSeries
 
 @dataclass
 class PairedDataset:
-    """Time-aligned (X, Y) samples for one ESV."""
+    """Time-aligned (X, Y) samples for one ESV: ``x`` holds one row per
+    sample and one column per variable, ``y`` the paired UI values.
 
-    x_rows: List[Tuple[float, ...]]
-    y_values: List[float]
+    Both are coerced to float arrays, so rows given as a list of tuples
+    work too (a flat list is one variable); an empty dataset has no
+    variables.
+    """
+
+    x: np.ndarray  # (n, n_variables) float
+    y: np.ndarray  # (n,) float
+
+    def __post_init__(self) -> None:
+        self.y = np.asarray(self.y, dtype=float)
+        x = np.asarray(self.x, dtype=float)
+        self.x = (x.reshape(-1, 1) if x.ndim == 1 else x) if len(self.y) else np.zeros((0, 0))
 
     def __len__(self) -> int:
-        return len(self.x_rows)
+        return len(self.y)
 
     @property
     def n_variables(self) -> int:
-        return len(self.x_rows[0]) if self.x_rows else 0
+        return self.x.shape[1]
 
 
 def build_dataset(
@@ -69,7 +80,7 @@ def build_dataset(
     """
     times = series.numeric_times
     if not len(times):
-        return PairedDataset([], [])
+        return PairedDataset(np.zeros((0, 0)), np.zeros(0))
     # Pair only when a frame genuinely belongs to the observation: tighter
     # than half the typical frame spacing, so an observation whose frame was
     # filtered out is skipped rather than paired with a neighbouring frame
@@ -79,28 +90,25 @@ def build_dataset(
         median_gap = float(gaps[len(gaps) // 2])
         max_gap_s = min(max_gap_s, 0.6 * median_gap) if median_gap > 0 else max_gap_s
     ix, iy = nearest_pairs(observations.times, times, max_gap_s)
-    y_values: List[float] = series.numeric_values[iy].tolist()
-    x_rows: List[Tuple[float, ...]]
+    if not len(ix):
+        return PairedDataset(np.zeros((0, 0)), np.zeros(0))
     if observations.protocol != "kwp" and interpretation != "bytes":
-        x_rows = [(x,) for x in observations.int_features()[ix].tolist()]
+        x = observations.int_features()[ix].reshape(-1, 1)
     elif not observations.ragged:
-        x_rows = list(map(tuple, observations.raw[ix].astype(float).tolist()))
+        x = observations.raw[ix].astype(float)
     else:
+        # A corrupted capture can yield a minority of observations with a
+        # different byte count for the same ESV; keep only the dominant
+        # arity (the first seen of equally common ones) so the dataset
+        # stays rectangular for scaling and GP.
         raw = observations.raw
-        x_rows = [tuple(float(v) for v in raw[i]) for i in ix.tolist()]
-    # A corrupted capture can yield a minority of observations with a
-    # different byte count for the same ESV; keep only the dominant arity
-    # so the dataset stays rectangular for scaling and GP.
-    arities = {len(xs) for xs in x_rows}
-    if len(arities) > 1:
-        counts = Counter(len(xs) for xs in x_rows)
-        dominant = counts.most_common(1)[0][0]
-        kept = [
-            (xs, y) for xs, y in zip(x_rows, y_values) if len(xs) == dominant
-        ]
-        x_rows = [xs for xs, __ in kept]
-        y_values = [y for __, y in kept]
-    return PairedDataset(x_rows, y_values)
+        widths = np.array([len(raw[i]) for i in ix.tolist()])
+        dominant = Counter(widths.tolist()).most_common(1)[0][0]
+        keep = widths == dominant
+        ix, iy = ix[keep], iy[keep]
+        values = b"".join(raw[i] for i in ix.tolist())
+        x = np.frombuffer(values, dtype=np.uint8).reshape(len(ix), dominant).astype(float)
+    return PairedDataset(x, series.numeric_values[iy])
 
 
 # --------------------------------------------------------------- Tab. 2 scale
@@ -134,37 +142,32 @@ def table2_factor(magnitude: float, allow_enlarge: bool) -> float:
     return 1e4
 
 
-def _median_magnitude(values: Sequence[float]) -> float:
-    magnitudes = sorted(abs(v) for v in values)
-    if not magnitudes:
+def _median_magnitude(values: np.ndarray) -> float:
+    """The upper middle of the sorted absolute values; 1.0 for none."""
+    if not len(values):
         return 1.0
-    return magnitudes[len(magnitudes) // 2]
+    return float(np.sort(np.abs(values))[len(values) // 2])
 
 
 @dataclass
 class ScaledDataset:
     """Dataset after Tab. 2 pre-processing, with the applied factors."""
 
-    x_rows: List[Tuple[float, ...]]
-    y_values: List[float]
+    x: np.ndarray  # (n, n_variables) float
+    y: np.ndarray  # (n,) float
     x_factors: Tuple[float, ...]
     y_factor: float
 
 
 def prescale(dataset: PairedDataset) -> ScaledDataset:
     """Apply the Tab. 2 pre-processing to a paired dataset."""
-    n_vars = dataset.n_variables
-    x_factors = []
-    for index in range(n_vars):
-        column = [row[index] for row in dataset.x_rows]
-        x_factors.append(table2_factor(_median_magnitude(column), allow_enlarge=False))
-    y_factor = table2_factor(_median_magnitude(dataset.y_values), allow_enlarge=True)
-    x_rows = [
-        tuple(value * factor for value, factor in zip(row, x_factors))
-        for row in dataset.x_rows
-    ]
-    y_values = [y * y_factor for y in dataset.y_values]
-    return ScaledDataset(x_rows, y_values, tuple(x_factors), y_factor)
+    x_factors = tuple(
+        table2_factor(_median_magnitude(column), allow_enlarge=False)
+        for column in dataset.x.T
+    )
+    y_factor = table2_factor(_median_magnitude(dataset.y), allow_enlarge=True)
+    x = dataset.x * np.array(x_factors)
+    return ScaledDataset(x, dataset.y * y_factor, x_factors, y_factor)
 
 
 # ------------------------------------------------------------------ inference
@@ -338,9 +341,7 @@ def _evolve_with_restarts(config: GpConfig, scaled: "ScaledDataset") -> GpResult
     for attempt in range(MAX_RESTARTS):
         attempt_config = _replace(config, seed=config.seed + 7919 * attempt)
         with tracer.span("gp_restart", attempt=attempt) as span:
-            result = GeneticProgrammer(attempt_config, cache=cache).fit(
-                scaled.x_rows, scaled.y_values
-            )
+            result = GeneticProgrammer(attempt_config, cache=cache).fit(scaled.x, scaled.y)
             span.set(
                 fitness=round(result.fitness, 6),
                 generations=result.generations_run,
@@ -369,20 +370,16 @@ def _fit_robust(
     scaled = prescale(dataset)
     result = _evolve_with_restarts(config, scaled)
 
-    x_matrix = np.asarray(scaled.x_rows, dtype=float)
-    columns = [np.ascontiguousarray(x_matrix[:, i]) for i in range(x_matrix.shape[1])]
+    columns = [np.ascontiguousarray(column) for column in scaled.x.T]
     with np.errstate(all="ignore"):
         predictions = execute(result.program, columns, {})
-    residuals = list(np.abs(predictions - np.asarray(scaled.y_values)))
-    sorted_residuals = sorted(residuals)
-    mad = sorted_residuals[len(sorted_residuals) // 2]
+    residuals = np.abs(predictions - scaled.y)
+    # Python's sort, not numpy's: the two order a NaN residual differently.
+    mad = sorted(residuals.tolist())[len(residuals) // 2]
     threshold = max(6.0 * 1.4826 * mad, 1e-6)
-    keep = [i for i, r in enumerate(residuals) if r <= threshold]
-    if len(keep) >= 6 and len(keep) < len(residuals):
-        trimmed = PairedDataset(
-            [dataset.x_rows[i] for i in keep], [dataset.y_values[i] for i in keep]
-        )
-        scaled = prescale(trimmed)
+    keep = residuals <= threshold
+    if 6 <= int(keep.sum()) < len(residuals):
+        scaled = prescale(PairedDataset(dataset.x[keep], dataset.y[keep]))
         result = _evolve_with_restarts(config, scaled)
 
     # Fold the Tab. 2 factors back: Y = f(X*xf) / yf  (post-processing).

@@ -37,7 +37,7 @@ from repro.core import (
 from repro.core.inference import (
     LINEAR_ACCEPT_FITNESS,
     LinearBackend,
-    _design_matrix,
+    _TermColumns,
     _term_value,
     sample_agreement,
 )
@@ -135,10 +135,10 @@ def reference_sample_agreement(formula, dataset):
     """Agreement counted row by row through the scalar formula call."""
     if not len(dataset):
         return 0.0
-    wants = dataset.y_values
+    wants = dataset.y.tolist()
     spread = max(wants) - min(wants)
     agreeing = 0
-    for xs, want in zip(dataset.x_rows, wants):
+    for xs, want in zip(dataset.x.tolist(), wants):
         try:
             got = formula(xs)
         except (ValueError, ZeroDivisionError, OverflowError):
@@ -178,7 +178,7 @@ class TestColumnTerms:
     @given(terms=st.lists(_TERMS, min_size=1, max_size=3), rows=_ROWS)
     def test_design_matrix_equals_row_loop(self, terms, rows):
         want = np.array([[_term_value(t, xs) for t in terms] for xs in rows], dtype=float)
-        got = _design_matrix(tuple(terms), rows)
+        got = _TermColumns(np.array(rows)).design(tuple(terms))
         if np.isfinite(want).all():
             assert _bits(got) == _bits(want)
         else:
@@ -199,7 +199,7 @@ class TestColumnTerms:
 
     def test_values_past_int64(self):
         rows = [(float(2**63), 1.0), (float(2**64 - 1), 2.0), (float(2**70), 3.0)]
-        matrix = _design_matrix(("x0>>8", "x0&255"), rows)
+        matrix = _TermColumns(np.array(rows)).design(("x0>>8", "x0&255"))
         assert matrix[:, 0].tolist() == [float(int(x) >> 8) for x, __ in rows]
         assert matrix[:, 1].tolist() == [float(int(x) & 255) for x, __ in rows]
 

@@ -41,9 +41,9 @@ class TestTable2Properties:
         n = min(len(xs), len(ys))
         dataset = PairedDataset([(x,) for x in xs[:n]], ys[:n])
         scaled = prescale(dataset)
-        for (raw,), (scaled_x,) in zip(dataset.x_rows, scaled.x_rows):
+        for (raw,), (scaled_x,) in zip(dataset.x.tolist(), scaled.x.tolist()):
             assert scaled_x == pytest.approx(raw * scaled.x_factors[0])
-        for raw, scaled_y in zip(dataset.y_values, scaled.y_values):
+        for raw, scaled_y in zip(dataset.y.tolist(), scaled.y.tolist()):
             assert scaled_y == pytest.approx(raw * scaled.y_factor)
 
 

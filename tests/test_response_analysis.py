@@ -59,8 +59,8 @@ class TestPrescale:
     def test_values_land_near_unit_range(self):
         dataset = PairedDataset([(2000.0,), (3000.0,), (4000.0,)], [0.002, 0.003, 0.004])
         scaled = prescale(dataset)
-        assert all(1.0 <= x[0] < 10.0 for x in scaled.x_rows)
-        assert all(1.0 <= y < 10.0 for y in scaled.y_values)
+        assert all(1.0 <= x[0] < 10.0 for x in scaled.x.tolist())
+        assert all(1.0 <= y < 10.0 for y in scaled.y.tolist())
         assert scaled.x_factors == (1e-3,)
         assert scaled.y_factor == 1e3
 
@@ -70,8 +70,8 @@ class TestBuildDataset:
         observations = make_obs("uds:F400", [10, 20, 30])
         series = make_series("X", [100, 200, 300])
         dataset = build_dataset(observations, series)
-        assert dataset.x_rows == [(10.0,), (20.0,), (30.0,)]
-        assert dataset.y_values == [100.0, 200.0, 300.0]
+        assert dataset.x.tolist() == [[10.0], [20.0], [30.0]]
+        assert dataset.y.tolist() == [100.0, 200.0, 300.0]
 
     def test_observation_without_nearby_frame_skipped(self):
         observations = make_obs("uds:F400", [10, 20, 30, 40, 50, 60], dt=0.5)
@@ -86,15 +86,15 @@ class TestBuildDataset:
         observations = make_obs("kwp:01/0", [(10, 20), (30, 40)], protocol="kwp")
         series = make_series("X", [1, 2])
         dataset = build_dataset(observations, series)
-        assert dataset.x_rows[0] == (10.0, 20.0)
+        assert dataset.x[0].tolist() == [10.0, 20.0]
 
     def test_bytes_interpretation(self):
         observations = make_obs("uds:F400", [(1, 244), (2, 200)])
         series = make_series("X", [1, 2])
         as_int = build_dataset(observations, series, "int")
         per_byte = build_dataset(observations, series, "bytes")
-        assert as_int.x_rows[0] == (500.0,)
-        assert per_byte.x_rows[0] == (1.0, 244.0)
+        assert as_int.x[0].tolist() == [500.0]
+        assert per_byte.x[0].tolist() == [1.0, 244.0]
 
 
 class TestInference:
