@@ -12,10 +12,11 @@ Two ingest-throughput levers live here:
   (:func:`capture_to_wire` does the packing), cutting the per-frame JSON
   round-trip to one packed ``struct`` record that the session decodes
   into columns; ``batch_size=0`` sends the v1 per-frame JSON wire;
-* **coalesced writes** — the sender queues messages and drains once per
-  flush window instead of once per message, so the event loop round-trip
-  and TCP push happen per *kilobytes*, not per record.  Drains forced by
-  the write buffer's high-water mark are counted in
+* **coalesced writes** — the sender encodes a flush window of messages
+  (up to :data:`FLUSH_MESSAGES`, or :data:`WRITE_HIGH_WATER` bytes) and
+  hands it to the socket as one write, then drains, so the event loop
+  round-trip and TCP push happen per *kilobytes*, not per record.  Drains
+  that find the write buffer past its high-water mark are counted in
   :attr:`StreamResult.backpressure_stalls` — the client-side twin of the
   server's ``service.backpressure_stalls``.
 """
@@ -37,10 +38,11 @@ from .protocol import (
 #: CAN frames per ``frame-batch`` message on the default wire.
 BATCH_SIZE = 256
 
-#: Queued egress bytes that force an immediate drain mid-flush-window.
+#: Encoded bytes that close a flush window early; a drain that finds more
+#: than this still queued counts as a backpressure stall.
 WRITE_HIGH_WATER = 64 * 1024
 
-#: Messages written between voluntary drains when coalescing.
+#: Messages in one flush window when coalescing.
 FLUSH_MESSAGES = 64
 
 
@@ -62,6 +64,32 @@ class StreamResult:
         self.backpressure_stalls: int = 0
 
 
+class _FlushWindow:
+    """The encoded messages of one flush window (a writer for
+    :func:`~repro.service.protocol.write_message`)."""
+
+    def __init__(self) -> None:
+        self.chunks: List[bytes] = []
+        self.size = 0
+
+    def __len__(self) -> int:
+        return len(self.chunks)
+
+    def write(self, data: bytes) -> None:
+        self.chunks.append(data)
+        self.size += len(data)
+
+    async def flush(self, writer: asyncio.StreamWriter, result: StreamResult) -> None:
+        """Send the window as one write and drain."""
+        if not self.chunks:
+            return
+        writer.write(b"".join(self.chunks))
+        self.chunks, self.size = [], 0
+        if writer.transport.get_write_buffer_size() > WRITE_HIGH_WATER:
+            result.backpressure_stalls += 1
+        await writer.drain()
+
+
 async def stream_capture_async(
     host: str,
     port: int,
@@ -80,7 +108,8 @@ async def stream_capture_async(
     ``batch_size=0`` streams them as v1 per-frame JSON messages.
     ``delay_s`` sleeps between records to emulate a live capture's pacing
     (0 = as fast as the server's flow control allows; pacing implies one
-    drain per record, so write coalescing only applies at full speed).
+    write and drain per record, so write coalescing only applies at full
+    speed).
     ``on_status`` is called with every interim snapshot the server pushes.
     """
     reader, writer = await asyncio.open_connection(host, port)
@@ -129,25 +158,21 @@ async def stream_capture_async(
 
         consumer = asyncio.ensure_future(_drain_statuses())
         try:
-            unflushed = 0
+            window = _FlushWindow()
             for message in messages:
-                write_message(writer, message)
                 if delay_s > 0:
+                    write_message(writer, message)
                     await writer.drain()
                     await asyncio.sleep(delay_s)
                 else:
-                    unflushed += 1
-                    buffered = writer.transport.get_write_buffer_size()
-                    if buffered > WRITE_HIGH_WATER:
-                        result.backpressure_stalls += 1
-                        await writer.drain()
-                        unflushed = 0
-                    elif unflushed >= FLUSH_MESSAGES:
-                        await writer.drain()
-                        unflushed = 0
+                    write_message(window, message)
+                    if len(window) >= FLUSH_MESSAGES or window.size >= WRITE_HIGH_WATER:
+                        await window.flush(writer, result)
                 if consumer.done():
                     break  # server errored out mid-stream; surface it below
-            await writer.drain()
+            if not consumer.done():
+                await window.flush(writer, result)
+                await writer.drain()
             await consumer
         finally:
             if not consumer.done():

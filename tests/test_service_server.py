@@ -523,6 +523,58 @@ class TestRecordBound:
         assert service_counters(server)["service.backpressure_stalls"] > 0
 
 
+class TestCoalescedWrites:
+    """The client hands the socket one write per flush window: the hello,
+    then windows of :data:`~repro.service.client.FLUSH_MESSAGES` messages
+    or :data:`~repro.service.client.WRITE_HIGH_WATER` bytes."""
+
+    @pytest.fixture(scope="class")
+    def car_c(self):
+        capture = DataCollector(make_tool_for_car("C", build_car("C"))).collect()
+        batch = DPReverser(ReverserConfig(formula_backend="linear")).reverse_engineer(capture)
+        return capture, batch.to_json()
+
+    @pytest.mark.parametrize("batch_size", [client_module.BATCH_SIZE, 0])
+    def test_one_transport_write_per_flush_window(self, car_c, batch_size, monkeypatch):
+        capture, batch = car_c
+        writes = []
+        open_connection = asyncio.open_connection
+
+        async def counting_open_connection(*args, **kwargs):
+            reader, writer = await open_connection(*args, **kwargs)
+            transport_write = writer.transport.write
+
+            def write(data):
+                writes.append(len(data))
+                transport_write(data)
+
+            writer.transport.write = write
+            return reader, writer
+
+        monkeypatch.setattr(asyncio, "open_connection", counting_open_connection)
+
+        async def run():
+            async with DiagnosticServer(ServiceConfig(formula_backend="linear")) as server:
+                return await stream_capture_async(
+                    "127.0.0.1", server.port, capture, batch_size=batch_size
+                )
+
+        result = asyncio.run(run())
+        assert result.report_json == batch
+        sizes = [len(encode_message(m)) for m in capture_to_wire(capture, batch_size=batch_size)]
+        windows, window = [sizes[0]], []
+        for size in sizes[1:]:
+            window.append(size)
+            if len(window) >= client_module.FLUSH_MESSAGES or (
+                sum(window) >= client_module.WRITE_HIGH_WATER
+            ):
+                windows.append(sum(window))
+                window = []
+        windows.append(sum(window))
+        assert writes == [size for size in windows if size]
+        assert len(writes) * 10 < len(sizes)
+
+
 class TestObservability:
     def test_per_session_trace_lanes(self, capture_a):
         async def run():
