@@ -133,6 +133,20 @@ def load_artifact_dir(directory: Union[str, Path]) -> Dict[str, dict]:
     return artifacts
 
 
+def writes_table(mode: Optional[str], table_mode: Optional[str]) -> bool:
+    """Whether a bench run in ``mode`` rewrites its committed table.
+
+    A bench with a reduced (quick or smoke) mode declares ``MODE``, the
+    mode of the current run, and ``TABLE_MODE``, the mode its committed
+    ``results/<name>.txt`` comes from; a run in the other mode leaves the
+    table as committed, so a two-car quick run cannot replace an 18-car
+    table.  A bench without modes declares neither and always writes.
+    """
+    if (mode is None) != (table_mode is None):
+        raise ValueError("a bench declares both MODE and TABLE_MODE or neither")
+    return mode == table_mode
+
+
 def selects_whole_module(
     module: Union[str, Path],
     args: Iterable[str],

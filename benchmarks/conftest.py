@@ -109,8 +109,9 @@ def report_file(request):
 
     The file is truncated the first time a module writes to it in a
     session, so parametrised tests accumulate into one table.  A run that
-    selects only some of a module's tests leaves its table untouched, so
-    the committed rows of the tests that did not run survive.
+    selects only some of a module's tests, or runs a bench in another mode
+    than its committed table's (``bench_io.writes_table``), leaves its
+    table untouched.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     name = request.module.__name__.replace("test_", "")
@@ -122,8 +123,11 @@ def report_file(request):
 
     yield write
     config = request.config
+    module = request.module
     if not bench_io.selects_whole_module(
         request.path, config.args, config.invocation_params.dir, _deselected_files
+    ) or not bench_io.writes_table(
+        getattr(module, "MODE", None), getattr(module, "TABLE_MODE", None)
     ):
         return
     mode = "a" if path in _initialised_reports else "w"

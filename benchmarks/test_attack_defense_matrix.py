@@ -45,6 +45,9 @@ from repro.transport.bmw import segment_bmw
 from repro.transport.kline import KLineByte, KLineFrameParser, frame_message
 
 QUICK = bool(os.environ.get("ATTACK_SMOKE"))
+MODE = "quick" if QUICK else "full"
+#: results/attack_defense_matrix.txt holds the 25-transfer table.
+TABLE_MODE = "full"
 
 #: Victim transfers per offline scenario (payload diversity, not duration).
 TRANSFERS = 5 if QUICK else 25

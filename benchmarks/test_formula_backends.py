@@ -25,6 +25,9 @@ from repro.core import DPReverser, GpConfig, ReverserConfig, check_formula
 from conftest import verify_car  # noqa: F401  (fleet fixture helper family)
 
 QUICK = bool(os.environ.get("FORMULA_BACKEND_QUICK"))
+MODE = "quick" if QUICK else "full"
+#: results/formula_backends.txt holds the full 18-car table.
+TABLE_MODE = "full"
 
 #: Car subset: quick mode keeps one car with a genuine GP tail (A) and one
 #: fully linear-solvable car (E); full mode sweeps the whole fleet.

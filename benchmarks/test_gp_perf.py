@@ -25,6 +25,9 @@ from repro.core import DPReverser, GpConfig, ReverserConfig
 from repro.core.response_analysis import infer_formula
 
 QUICK = bool(os.environ.get("GP_PERF_QUICK"))
+MODE = "quick" if QUICK else "full"
+#: results/gp_perf.txt holds the quick-mode (CI) table.
+TABLE_MODE = "quick"
 ASSERT_TIMING = bool(os.environ.get("GP_PERF_ASSERT_TIMING"))
 
 #: Pool width for the backend comparison (kept small in CI smoke mode).

@@ -19,6 +19,9 @@ from repro.core import DPReverser, GpConfig, ReverserConfig, check_formula
 from repro.vehicle import CAR_SPECS
 
 QUICK = bool(os.environ.get("NOISE_SMOKE"))
+MODE = "quick" if QUICK else "full"
+#: results/noise_robustness.txt holds the smoke-mode (CI) table.
+TABLE_MODE = "quick"
 
 #: One car per transport keeps the sweep honest about decoder differences.
 SWEEP_CARS = ["A", "C", "E"] if QUICK else ["A", "C", "D", "E", "K", "N"]

@@ -81,6 +81,9 @@ from repro.tools import make_tool_for_car
 from repro.vehicle import CAR_SPECS, build_car
 
 SMOKE = bool(os.environ.get("SERVICE_SMOKE"))
+MODE = "quick" if SMOKE else "full"
+#: results/service_ingest.txt holds the smoke-mode (CI) table.
+TABLE_MODE = "quick"
 FRAMES = 6_000 if SMOKE else 24_000
 REPEATS = 3 if SMOKE else 5
 BATCH_SIZE = 256

@@ -40,6 +40,9 @@ from repro.tools import make_tool_for_car
 from repro.vehicle import build_car
 
 SMOKE = bool(os.environ.get("SERVICE_SMOKE"))
+MODE = "quick" if SMOKE else "full"
+#: results/service_throughput.txt holds the smoke-mode (CI) table.
+TABLE_MODE = "quick"
 SESSIONS = 40 if SMOKE else 1000
 GP = GpConfig(seed=2, generations=4, population_size=60)
 

@@ -10,6 +10,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -123,6 +124,45 @@ class TestTableSelection:
         assert self.whole(
             ["benchmarks/test_table6_uds_kwp.py", "benchmarks/test_table5_obd2.py::test_x"]
         )
+
+
+class TestTableMode:
+    """A bench with a reduced mode rewrites its committed table only in
+    the mode that table comes from."""
+
+    def test_matching_mode_writes(self):
+        assert bench_io.writes_table("full", "full")
+        assert bench_io.writes_table("quick", "quick")
+        assert bench_io.writes_table(None, None)
+
+    def test_other_mode_keeps_the_table(self):
+        assert not bench_io.writes_table("quick", "full")
+        assert not bench_io.writes_table("full", "quick")
+
+    def test_half_declared_modes_rejected(self):
+        with pytest.raises(ValueError, match="MODE"):
+            bench_io.writes_table("quick", None)
+        with pytest.raises(ValueError, match="MODE"):
+            bench_io.writes_table(None, "full")
+
+    def test_reduced_mode_benches_declare_their_table_mode(self):
+        """Every bench with a quick or smoke switch declares the mode of
+        its committed table, and the table says so: a reduced-mode table
+        names its mode in its text, a full one does not."""
+        declared = {}
+        for path in sorted((REPO / "benchmarks").glob("test_*.py")):
+            source = path.read_text()
+            if not re.search(r'os\.environ\.get\("\w+_(QUICK|SMOKE)"\)', source):
+                continue
+            match = re.search(r'^TABLE_MODE = "(quick|full)"$', source, re.MULTILINE)
+            assert match, f"{path.name} declares no TABLE_MODE"
+            assert re.search(r"^MODE = ", source, re.MULTILINE), path.name
+            name = path.stem.replace("test_", "", 1)
+            table = (REPO / "benchmarks" / "results" / f"{name}.txt").read_text()
+            reduced = "quick mode" in table or "smoke mode" in table
+            assert reduced == (match.group(1) == "quick"), name
+            declared[name] = match.group(1)
+        assert declared["formula_backends"] == declared["attack_defense_matrix"] == "full"
 
 
 # ------------------------------------------------------------ bench_compare
