@@ -31,7 +31,7 @@ that can be a label's best at or above the matching floor.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -188,15 +188,16 @@ class _PartScorer:
 
     def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
         self.margin = _margin(y.shape[1])
-        self.dx, self.dy = _centred(x), _centred(y)
+        #: Deviation rows: the features, then the labels.
+        self.rows = _centred(np.concatenate((x, y)))
+        self.n_features = len(x)
+        self._exact: Dict[int, float] = {}
         self.approx = None
-        self._exact_x: Dict[int, float] = {}
-        self._exact_y: Dict[int, float] = {}
-        var_x = self._variances(self.dx, self._exact_x)
-        var_y = self._variances(self.dy, self._exact_y)
-        if var_x is None or var_y is None:
+        variances = self._variances()
+        if variances is None:
             return
-        products = (self.dx @ self.dy.T).tolist()
+        var_x, var_y = variances[: len(x)], variances[len(x) :]
+        products = (self.rows[: len(x)] @ self.rows[len(x) :].T).tolist()
         self.approx = [
             (i, j, abs(c) / math.sqrt(vx * vy))
             for i, (row, vx) in enumerate(zip(products, var_x))
@@ -205,30 +206,30 @@ class _PartScorer:
             if vy
         ]
 
-    def _variances(self, deviations: np.ndarray, exact: Dict[int, float]):
+    def _variances(self) -> Optional[List[float]]:
         """Approximate sums of squares, 0.0 for a row whose fsum value is
         at or below the cut; None outside the safe range.  A row near the
         cut gets its fsum value."""
-        variances = np.einsum("ij,ij->i", deviations, deviations).tolist()
+        variances = np.einsum("ij,ij->i", self.rows, self.rows).tolist()
         cut = 1e-12 * (1.0 + self.margin)
         for i, value in enumerate(variances):
             if not value <= _LARGEST_VARIANCE:  # NaN too
                 return None
             if value <= cut:
-                exact[i] = value = _sum_of_squares(deviations[i])
+                value = self._sum_of_squares(i)
                 variances[i] = value if value > 1e-12 else 0.0
         return variances
 
+    def _sum_of_squares(self, row: int) -> float:
+        """The fsum sum of squares of one deviation row, computed once."""
+        value = self._exact.get(row)
+        if value is None:
+            deviations = self.rows[row]
+            value = self._exact[row] = math.fsum((deviations * deviations).tolist())
+        return value
+
     def exact(self, i: int, j: int) -> float:
         """:func:`pearson` of feature ``i`` with label ``j``."""
-        var_x = self._exact_x.get(i)
-        if var_x is None:
-            var_x = self._exact_x[i] = _sum_of_squares(self.dx[i])
-        var_y = self._exact_y.get(j)
-        if var_y is None:
-            var_y = self._exact_y[j] = _sum_of_squares(self.dy[j])
-        return math.fsum((self.dx[i] * self.dy[j]).tolist()) / math.sqrt(var_x * var_y)
-
-
-def _sum_of_squares(row: np.ndarray) -> float:
-    return math.fsum((row * row).tolist())
+        j += self.n_features
+        covariance = math.fsum((self.rows[i] * self.rows[j]).tolist())
+        return covariance / math.sqrt(self._sum_of_squares(i) * self._sum_of_squares(j))

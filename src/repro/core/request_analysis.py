@@ -80,9 +80,7 @@ class _IdentifierColumns:
     Raw features: ``var<i>`` per variable, ``product`` of the variables
     when there are at least two, and ``int``, the big-endian integer.  A
     feature present in every value is a row of ``full``; one missing from
-    some (responses of ragged length) keeps its own timestamps.  A score
-    is the best over the features, so ``full`` keeps one of equal rows
-    (``var0`` and ``int`` of one-byte values).
+    some (responses of ragged length) keeps its own timestamps.
     """
 
     def __init__(self, observations: EsvColumns) -> None:
@@ -103,8 +101,11 @@ class _IdentifierColumns:
                 for column in rows[1:]:
                     product *= column
                 rows.append(product)
-            rows.append(observations.int_features())
-            self.full = _distinct_rows(rows, len(raw))
+            # A score is the best over the features, and a one-byte
+            # value's integer is its only variable.
+            if raw.shape[1] != 1:
+                rows.append(observations.int_features())
+            self.full = np.array(rows).reshape(len(rows), len(raw))
             changed = (raw[1:] != raw[:-1]).any(axis=1)
         self.flips = _flips(changed, len(observations))
 
@@ -133,20 +134,10 @@ class _IdentifierColumns:
             else:
                 times = [self.times[i] for i in positions]
                 self.ragged.append((times, np.array(times), np.array(values)))
-        self.full = _distinct_rows(full, len(observations))
+        self.full = np.array(full, dtype=float).reshape(len(full), len(observations))
 
     def window(self, window: Window) -> "_IdentifierWindow":
         return _IdentifierWindow(self, *_window_bounds(self.times, window), window)
-
-
-def _distinct_rows(rows: Sequence[Sequence[float]], n: int) -> np.ndarray:
-    """The rows as an ``(m, n)`` float matrix, each distinct row once."""
-    distinct: List[np.ndarray] = []
-    for row in rows:
-        row = np.asarray(row, dtype=float)
-        if not any(np.array_equal(row, kept) for kept in distinct):
-            distinct.append(row)
-    return np.array(distinct).reshape(len(distinct), n)
 
 
 class _IdentifierWindow:

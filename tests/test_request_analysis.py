@@ -588,8 +588,12 @@ def _cut_case():
     # The fsum sum of squares of this row is exactly 1e-12, so it scores
     # 0.0; a numpy sum of the same squares reads 1.0000000000000002e-12.
     row = [
-        5.918780420443392e-07, -3.073942084199781e-07, -2.349237833332644e-07,
-        -5.918780420443392e-07, 3.073942084199781e-07, 2.349237833332644e-07,
+        5.918780420443392e-07,
+        -3.073942084199781e-07,
+        -2.349237833332644e-07,
+        -5.918780420443392e-07,
+        3.073942084199781e-07,
+        2.349237833332644e-07,
     ]
     label = [3.0 * x + 1.0 for x in row]
     return [(np.array([row]), np.array([label]))]
