@@ -33,7 +33,7 @@ from .pairing import nearest_pairs
 from .screenshot import UiSeries
 
 
-@dataclass
+@dataclass(eq=False)
 class PairedDataset:
     """Time-aligned (X, Y) samples for one ESV: ``x`` holds one row per
     sample and one column per variable, ``y`` the paired UI values.
@@ -149,7 +149,7 @@ def _median_magnitude(values: np.ndarray) -> float:
     return float(np.sort(np.abs(values))[len(values) // 2])
 
 
-@dataclass
+@dataclass(eq=False)
 class ScaledDataset:
     """Dataset after Tab. 2 pre-processing, with the applied factors."""
 
